@@ -1,11 +1,13 @@
 """EM fitting of softmax-gated mixture-of-experts models.
 
-The E-step computes posterior responsibilities; the M-step solves the
-experts in closed form (weighted least squares per expert, weighted
-residual variance) and improves the gating network with damped Newton
-steps on the multinomial-logistic objective.  Damping (step halving)
-makes this a generalized EM: the observed-data average log-likelihood
-never decreases, which the fit records as a per-iteration trace.
+The E-step takes responsibilities and the average log-likelihood from one
+pass over ``model.log_joint``, the kernel behind every likelihood here.
+The M-step solves the experts in closed form (weighted least squares,
+weighted residual variance) and improves the gating network with damped
+Newton steps on the multinomial-logistic objective, whose Hessian is two
+BLAS products (GEMMs).  Damping (step halving) makes this a generalized
+EM: the observed-data average log-likelihood never decreases, which the
+fit records as a per-iteration trace.
 
 Initialization options: k-means clustering of the joined (x, y) points,
 perturbation of a known reference model (round-robin atom assignment plus
@@ -18,16 +20,17 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InputError, NumericError
 from .model import (
-    LOG_2PI,
     LOG_DENSITY_FLOOR,
     Dataset,
     ExpertAtom,
     MixingMeasure,
+    log_joint,
+    logsumexp_rows,
     normalize_baseline,
+    softmax_rows,
 )
 
 __all__ = [
@@ -120,19 +123,6 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # gating M-step
 
-def _softmax_rows(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
-def _gate_objective(gates: np.ndarray, resp: np.ndarray, z: np.ndarray) -> float:
-    # sum_n sum_k r_nk log softmax_k(gates @ z_n); rows of resp sum to 1
-    logits = z @ gates.T
-    return float(np.sum(resp * logits)
-                 - np.sum(logsumexp(logits, axis=1)))
-
-
 def _box_project(gates: np.ndarray, box) -> np.ndarray:
     """Bring gates into the compact box, stated in the baseline gauge.
 
@@ -148,13 +138,16 @@ def _box_project(gates: np.ndarray, box) -> np.ndarray:
 
 
 def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
-                       ridge: float = 1e-8,
-                       box=None) -> tuple[np.ndarray, float]:
+                       ridge: float = 1e-8, box=None,
+                       objective: float | None = None
+                       ) -> tuple[np.ndarray, float]:
     """One damped Newton update of the gating parameters.
 
     ``gates`` is (K, D+1): row k holds (omega1_k, omega0_k).  Returns the
     updated gates and the new objective value; the objective never
     decreases (step halving, up to 20 halvings, falls back to no move).
+    ``objective``, when given, is the objective at ``gates`` (the value a
+    previous step returned), and spares its evaluation.
     The softmax translation direction is flat, so the Hessian needs the
     ridge to be solvable; the update then stays in a fixed gauge section.
     When ``box`` is given, each candidate is projected into the compact
@@ -165,18 +158,24 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     k = gates.shape[0]
     if resp.shape != (n, k):
         raise InputError("responsibility matrix shape mismatch")
+    p = d + 1
     z = np.hstack([xs, np.ones((n, 1))])          # (N, D+1)
-    obj0 = _gate_objective(gates, resp, z)
-    pi = _softmax_rows(z @ gates.T)               # (N, K)
+    logits = z @ gates.T                          # (N, K)
+    pi, lse = softmax_rows(logits)
+    if objective is None:
+        # sum_n sum_k r_nk log softmax_k(logits_n); rows of resp sum to 1
+        objective = float(np.sum(resp * logits) - np.sum(lse))
     grad = (resp - pi).T @ z                      # (K, D+1)
 
-    # Fisher-style Hessian blocks: H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T
-    h1 = np.einsum("nk,nd,ne->kde", pi, z, z)
-    h2 = np.einsum("nk,nl,nd,ne->klde", pi, pi, z, z)
-    p = d + 1
-    hess = -h2.transpose(0, 2, 1, 3).reshape(k * p, k * p)
-    for kk in range(k):
-        hess[kk * p:(kk + 1) * p, kk * p:(kk + 1) * p] += h1[kk]
+    # Fisher-style Hessian blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T
+    # as GEMMs: -(P^T P) with P_n = pi_n (x) z_n, plus sum_n pi_nk z_n z_n^T;
+    # outer products on contiguous (., N) copies, where broadcasts are fast
+    zt = np.ascontiguousarray(z.T)
+    pzt = (np.ascontiguousarray(pi.T)[:, None, :] * zt).reshape(k * p, n)
+    hess = -(pzt @ pzt.T)
+    zzt = (zt[:, None, :] * zt).reshape(p * p, n)
+    diag = np.arange(k)
+    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi.T @ zzt.T).reshape(k, p, p)
     hess[np.diag_indices_from(hess)] += ridge
 
     try:
@@ -191,19 +190,21 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
         cand = gates + scale * step
         if box is not None:
             cand = _box_project(cand, box)
-        obj = _gate_objective(cand, resp, z)
-        if obj >= obj0:
+        logits = z @ cand.T
+        obj = float(np.sum(resp * logits) - np.sum(logsumexp_rows(logits)))
+        if obj >= objective:
             return cand, obj
         scale *= 0.5
-    return gates, obj0
+    return gates, objective
 
 
 def _gate_mstep(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
                 cfg: FitConfig) -> np.ndarray:
     obj = None
     for _ in range(cfg.newton_max_iter):
+        # each step starts from the previous step's accepted objective
         gates, new_obj = gating_newton_step(gates, resp, xs, ridge=cfg.ridge,
-                                            box=cfg.gate_box)
+                                            box=cfg.gate_box, objective=obj)
         if obj is not None and new_obj - obj < cfg.newton_tol:
             break
         obj = new_obj
@@ -212,17 +213,6 @@ def _gate_mstep(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
 
 # ---------------------------------------------------------------------------
 # EM core
-
-def _loglik_rows(omega: np.ndarray, omega0: np.ndarray, slopes: np.ndarray,
-                 intercepts: np.ndarray, sigmas: np.ndarray,
-                 xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    logits = xs @ omega.T + omega0
-    log_gates = logits - logsumexp(logits, axis=1, keepdims=True)
-    means = xs @ slopes.T + intercepts
-    log_norm = -0.5 * (LOG_2PI + np.log(sigmas)
-                       + (ys[:, None] - means) ** 2 / sigmas)
-    return log_gates + log_norm
-
 
 def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     """Fit a cfg.K expert model by generalized EM from the given start.
@@ -255,27 +245,20 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
         omega0 = start[:, d].copy()
 
     def current_loglik(iteration: int) -> tuple[np.ndarray, float]:
-        lj = _loglik_rows(omega, omega0, slopes, intercepts, sigmas, xs, ys)
-        row_ll = logsumexp(lj, axis=1)
+        # one pass gives the likelihood and the next E-step's responsibilities
+        resp, row_ll = softmax_rows(
+            log_joint(omega, omega0, slopes, intercepts, sigmas, xs, ys))
         avg = float(np.mean(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
         if not math.isfinite(avg):
             raise NumericError("average log-likelihood became non-finite",
                                iteration=iteration)
-        return lj, avg
+        return resp, avg
 
-    lj, avg_ll = current_loglik(0)
+    resp, avg_ll = current_loglik(0)
     trace: list[float] = [avg_ll]
     converged = False
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
-        # E-step: responsibilities; fully-underflowed rows become uniform
-        mx = np.max(lj, axis=1, keepdims=True)
-        resp = np.exp(lj - np.where(np.isfinite(mx), mx, 0.0))
-        bad = ~np.isfinite(resp).all(axis=1)
-        if np.any(bad):
-            resp[bad] = 1.0
-        resp /= np.sum(resp, axis=1, keepdims=True)
-
         # M-step, experts: weighted least squares and residual variance
         for j in range(k):
             w = resp[:, j]
@@ -309,7 +292,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
             raise NumericError("model parameters became non-finite",
                                iteration=iteration)
 
-        lj, avg_ll = current_loglik(iteration)
+        resp, avg_ll = current_loglik(iteration)
         trace.append(avg_ll)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True

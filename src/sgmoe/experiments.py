@@ -281,16 +281,6 @@ def _write_checkpoint(path, fields, records: dict) -> None:
     os.replace(tmp, path)
 
 
-def _sort_checkpoint(path, fields) -> None:
-    """Put a finished run's checkpoint in (n_index, rep) order.
-
-    Rows are appended as replications finish, so their order depends on
-    process scheduling; sorting makes the file's bytes independent of the
-    worker count.
-    """
-    _write_checkpoint(path, fields, _load_checkpoint(path, fields)[0])
-
-
 class _CheckpointWriter:
     """Append-only CSV of finished replications, flushed per row."""
 
@@ -334,6 +324,57 @@ def _run_jobs(jobs, worker: Callable, workers: int, on_done: Callable):
             on_done(futures[fut], fut.result())
 
 
+def _run_grid(cfg, checkpoint, fields, replication: Callable,
+              decode: Callable, encode: Callable) -> dict:
+    """Run (or resume) a study's (size, rep) grid; results keyed by (n_index,
+    rep). ``decode``/``encode`` map a result from/to its checkpoint fields
+    after (n_index, n, rep, status). A finished run rewrites the checkpoint
+    in (n_index, rep) order, so its bytes do not depend on the worker count;
+    an interrupted one leaves its appended rows for the resume. More than
+    10% skipped replications abort the study with NumericError.
+    """
+    sizes = cfg.sizes()
+    done, truncated = _load_checkpoint(checkpoint, fields)
+    results: dict[tuple[int, int], tuple] = {}
+    for (i, r), rec in done.items():
+        if i >= len(sizes) or r >= cfg.reps or int(rec["n"]) != sizes[i]:
+            raise InputError(
+                "checkpoint does not match this configuration's grid")
+        results[(i, r)] = decode(rec)
+    jobs = [((i, r), (cfg, i, n, r))
+            for i, n in enumerate(sizes) for r in range(cfg.reps)
+            if (i, r) not in results]
+
+    writer = None
+    if checkpoint is not None:
+        writer = _CheckpointWriter(
+            checkpoint, fields,
+            rewrite=done if truncated else None)
+
+    def on_done(key, out):
+        results[key] = out
+        if writer is not None:
+            writer.write({"n_index": key[0], "n": sizes[key[0]],
+                          "rep": key[1], "status": out[0], **encode(out)})
+
+    try:
+        _run_jobs(jobs, replication, resolve_workers(cfg.workers), on_done)
+    finally:
+        if writer is not None:
+            writer.close()
+    if checkpoint is not None:
+        # rows were appended in finishing order, which depends on scheduling
+        _write_checkpoint(checkpoint, fields,
+                          _load_checkpoint(checkpoint, fields)[0])
+
+    skipped = sum(out[0] != "ok" for out in results.values())
+    total = len(sizes) * cfg.reps
+    if skipped > 0.10 * total:
+        raise NumericError(
+            f"{skipped} of {total} replications failed; study aborted")
+    return results
+
+
 def run_rate_study(cfg: RateStudyConfig,
                    checkpoint: str | Path | None = None) -> RateStudyResult:
     """Run (or resume) a rate study; fails if more than 10% of reps skip.
@@ -344,51 +385,15 @@ def run_rate_study(cfg: RateStudyConfig,
     data and its loss cannot be measured (see `_rate_replication`). Skips
     beyond 10% of the grid abort the study with NumericError.
 
-    Once every replication has finished the checkpoint is rewritten in
-    (n_index, rep) order, so its bytes do not depend on the worker count.
-    An interrupted run leaves the appended rows for the next resume.
+    The checkpoint is finalized as in `_run_grid`.
     """
     sizes = cfg.sizes()
-    done, truncated = _load_checkpoint(checkpoint, RATE_FIELDS)
-    results: dict[tuple[int, int], tuple] = {}
-    for (i, r), rec in done.items():
-        if i >= len(sizes) or r >= cfg.reps or int(rec["n"]) != sizes[i]:
-            raise InputError(
-                "checkpoint does not match this configuration's grid")
-        results[(i, r)] = (rec["status"], _parse(rec["loss"]),
-                           _parse(rec["raw_loss"]))
-    jobs = [((i, r), (cfg, i, n, r))
-            for i, n in enumerate(sizes) for r in range(cfg.reps)
-            if (i, r) not in results]
-
-    writer = None
-    if checkpoint is not None:
-        writer = _CheckpointWriter(
-            checkpoint, RATE_FIELDS,
-            rewrite=done if truncated else None)
-
-    def on_done(key, out):
-        status, loss, raw = out
-        results[key] = out
-        if writer is not None:
-            writer.write({"n_index": key[0], "n": sizes[key[0]],
-                          "rep": key[1], "status": status,
-                          "loss": _fmt(loss), "raw_loss": _fmt(raw)})
-
-    try:
-        _run_jobs(jobs, _rate_replication, resolve_workers(cfg.workers),
-                  on_done)
-    finally:
-        if writer is not None:
-            writer.close()
-    if checkpoint is not None:
-        _sort_checkpoint(checkpoint, RATE_FIELDS)
-
+    results = _run_grid(
+        cfg, checkpoint, RATE_FIELDS, _rate_replication,
+        decode=lambda rec: (rec["status"], _parse(rec["loss"]),
+                            _parse(rec["raw_loss"])),
+        encode=lambda out: {"loss": _fmt(out[1]), "raw_loss": _fmt(out[2])})
     rows, skipped = _aggregate_rate(sizes, cfg.reps, results)
-    total = len(sizes) * cfg.reps
-    if skipped > 0.10 * total:
-        raise NumericError(
-            f"{skipped} of {total} replications failed; study aborted")
     slope, intercept = _curve_slope(rows)
     raw_rows: tuple[RateRow, ...] = ()
     raw_slope = raw_intercept = math.nan
@@ -519,49 +524,18 @@ def run_selection_study(cfg: SelectionStudyConfig,
                         ) -> SelectionStudyResult:
     """Run (or resume) a selection study over the configured size grid.
 
-    The checkpoint is finalized in (n_index, rep) order as in
-    `run_rate_study`.
+    The checkpoint is finalized as in `_run_grid`.
     """
     sizes = cfg.sizes()
     k0 = builtin_truths()[cfg.truth].n_atoms
-    fields = selection_fields(cfg.methods)
-    done, truncated = _load_checkpoint(checkpoint, fields)
-    results: dict[tuple[int, int], tuple[str, dict[str, int]]] = {}
-    for (i, r), rec in done.items():
-        if i >= len(sizes) or r >= cfg.reps or int(rec["n"]) != sizes[i]:
-            raise InputError(
-                "checkpoint does not match this configuration's grid")
-        picks = {m: int(rec[m]) for m in cfg.methods if rec[m] != ""}
-        results[(i, r)] = (rec["status"], picks)
-    jobs = [((i, r), (cfg, i, n, r))
-            for i, n in enumerate(sizes) for r in range(cfg.reps)
-            if (i, r) not in results]
-
-    writer = None
-    if checkpoint is not None:
-        writer = _CheckpointWriter(
-            checkpoint, fields,
-            rewrite=done if truncated else None)
-
-    def on_done(key, out):
-        status, picks = out
-        results[key] = out
-        if writer is not None:
-            rec = {"n_index": key[0], "n": sizes[key[0]], "rep": key[1],
-                   "status": status}
-            rec.update({m: str(picks[m]) if m in picks else ""
-                        for m in cfg.methods})
-            writer.write(rec)
-
-    try:
-        _run_jobs(jobs, _selection_replication, resolve_workers(cfg.workers),
-                  on_done)
-    finally:
-        if writer is not None:
-            writer.close()
-    if checkpoint is not None:
-        _sort_checkpoint(checkpoint, fields)
-
+    results = _run_grid(
+        cfg, checkpoint, selection_fields(cfg.methods),
+        _selection_replication,
+        decode=lambda rec: (rec["status"], {m: int(rec[m])
+                                            for m in cfg.methods
+                                            if rec[m] != ""}),
+        encode=lambda out: {m: str(out[1][m]) if m in out[1] else ""
+                            for m in cfg.methods})
     rows = []
     skipped = 0
     for i, n in enumerate(sizes):
@@ -577,10 +551,6 @@ def run_selection_study(cfg: SelectionStudyConfig,
                                      proportion_correct=correct,
                                      mean_chosen=mean_chosen,
                                      reps_used=len(picks)))
-    total = len(sizes) * cfg.reps
-    if skipped > 0.10 * total:
-        raise NumericError(
-            f"{skipped} of {total} replications failed; study aborted")
     return SelectionStudyResult(rows=tuple(rows), true_k=k0, skipped=skipped)
 
 

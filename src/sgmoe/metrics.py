@@ -279,12 +279,23 @@ def _heuristic_start(cells: list[_CellTerms], dim: int):
 _ORDER = {"vde": 0, "vdo": 1, "vdfra": 2}
 
 
+def _infimum(cells: list[_CellTerms], kind: str, dim: int,
+             start) -> TranslationOptimum:
+    """Solve one loss; one not finite at the origin is a numeric failure."""
+    obj = _objective(cells, _ORDER[kind])
+    with np.errstate(over="ignore"):
+        v0 = obj(0.0, np.zeros(dim))
+    if not math.isfinite(v0):
+        raise NumericError(f"{kind} is not finite at the origin ({v0}); "
+                           "the fitted weights or deviations overflow")
+    return translation_infimum(obj, dim, extra_starts=[start])
+
+
 def _solve(fitted: MixingMeasure, reference: MixingMeasure,
            kind: str) -> TranslationOptimum:
     _, _, _, cells = _prepare(fitted, reference)
-    obj = _objective(cells, _ORDER[kind])
-    start = _heuristic_start(cells, fitted.dim)
-    return translation_infimum(obj, fitted.dim, extra_starts=[start])
+    return _infimum(cells, kind, fitted.dim,
+                    _heuristic_start(cells, fitted.dim))
 
 
 def vde(fitted: MixingMeasure, reference: MixingMeasure) -> float:
@@ -307,9 +318,8 @@ def loss_report(fitted: MixingMeasure, reference: MixingMeasure) -> dict:
     _, _, part, cells = _prepare(fitted, reference)
     start = _heuristic_start(cells, fitted.dim)
     out = {}
-    for kind, order in _ORDER.items():
-        opt = translation_infimum(_objective(cells, order), fitted.dim,
-                                  extra_starts=[start])
+    for kind in _ORDER:
+        opt = _infimum(cells, kind, fitted.dim, start)
         out[kind] = opt.value
         if kind == "vdfra":
             out["t0"] = opt.t0

@@ -19,12 +19,12 @@ pinned to zero.  See :func:`normalize_baseline` and :func:`translate`.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import InputError, NumericError
 
@@ -263,19 +263,61 @@ def _check_x(measure: MixingMeasure, x) -> np.ndarray:
     return arr
 
 
+def _shifted_exp(a: np.ndarray):
+    """exp(a - m), its row sums and the row log-sum-exp, with m the row max
+    or 0 where that max is not finite (all -inf, or holding +inf or nan).
+    Columnwise: numpy's axis-1 reductions are slow on narrow arrays."""
+    m = functools.reduce(np.maximum, a.T)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        e = np.exp(a - m[:, None])
+        s = functools.reduce(np.add, e.T)
+        return e, s, np.log(s) + m
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row log-sum-exp of ``a``, shape (n,); an all -inf row gives -inf."""
+    return _shifted_exp(a)[2]
+
+
+def softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of ``a`` and its row log-sum-exp, from one max shift; a
+    row whose log-sum-exp is not finite gets uniform weights."""
+    e, s, lse = _shifted_exp(a)
+    dead = ~np.isfinite(lse)
+    e[dead] = 1.0
+    s[dead] = a.shape[1]
+    return e / s[:, None], lse
+
+
+def _log_gates_t(omega1s: np.ndarray, omega0s: np.ndarray,
+                 xs: np.ndarray) -> np.ndarray:
+    # (K, n) layout, where numpy's broadcasts run along n
+    logits = omega1s @ xs.T + omega0s[:, None]
+    return logits - logsumexp_rows(logits.T)
+
+
+def log_joint(omega1s: np.ndarray, omega0s: np.ndarray, slopes: np.ndarray,
+              intercepts: np.ndarray, sigmas: np.ndarray, xs: np.ndarray,
+              ys: np.ndarray) -> np.ndarray:
+    """log(gate_k(x_n) * N(y_n | a_k . x_n + b_k, sigma_k)), shape (n, K),
+    from stacked atom parameters; the kernel behind every likelihood here."""
+    means = slopes @ xs.T + intercepts[:, None]
+    log_norm = -0.5 * (LOG_2PI + np.log(sigmas)[:, None]
+                       + (ys - means) ** 2 / sigmas[:, None])
+    return (_log_gates_t(omega1s, omega0s, xs) + log_norm).T
+
+
 def log_gates_matrix(measure: MixingMeasure, xs: np.ndarray) -> np.ndarray:
     """Log softmax gate probabilities, shape (n, K)."""
-    logits = xs @ measure.omega1s().T + measure.omega0s()
-    return logits - logsumexp(logits, axis=1, keepdims=True)
+    return _log_gates_t(measure.omega1s(), measure.omega0s(), xs).T
 
 
 def log_joint_matrix(measure: MixingMeasure, xs: np.ndarray,
                      ys: np.ndarray) -> np.ndarray:
-    """log(gate_k(x_n) * N(y_n | mean_k(x_n), sigma_k)), shape (n, K)."""
-    means = xs @ measure.slopes().T + measure.intercepts()
-    sig = measure.sigmas()
-    log_norm = -0.5 * (LOG_2PI + np.log(sig) + (ys[:, None] - means) ** 2 / sig)
-    return log_gates_matrix(measure, xs) + log_norm
+    """:func:`log_joint` of the measure's atoms, shape (n, K)."""
+    return log_joint(measure.omega1s(), measure.omega0s(), measure.slopes(),
+                     measure.intercepts(), measure.sigmas(), xs, ys)
 
 
 def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
@@ -285,7 +327,7 @@ def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
     Emits :class:`UnderflowWarning` with the number of floored points; the
     floor keeps far-out observations from dragging averages to -inf.
     """
-    logp = logsumexp(log_joint_matrix(measure, xs, ys), axis=1)
+    logp = logsumexp_rows(log_joint_matrix(measure, xs, ys))
     floored = logp < LOG_DENSITY_FLOOR
     n_floor = int(np.count_nonzero(floored))
     if n_floor:
@@ -327,16 +369,8 @@ def responsibility_matrix(measure: MixingMeasure, data: Dataset) -> np.ndarray:
     if data.dim != measure.dim:
         raise InputError(
             f"dataset dim {data.dim} does not match model dim {measure.dim}")
-    lj = log_joint_matrix(measure, data.xs, data.ys)
-    # Row-wise softmax with a guard: a fully underflowed row becomes uniform.
-    mx = np.max(lj, axis=1, keepdims=True)
-    dead = ~np.isfinite(mx[:, 0])
-    if np.any(dead):
-        lj = lj.copy()
-        lj[dead] = 0.0
-        mx = np.max(lj, axis=1, keepdims=True)
-    r = np.exp(lj - mx)
-    return r / np.sum(r, axis=1, keepdims=True)
+    # a fully underflowed row becomes uniform
+    return softmax_rows(log_joint_matrix(measure, data.xs, data.ys))[0]
 
 
 def responsibilities(measure: MixingMeasure, x, y) -> np.ndarray:

@@ -7,10 +7,14 @@ something written independently.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
+from scipy.special import logsumexp
 
+from sgmoe.datagen import GenConfig, builtin_truths, sample
+from sgmoe.estimation import FitConfig, FitResult, em_fit, init_perturbed
 from sgmoe.model import Dataset, ExpertAtom, MixingMeasure
 
 
@@ -88,6 +92,61 @@ def naive_avg_loglik(measure: MixingMeasure, data: Dataset) -> float:
         total += math.log(max(naive_density(measure, data.xs[i], float(data.ys[i])),
                               1e-300))
     return total / data.n
+
+
+def naive_gating_hessian(pi: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Negative gating Hessian, (K*P, K*P), from the 4-index einsum:
+    block (k, l) is sum_n (diag(pi_n) - pi_n pi_n^T)_{kl} z_n z_n^T."""
+    k, p = pi.shape[1], z.shape[1]
+    h1 = np.einsum("nk,nd,ne->kde", pi, z, z)
+    h2 = np.einsum("nk,nl,nd,ne->klde", pi, pi, z, z)
+    hess = -h2.transpose(0, 2, 1, 3).reshape(k * p, k * p)
+    for kk in range(k):
+        hess[kk * p:(kk + 1) * p, kk * p:(kk + 1) * p] += h1[kk]
+    return hess
+
+
+def naive_gating_newton_step(gates, resp, xs, ridge=1e-8, box=None):
+    """Damped Newton step on the gating objective from textbook parts:
+    scipy's logsumexp and the einsum Hessian above; returns (gates, obj)."""
+    n = xs.shape[0]
+    z = np.hstack([xs, np.ones((n, 1))])
+
+    def project(g):
+        if box is None:
+            return g
+        (lo0, hi0), (lo1, hi1) = box
+        g = g - g[-1]
+        return np.hstack([np.clip(g[:, :-1], lo1, hi1),
+                          np.clip(g[:, -1:], lo0, hi0)])
+
+    def objective(g):
+        logits = z @ g.T
+        return float(np.sum(resp * logits) - np.sum(logsumexp(logits, axis=1)))
+
+    logits = z @ gates.T
+    pi = np.exp(logits - logsumexp(logits, axis=1, keepdims=True))
+    hess = naive_gating_hessian(pi, z) + ridge * np.eye(gates.size)
+    step = np.linalg.solve(hess, ((resp - pi).T @ z).reshape(-1))
+    obj0 = objective(gates)
+    for i in range(20):
+        cand = project(gates + 0.5 ** i * step.reshape(gates.shape))
+        obj = objective(cand)
+        if obj >= obj0:
+            return cand, obj
+    return gates, obj0
+
+
+@functools.lru_cache(maxsize=None)
+def separated_fit() -> FitResult:
+    """An EM fit whose vdo and vdfra overflow at the origin.
+
+    g0_2 at N=1000 (seed 11), K=4 from a perturbed start: EM converges in
+    984 iterations with one atom at omega0 = 654.3, weight 1.5e284.
+    """
+    g0 = builtin_truths()["g0_2"]
+    return em_fit(sample(g0, GenConfig(n=1000, seed=11)), FitConfig(K=4),
+                  init_perturbed(g0, 4, 0.5, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,19 @@ import json
 import pytest
 
 from sgmoe.cli import run_cli
+from sgmoe.datagen import builtin_truths
 from sgmoe.serialize import (
     load_dataset_csv,
     load_dendrogram,
     load_fit,
     load_manifest,
     load_report,
+    save_fit,
+    save_model,
     save_stamped,
 )
+
+from helpers import separated_fit
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +171,15 @@ def test_metrics_optional_file(workdir, tmp_path):
 
 # ---------------------------------------------------------------------------
 # exit codes
+
+def test_metrics_overflowing_fit_exits_two(tmp_path, capsys):
+    save_fit(separated_fit(), tmp_path / "fit.json")
+    save_model(builtin_truths()["g0_2"], tmp_path / "truth.json")
+    rc = run_cli(["metrics", "--fitted", str(tmp_path / "fit.json"),
+                  "--reference", str(tmp_path / "truth.json")])
+    assert rc == 2
+    assert "numeric failure" in capsys.readouterr().err
+
 
 def test_unknown_flag_exits_one(capsys):
     rc = run_cli(["fit", "--data", "x.csv", "--k", "2", "--out", "y",

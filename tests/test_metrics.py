@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sgmoe.datagen import builtin_truths
 from sgmoe.errors import InputError, NumericError
 from sgmoe.metrics import (
     cell_exponent,
@@ -28,6 +29,7 @@ from helpers import (
     make_measure,
     perturbed_copy,
     random_measure,
+    separated_fit,
 )
 
 
@@ -269,3 +271,10 @@ class TestLossReport:
         assert sorted(l for cell in rep["cells"].values() for l in cell) == [0, 1, 2]
         assert isinstance(rep["t0"], float)
         assert len(rep["t1"]) == 1
+
+    def test_overflowing_fit_is_a_numeric_error(self):
+        # the K=4 fit carries an atom of weight 1.5e284: vdo's high-order
+        # terms overflow at the origin, which is a failure of the fit
+        g0 = builtin_truths()["g0_2"]
+        with pytest.raises(NumericError, match="not finite at the origin"):
+            loss_report(separated_fit().model, g0)

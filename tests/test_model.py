@@ -7,7 +7,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 from sgmoe.errors import InputError
 from sgmoe.model import (
@@ -18,9 +20,11 @@ from sgmoe.model import (
     avg_log_likelihood,
     conditional_density,
     gating_probs,
+    logsumexp_rows,
     normalize_baseline,
     responsibilities,
     responsibility_matrix,
+    softmax_rows,
     translate,
 )
 
@@ -208,6 +212,49 @@ class TestResponsibilities:
             np.testing.assert_allclose(
                 mat[i], responsibilities(g, data.xs[i], float(data.ys[i])),
                 rtol=1e-12)
+
+
+    def test_underflowed_row_is_uniform(self):
+        # (y - mean)^2 overflows, so the row's log-joint is -inf throughout
+        g = random_measure(np.random.default_rng(19), k=3, dim=1)
+        data = Dataset(xs=np.zeros((2, 1)), ys=np.array([0.0, 1e200]))
+        mat = responsibility_matrix(g, data)
+        assert np.all(mat[1] == 1.0 / 3.0)
+        assert abs(float(np.sum(mat[0])) - 1.0) < 1e-12
+
+
+class TestRowKernels:
+    @settings(max_examples=200, deadline=None)
+    @given(a=arrays(np.float64,
+                    st.tuples(st.integers(1, 6), st.integers(1, 5)),
+                    elements=st.one_of(st.floats(-1e3, 1e3),
+                                       st.just(-np.inf))))
+    def test_logsumexp_matches_scipy(self, a):
+        np.testing.assert_allclose(logsumexp_rows(a), logsumexp(a, axis=1),
+                                   rtol=1e-13, atol=1e-12)
+
+    def test_logsumexp_edge_rows(self):
+        inf = np.inf
+        a = np.array([[-inf, -inf, -inf],
+                      [-inf, 1e3, -inf],
+                      [1e3, 1e3 - 1.0, -1e3],
+                      [-1e3, -1e3, -inf],
+                      [inf, 0.0, -inf],
+                      [np.nan, 0.0, 1.0]])
+        got = logsumexp_rows(a)
+        np.testing.assert_array_equal(got[[0, 1, 4, 5]],
+                                      [-inf, 1e3, inf, np.nan])
+        np.testing.assert_allclose(got[2:4], logsumexp(a[2:4], axis=1),
+                                   rtol=1e-15)
+
+    def test_softmax_dead_rows_uniform(self):
+        a = np.array([[-np.inf, -np.inf], [np.inf, 0.0], [np.nan, 1.0],
+                      [-1e3, -1e3 - 2.0]])
+        p, lse = softmax_rows(a)
+        np.testing.assert_array_equal(p[:3], 0.5)
+        want = np.array([1.0, math.exp(-2.0)]) / (1.0 + math.exp(-2.0))
+        np.testing.assert_allclose(p[3], want, rtol=1e-14)
+        np.testing.assert_array_equal(lse, logsumexp_rows(a))
 
 
 class TestGauge:
