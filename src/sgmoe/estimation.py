@@ -138,16 +138,13 @@ def _box_project(gates: np.ndarray, box) -> np.ndarray:
 
 
 def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
-                       ridge: float = 1e-8, box=None,
-                       objective: float | None = None
-                       ) -> tuple[np.ndarray, float]:
+                       ridge: float = 1e-8,
+                       box=None) -> tuple[np.ndarray, float]:
     """One damped Newton update of the gating parameters.
 
     ``gates`` is (K, D+1): row k holds (omega1_k, omega0_k).  Returns the
     updated gates and the new objective value; the objective never
     decreases (step halving, up to 20 halvings, falls back to no move).
-    ``objective``, when given, is the objective at ``gates`` (the value a
-    previous step returned), and spares its evaluation.
     The softmax translation direction is flat, so the Hessian needs the
     ridge to be solvable; the update then stays in a fixed gauge section.
     When ``box`` is given, each candidate is projected into the compact
@@ -162,9 +159,8 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     z = np.hstack([xs, np.ones((n, 1))])          # (N, D+1)
     logits = z @ gates.T                          # (N, K)
     pi, lse = softmax_rows(logits)
-    if objective is None:
-        # sum_n sum_k r_nk log softmax_k(logits_n); rows of resp sum to 1
-        objective = float(np.sum(resp * logits) - np.sum(lse))
+    # sum_n sum_k r_nk log softmax_k(logits_n); rows of resp sum to 1
+    obj0 = float(np.sum(resp * logits) - np.sum(lse))
     grad = (resp - pi).T @ z                      # (K, D+1)
 
     # Fisher-style Hessian blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T
@@ -192,19 +188,18 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
             cand = _box_project(cand, box)
         logits = z @ cand.T
         obj = float(np.sum(resp * logits) - np.sum(logsumexp_rows(logits)))
-        if obj >= objective:
+        if obj >= obj0:
             return cand, obj
         scale *= 0.5
-    return gates, objective
+    return gates, obj0
 
 
 def _gate_mstep(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
                 cfg: FitConfig) -> np.ndarray:
     obj = None
     for _ in range(cfg.newton_max_iter):
-        # each step starts from the previous step's accepted objective
         gates, new_obj = gating_newton_step(gates, resp, xs, ridge=cfg.ridge,
-                                            box=cfg.gate_box, objective=obj)
+                                            box=cfg.gate_box)
         if obj is not None and new_obj - obj < cfg.newton_tol:
             break
         obj = new_obj

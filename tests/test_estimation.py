@@ -164,18 +164,6 @@ class TestGatingNewton:
         assert err <= 1e-9 * max(1.0, float(np.linalg.norm(pin(want))))
         assert got_obj == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
 
-    def test_objective_reuse_is_exact(self):
-        rng = np.random.default_rng(17)
-        n, k = 70, 4
-        xs = rng.uniform(-2, 2, size=(n, 2))
-        raw = rng.uniform(0.01, 1.0, size=(n, k))
-        resp = raw / raw.sum(axis=1, keepdims=True)
-        gates, obj = gating_newton_step(rng.normal(size=(k, 3)), resp, xs)
-        for _ in range(6):
-            fresh = gating_newton_step(gates, resp, xs)
-            gates, obj = gating_newton_step(gates, resp, xs, objective=obj)
-            assert np.array_equal(fresh[0], gates) and fresh[1] == obj
-
 
 class TestEmFit:
     def test_estep_makes_underflowed_rows_uniform(self, monkeypatch):
