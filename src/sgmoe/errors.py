@@ -15,11 +15,9 @@ class InputError(ValueError):
 class NumericError(RuntimeError):
     """Numerical failure (non-finite values, iteration caps, singular solves).
 
-    ``value`` optionally carries the best result found before the failure,
-    ``iteration`` the step at which the failure was detected.
+    ``iteration`` optionally names the step at which it was detected.
     """
 
-    def __init__(self, message: str, *, value=None, iteration: int | None = None):
+    def __init__(self, message: str, *, iteration: int | None = None):
         super().__init__(message)
-        self.value = value
         self.iteration = iteration

@@ -11,10 +11,12 @@ import functools
 import math
 
 import numpy as np
+from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from sgmoe.datagen import GenConfig, builtin_truths, sample
 from sgmoe.estimation import FitConfig, FitResult, em_fit, init_perturbed
+from sgmoe.metrics import _objective, _prepare
 from sgmoe.model import Dataset, ExpertAtom, MixingMeasure
 
 
@@ -243,6 +245,83 @@ def grid_loss_oracle(fitted: MixingMeasure, reference: MixingMeasure,
         lo1, hi1 = c1 - 2 * s1, c1 + 2 * s1
         res = zoom_res
     return best
+
+
+# ---------------------------------------------------------------------------
+# black-box reference solver for the gauge infimum: multistart Nelder-Mead
+# over (t0, t1) jointly, as the library solved it before its exact solve
+
+def heuristic_start(cells, dim: int):
+    """Weighted-centroid start: align singleton-cell gate slopes and total weight."""
+    w_sing, dw_sing = [], []
+    fit_total, ref_total = 0.0, 0.0
+    for ref_weight, weights, dev in cells:
+        fit_total += float(np.sum(weights))
+        ref_total += ref_weight
+        if len(weights) == 1:
+            w_sing.append(float(weights[0]))
+            dw_sing.append(dev[0, :dim])
+    t0 = math.log(fit_total / ref_total)
+    if w_sing:
+        w = np.array(w_sing)
+        t1 = (w @ np.stack(dw_sing)) / float(np.sum(w))
+    else:
+        t1 = np.zeros(dim)
+    return t0, t1
+
+
+def nelder_mead_infimum(objective, dim: int, extra_starts=(),
+                        max_evals: int = 10_000, xatol: float = 1e-9):
+    """Minimize objective(t0, t1) by Nelder-Mead from the origin and each
+    extra start, then polish the incumbent; returns (t0, t1, value) of the
+    best point, whether or not a run converged within the budget."""
+
+    def fun(z: np.ndarray) -> float:
+        with np.errstate(over="ignore"):
+            return float(objective(float(z[0]), z[1:]))
+
+    def simplex_around(z: np.ndarray, edge: float) -> np.ndarray:
+        pts = [z]
+        for i in range(z.shape[0]):
+            e = z.copy()
+            e[i] += edge
+            pts.append(e)
+        return np.stack(pts)
+
+    starts = [np.zeros(1 + dim)] + [
+        np.concatenate([[float(t0)], np.asarray(t1, dtype=float).reshape(-1)])
+        for t0, t1 in extra_starts]
+    remaining = int(max_evals)
+    best_z, best_val = np.zeros(1 + dim), fun(np.zeros(1 + dim))
+
+    def run(z0: np.ndarray, edge: float):
+        nonlocal remaining, best_z, best_val
+        if remaining <= 0:
+            return
+        # fatol sits above the FP noise of the objective's magnitude
+        fatol = 1e-11 * (1.0 + abs(best_val))
+        res = minimize(fun, z0, method="Nelder-Mead",
+                       options={"maxfev": remaining, "xatol": xatol,
+                                "fatol": fatol,
+                                "initial_simplex": simplex_around(z0, edge)})
+        remaining -= int(res.nfev)
+        if res.fun < best_val:
+            best_z, best_val = np.asarray(res.x), float(res.fun)
+
+    for z0 in starts:
+        run(z0, edge=0.25)
+    run(best_z, edge=1e-3)   # polish the incumbent with a tight simplex
+    return float(best_z[0]), best_z[1:].copy(), best_val
+
+
+def nelder_mead_loss(fitted: MixingMeasure, reference: MixingMeasure,
+                     order: int) -> float:
+    """A loss value by the black-box solver on the library's own integrand."""
+    _, _, _, cells = _prepare(fitted, reference)
+    f = _objective(cells, order)
+    return nelder_mead_infimum(
+        lambda t0, t1: f(t0, t1)[0], fitted.dim,
+        extra_starts=[heuristic_start(cells, fitted.dim)])[2]
 
 
 def perturbed_copy(measure: MixingMeasure, rng: np.random.Generator,

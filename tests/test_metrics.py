@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,10 @@ from hypothesis import given, settings, strategies as st
 from sgmoe.datagen import builtin_truths
 from sgmoe.errors import InputError, NumericError
 from sgmoe.metrics import (
+    UNATTAINED_T0,
+    _ORDER,
+    _infimum,
+    _prepare,
     cell_exponent,
     loss_report,
     translation_infimum,
@@ -27,6 +36,8 @@ from helpers import (
     grid_loss_oracle,
     make_atom,
     make_measure,
+    naive_loss_objective,
+    nelder_mead_loss,
     perturbed_copy,
     random_measure,
     separated_fit,
@@ -92,42 +103,157 @@ class TestCellExponent:
             cell_exponent(0)
 
 
+def weight_term(weights, ref_weights):
+    w, r = np.asarray(weights, dtype=float), np.asarray(ref_weights, dtype=float)
+    return lambda t0: float(np.sum(np.abs(w - r * np.exp(t0))))
+
+
+def no_anchors(dim):
+    return np.zeros((0, dim)), np.zeros(0), np.zeros(0)
+
+
+def brute_weight_scale(weights, ref_weights):
+    """Smallest positive s minimizing sum_k |W_k - r_k s| over the ratios, in
+    exact arithmetic; None when only s -> 0 attains the infimum."""
+    ratios = {Fraction(w, r) for w, r in zip(weights, ref_weights)} | {Fraction(0)}
+
+    def cost(s):
+        return sum(abs(w - r * s) for w, r in zip(weights, ref_weights))
+
+    best = min(cost(s) for s in ratios)
+    positive = [s for s in ratios if s > 0 and cost(s) == best]
+    return min(positive) if positive else None
+
+
+def near_measure(rng, reference, k, scale):
+    """k atoms, each a noisy copy of a random reference atom."""
+    rows = []
+    for _ in range(k):
+        at = reference.atoms[rng.integers(reference.n_atoms)]
+        rows.append((at.omega0 + float(rng.normal(0.0, 1.0)),
+                     at.omega1 + rng.normal(0.0, scale, size=reference.dim),
+                     at.a + rng.normal(0.0, scale, size=reference.dim),
+                     at.b + float(rng.normal(0.0, scale)),
+                     at.sigma * float(np.exp(rng.normal(0.0, scale)))))
+    return make_measure(rows, dim=reference.dim)
+
+
 class TestTranslationInfimum:
     def test_quadratic_bowl(self):
+        weights, ref = [3.0, 1.5, 0.2], [1.0, 1.0, 1.0]   # median ratio 1.5
         v = np.array([0.4, -1.2])
+        a = weight_term(weights, ref)
         opt = translation_infimum(
-            lambda t0, t1: (t0 - 1.0) ** 2 + float(np.sum((t1 - v) ** 2)),
-            dim=2)
-        assert opt.t0 == pytest.approx(1.0, abs=1e-6)
+            lambda t0, t1: (a(t0) + float(np.sum((t1 - v) ** 2)), 2.0 * (t1 - v)),
+            weights, ref, (v[None, :], np.ones(1), np.full(1, 2.0)))
+        assert opt.t0 == math.log(1.5)
         np.testing.assert_allclose(opt.t1, v, atol=1e-6)
-        assert opt.value == pytest.approx(0.0, abs=1e-10)
+        assert opt.value == pytest.approx(2.8, abs=1e-12)
 
     def test_constant_objective(self):
-        opt = translation_infimum(lambda t0, t1: 7.5, dim=1)
-        assert opt.value == 7.5
+        # no anchor: g does not depend on t1, which stays at the origin
+        a = weight_term([1.0], [2.0])
+        opt = translation_infimum(lambda t0, t1: (a(t0) + 7.5, np.zeros(1)),
+                                  [1.0], [2.0], no_anchors(1))
+        assert opt.t0 == math.log(0.5)
+        assert opt.t1.tolist() == [0.0]
+        assert opt.value == pytest.approx(7.5, abs=1e-15)
 
     def test_never_worse_than_origin(self):
         rng = np.random.default_rng(107)
         for _ in range(20):
-            c = rng.normal(size=3)
-            opt = translation_infimum(
-                lambda t0, t1, c=c: abs(t0 - c[0]) + float(
-                    np.sum(np.abs(t1 - c[1:]))) + 0.3,
-                dim=2)
-            origin = abs(c[0]) + float(np.sum(np.abs(c[1:]))) + 0.3
-            assert opt.value <= origin + 1e-9
+            c = rng.normal(size=2)
+            weights, ref = rng.exponential(size=3), rng.exponential(size=3)
+            a = weight_term(weights, ref)
 
-    def test_budget_exhaustion_carries_best(self):
-        with pytest.raises(NumericError) as exc:
-            translation_infimum(
-                lambda t0, t1: (t0 - 3.0) ** 2 + float(np.sum(t1 ** 2)),
-                dim=1, max_evals=5)
-        assert exc.value.value is not None
-        assert math.isfinite(exc.value.value.value)
+            def objective(t0, t1, c=c):
+                r = float(np.linalg.norm(t1 - c))
+                return a(t0) + r + 0.3, (t1 - c) / max(r, 1e-300)
+
+            opt = translation_infimum(objective, weights, ref,
+                                      (c[None, :], np.ones(1), np.ones(1)))
+            origin = a(0.0) + float(np.linalg.norm(c)) + 0.3
+            assert opt.value <= origin + 1e-9
+            assert opt.value == pytest.approx(a(opt.t0) + 0.3, abs=1e-12)
 
     def test_non_finite_origin_rejected(self):
-        with pytest.raises(InputError):
-            translation_infimum(lambda t0, t1: float("inf"), dim=1)
+        with pytest.raises(NumericError, match="not finite at the origin"):
+            translation_infimum(lambda t0, t1: (float("inf"), np.zeros(1)),
+                                [1.0], [1.0], no_anchors(1))
+
+    def test_origin_is_evaluated_first_and_once(self):
+        calls = []
+        a = weight_term([2.0, 1.0], [1.0, 1.0])
+
+        def objective(t0, t1):
+            calls.append((t0, t1.tolist()))
+            return a(t0) + float(np.sum((t1 - 0.7) ** 2)), 2.0 * (t1 - 0.7)
+
+        translation_infimum(objective, [2.0, 1.0], [1.0, 1.0],
+                            (np.full((1, 1), 0.7), np.ones(1), np.full(1, 2.0)))
+        assert calls[0] == (0.0, [0.0])
+        assert (0.0, [0.0]) not in calls[1:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)),
+                    min_size=1, max_size=6))
+    def test_t0_is_brute_force_weighted_median(self, pairs):
+        weights = [float(w) for w, _ in pairs]
+        ref = [float(r) for _, r in pairs]
+        a = weight_term(weights, ref)
+        opt = translation_infimum(
+            lambda t0, t1: (a(t0) + float(t1[0] ** 2), 2.0 * t1), weights, ref,
+            (np.zeros((1, 1)), np.ones(1), np.full(1, 2.0)))
+        want = brute_weight_scale([w for w, _ in pairs], [r for _, r in pairs])
+        if want is None:
+            assert opt.t0 == UNATTAINED_T0
+        else:
+            assert opt.t0 == math.log(float(want))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dim=st.integers(1, 2), k=st.integers(2, 5), k0=st.integers(1, 3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_never_above_nelder_mead(self, dim, k, k0, seed):
+        rng = np.random.default_rng(seed)
+        reference = random_measure(rng, k=k0, dim=dim, scale=1.5)
+        fitted = near_measure(rng, reference, k, scale=0.3)
+        for order, loss in enumerate((vde, vdo, vdfra)):
+            v = loss(fitted, reference)
+            assert v <= nelder_mead_loss(fitted, reference, order) + 1e-12 * (1.0 + v)
+
+
+class TestUnattainedInfimum:
+    """All fitted atoms near the first of two truth atoms: the empty cell
+    carries most reference weight, so the infimum needs e^t0 -> 0."""
+
+    @staticmethod
+    def measures():
+        near = perturbed_copy(
+            make_measure([(0.0, (25.0,), (-20.0,), 15.0, 0.3)]),
+            np.random.default_rng(1), scale=0.01, extra=3)
+        return near, g0_two_expert()
+
+    @pytest.mark.parametrize("kind", ["vde", "vdo", "vdfra"])
+    def test_value_is_the_limit(self, kind):
+        near, g0 = self.measures()
+        opt = _infimum(_prepare(near, g0)[3], kind)
+        naive = naive_loss_objective(near, g0, _ORDER[kind])
+        assert opt.t0 == UNATTAINED_T0
+        assert opt.value == pytest.approx(float(naive(-math.inf, opt.t1[0])),
+                                          rel=1e-12)
+        # the objective falls toward the value as e^t0 -> 0, never below it
+        along = [float(naive(t0, opt.t1[0])) for t0 in (-5.0, -10.0, -20.0)]
+        assert along[0] > along[1] > along[2] >= opt.value
+        oracle = nelder_mead_loss(near, g0, _ORDER[kind])
+        assert opt.value <= oracle + 1e-12 * (1.0 + opt.value)
+
+    def test_loss_report(self):
+        near, g0 = self.measures()
+        rep = loss_report(near, g0)
+        assert rep["t0"] == UNATTAINED_T0
+        assert (rep["vde"], rep["vdo"], rep["vdfra"]) == (
+            vde(near, g0), vdo(near, g0), vdfra(near, g0))
+        assert rep["cells"] == {"0": [0, 1, 2, 3], "1": []}
 
 
 class TestLossZeros:
@@ -186,7 +312,7 @@ class TestLossStructure:
         for _ in range(50):
             t0 = float(rng.uniform(-2, 2))
             t1 = rng.uniform(-2, 2, size=1)
-            v = [f(t0, t1) for f in fs]
+            v = [f(t0, t1)[0] for f in fs]
             assert v[0] <= v[1] + 1e-12
             assert v[1] <= v[2] + 1e-12
 
@@ -278,3 +404,32 @@ class TestLossReport:
         g0 = builtin_truths()["g0_2"]
         with pytest.raises(NumericError, match="not finite at the origin"):
             loss_report(separated_fit().model, g0)
+
+
+RUNTIME_PROBE = """
+import sys
+import numpy as np
+import sgmoe, sgmoe.cli, sgmoe.experiments
+from sgmoe.datagen import builtin_truths
+from sgmoe.metrics import loss_report
+from sgmoe.model import ExpertAtom, MixingMeasure
+
+g0 = builtin_truths()["g0_2"]
+loss_report(g0, g0)
+atoms = tuple(ExpertAtom(omega0=float(k), omega1=np.array([k, -k], float),
+                         a=np.array([1.0, k], float), b=0.5 * k, sigma=1.0 + k)
+              for k in range(3))
+loss_report(MixingMeasure(atoms=atoms, dim=2),
+            MixingMeasure(atoms=atoms[1:], dim=2))
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runtime_does_not_import_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in (env.get("PYTHONPATH"),) if p])
+    out = subprocess.run([sys.executable, "-c", RUNTIME_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
