@@ -270,13 +270,13 @@ def _objective(cells: list, order: int) -> _Integrand:
         const += abs(beta) + abs(float(np.sum(w * (db ** 2 + ds))))
         mean = (w @ du) / total
         e = (w * db) @ (du - mean) + w @ da
+        rows.append((mean, [total], [0], 1))
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             pole = mean + e / beta   # |e + beta (m - t1)| = |beta| |pole - t1|
-        if np.all(np.isfinite(pole)):
-            rows.append((np.stack([mean, pole]), [total, abs(beta)], [0, 0], 1))
-        else:   # beta (m - t1) is below the rounding of e
-            rows.append((mean, [total], [0], 1))
-            const += float(np.linalg.norm(e))
+            if np.isfinite(pole @ pole):
+                rows.append((pole, [abs(beta)], [0], 1))
+            else:   # beta (m - t1) is below the rounding of e
+                const += float(np.linalg.norm(e))
         moments.append((mean, total, (w[:, None] * (du - mean)).T @ (du - mean)))
     cov = np.reshape([mo[2] for mo in moments], (-1, dim, dim))
     return _Integrand(

@@ -384,6 +384,19 @@ class TestGridOracle:
             assert got == pytest.approx(want, abs=1e-4, rel=1e-3)
 
 
+    def test_vdfra_matches_grid_when_b_deviations_cancel(self):
+        # both members of cell 0 keep the reference intercept, so
+        # sum w db = 0 and sum w ((u - t1) db + da) does not depend on t1
+        g0 = make_measure([(0.0, (0.5,), (1.0,), 2.0, 0.5),
+                           (-0.5, (-1.0,), (3.0,), -1.0, 1.0)])
+        g = make_measure([(-0.7, (0.7,), (1.2,), 2.0, 0.45),
+                          (-0.8, (0.2,), (0.7,), 2.0, 0.6),
+                          (-0.4, (-1.1,), (3.1,), -0.9, 1.1)])
+        assert voronoi_cells(g, g0).cells == {0: (0, 1), 1: (2,)}
+        want = grid_loss_oracle(g, g0, order=2)
+        assert vdfra(g, g0) == pytest.approx(want, abs=1e-4, rel=1e-3)
+
+
 class TestLossReport:
     def test_report_consistent_with_losses(self):
         rng = np.random.default_rng(163)
