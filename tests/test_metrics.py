@@ -383,7 +383,6 @@ class TestGridOracle:
             want = grid_loss_oracle(g, g0, order=2)
             assert got == pytest.approx(want, abs=1e-4, rel=1e-3)
 
-
     def test_vdfra_matches_grid_when_b_deviations_cancel(self):
         # both members of cell 0 keep the reference intercept, so
         # sum w db = 0 and sum w ((u - t1) db + da) does not depend on t1
