@@ -9,6 +9,8 @@ bit-for-bit. Dataset CSVs have no stamp: their header is their schema.
 from __future__ import annotations
 
 import csv
+import functools
+import itertools
 import json
 import math
 import re
@@ -28,10 +30,15 @@ SUPPORTED_MAJOR = 1
 TOOL_VERSION = f"v{__version__}"
 
 _FORMAT_RE = re.compile(r"^sgmoe/([a-z_]+)/v(\d+)$")
+_CSV_CHUNK_ROWS = 4096
 
 
 def format_tag(kind: str) -> str:
     return f"sgmoe/{kind}/v{SUPPORTED_MAJOR}"
+
+
+def _unreadable(path, exc: OSError) -> InputError:
+    return InputError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _write_json(doc: dict, path) -> None:
@@ -44,6 +51,8 @@ def _read_stamped(path) -> tuple[str, dict]:
         raise InputError(f"no such file: {path}")
     try:
         doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "format" not in doc:
@@ -122,13 +131,18 @@ def dataset_header(dim: int) -> list[str]:
 
 
 def write_dataset_csv(data: Dataset, path) -> None:
-    """Header x1..xD,y; values via repr (17 significant digits)."""
+    """Header x1..xD,y; values via repr (17 significant digits).
+
+    The bytes are those of `csv.writer`'s default dialect: comma-separated,
+    CRLF line ends, nothing quoted (no float repr holds a comma or quote).
+    """
+    table = np.column_stack((data.xs, data.ys))
+    line = ",".join(["%r"] * table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(dataset_header(data.dim))
-        for i in range(data.n):
-            w.writerow([repr(float(v)) for v in data.xs[i]]
-                       + [repr(float(data.ys[i]))])
+        fh.write(",".join(dataset_header(data.dim)) + "\r\n")
+        for start in range(0, data.n, _CSV_CHUNK_ROWS):
+            rows = table[start:start + _CSV_CHUNK_ROWS]
+            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def load_dataset_csv(path, y_last: bool = False) -> Dataset:
@@ -136,62 +150,170 @@ def load_dataset_csv(path, y_last: bool = False) -> Dataset:
 
     By default the header must be exactly x1..xD,y. With y_last=True any
     column names are accepted (external tables), the last column is taken
-    as the response. Errors carry 1-based file line numbers; the header
-    is line 1.
+    as the response. Blank lines are skipped. Errors carry 1-based file
+    line numbers; the header is line 1.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise InputError(f"{path} is empty")
-    header = rows[0]
-    if len(header) < 2:
-        raise InputError(f"{path} line 1: need at least one covariate and y")
-    dim = len(header) - 1
-    if not y_last and header != dataset_header(dim):
-        raise InputError(
-            f"{path} line 1: expected header {','.join(dataset_header(dim))}")
-    if len(rows) == 1:
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise InputError(f"{path} is empty")
+            if len(header) < 2:
+                raise InputError(
+                    f"{path} line 1: need at least one covariate and y")
+            dim = len(header) - 1
+            if not y_last and header != dataset_header(dim):
+                raise InputError(f"{path} line 1: expected header "
+                                 f"{','.join(dataset_header(dim))}")
+            parts, line = [], 2
+            while chunk := list(itertools.islice(reader, _CSV_CHUNK_ROWS)):
+                parts.append(_parse_rows(chunk, line, dim + 1, path))
+                line += len(chunk)
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    table = np.concatenate([np.empty((0, dim + 1)), *parts])
+    if len(table) == 0:
         raise InputError(f"{path} has a header but no data rows")
-    xs = np.empty((len(rows) - 1, dim))
-    ys = np.empty(len(rows) - 1)
-    for i, row in enumerate(rows[1:]):
-        line = i + 2
-        if len(row) != dim + 1:
+    return Dataset(xs=table[:, :dim], ys=table[:, dim])
+
+
+def _parse_rows(chunk: list, first_line: int, width: int, path) -> np.ndarray:
+    """The non-blank rows of `chunk` as a (rows, width) float array.
+
+    One numpy conversion when the whole chunk is well formed; otherwise
+    a row-by-row pass names the first bad line (`first_line` is the file
+    line of chunk[0]).
+    """
+    rows = [row for row in chunk if row]
+    if set(map(len, rows)) <= {width}:
+        try:
+            table = np.fromiter(map(float, itertools.chain.from_iterable(rows)),
+                                dtype=float, count=len(rows) * width)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(table).all():
+                return table.reshape(len(rows), width)
+    table = np.empty((len(rows), width))
+    i = 0
+    for line, row in enumerate(chunk, start=first_line):
+        if not row:
+            continue
+        if len(row) != width:
             raise InputError(
-                f"{path} line {line}: expected {dim + 1} columns, "
-                f"got {len(row)}")
+                f"{path} line {line}: expected {width} columns, got {len(row)}")
         try:
             vals = [float(tok) for tok in row]
         except ValueError as exc:
             raise InputError(f"{path} line {line}: {exc}") from exc
         if not all(math.isfinite(v) for v in vals):
             raise InputError(f"{path} line {line}: non-finite value")
-        xs[i] = vals[:dim]
-        ys[i] = vals[dim]
-    return Dataset(xs=xs, ys=ys)
+        table[i] = vals
+        i += 1
+    return table
 
 
 # ---------------------------------------------------------------------------
 # digests and manifests
+#
+# FNV-1a steps h <- (h XOR b) * P mod 2^64 per byte b. The XOR only touches
+# the low byte l = h mod 256, so h XOR b = h + d with d = (l XOR b) - l, and
+# over a block the hash is linear: h_n = h_0 P^n + sum_i d_i P^(n-i). The
+# low bytes follow their own recurrence l' = (l XOR b) * (P mod 256) mod 256;
+# as P is odd, bit k of l' is bit k of l, XOR bit k of b, XOR bit k of
+# ((l XOR b) mod 2^k) * (P mod 256). So bit k of every l_i is a prefix XOR
+# once bits 0..k-1 are known: eight vectorized passes per block, then one
+# wrapping uint64 dot product. Scalar arithmetic stays in python ints.
+
+_FNV_OFFSET = 0xcbf29ce484222325
+_FNV_PRIME = 0x100000001b3
+_U64 = 1 << 64
+_FNV_BLOCK = 1 << 16
+
+
+@functools.cache
+def _fnv_powers() -> np.ndarray:
+    """P^B, P^(B-1), ..., P^1 mod 2^64 as uint64, B = _FNV_BLOCK (512 KB,
+    built on first use so that runs which hash nothing do not hold it)."""
+    powers = np.empty(_FNV_BLOCK, dtype=np.uint64)
+    powers[-1] = _FNV_PRIME
+    n = 1
+    while n < _FNV_BLOCK:
+        powers[-2 * n:-n] = powers[-n:] * np.uint64(pow(_FNV_PRIME, n, _U64))
+        n *= 2
+    return powers
+
+
+def _prefix_xor_bits(bits: np.ndarray, start: int) -> np.ndarray:
+    """Exclusive prefix XOR of a 0/1 uint8 array whose length is a multiple
+    of 64, seeded with `start`: out[i] = start ^ bits[0] ^ ... ^ bits[i-1]."""
+    c = np.packbits(bits, bitorder="little").view("<u8")
+    # prefix XOR inside each 64-bit word, then carry the words' parities
+    w = c.copy()
+    for s in (1, 2, 4, 8, 16, 32):
+        w ^= w << np.uint64(s)
+    parity = w >> np.uint64(63)
+    carry = np.bitwise_xor.accumulate(parity)
+    carry ^= parity
+    if start:
+        carry ^= np.uint64(1)
+    w ^= c
+    w ^= np.uint64(0) - carry
+    return np.unpackbits(w.view(np.uint8), bitorder="little")
+
+
+def _fnv1a64_block(h: int, block) -> int:
+    """FNV-1a state `h` after the bytes of `block` (at most _FNV_BLOCK)."""
+    n = len(block)
+    if n == 0:
+        return h
+    # padded to whole 64-bit words; padding only alters positions >= n
+    b = np.zeros(-(-n // 64) * 64, dtype=np.uint8)
+    b[:n] = np.frombuffer(block, dtype=np.uint8)
+    low = np.zeros_like(b)
+    x = np.empty_like(b)
+    for k in range(8):
+        # x_i = bit k of b_i XOR of ((l_i XOR b_i) mod 2^k) * (P mod 256)
+        bit = np.uint8(1 << k)
+        np.bitwise_xor(low, b, out=x)
+        x &= bit - np.uint8(1)
+        x *= np.uint8(_FNV_PRIME & 0xff)
+        x ^= b
+        x &= bit
+        low |= _prefix_xor_bits(x, (h >> k) & 1) << np.uint8(k)
+    low, b = low[:n], b[:n]
+    d = (low ^ b).astype(np.uint64)
+    d -= low
+    tail = int(np.dot(d, _fnv_powers()[_FNV_BLOCK - n:]))
+    return (h * pow(_FNV_PRIME, n, _U64) + tail) % _U64
+
 
 def fnv1a64(data: bytes) -> str:
     """64-bit FNV-1a hash as 16 hex digits."""
-    h = 0xcbf29ce484222325
-    for byte in data:
-        h ^= byte
-        h = (h * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+    h = _FNV_OFFSET
+    view = memoryview(data)
+    for start in range(0, len(view), _FNV_BLOCK):
+        h = _fnv1a64_block(h, view[start:start + _FNV_BLOCK])
     return f"{h:016x}"
 
 
 def file_digest(path) -> str:
+    """fnv1a64 of a file's bytes, read one block at a time."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
-    return fnv1a64(path.read_bytes())
+    h = _FNV_OFFSET
+    try:
+        with open(path, "rb") as fh:
+            while block := fh.read(_FNV_BLOCK):
+                h = _fnv1a64_block(h, block)
+    except OSError as exc:
+        raise _unreadable(path, exc) from exc
+    return f"{h:016x}"
 
 
 @dataclass(frozen=True)

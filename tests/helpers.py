@@ -7,6 +7,7 @@ something written independently.
 
 from __future__ import annotations
 
+import csv
 import functools
 import math
 
@@ -344,3 +345,22 @@ def perturbed_copy(measure: MixingMeasure, rng: np.random.Generator,
             at.sigma * float(np.exp(rng.normal(0.0, scale))),
         ))
     return make_measure(rows, dim=measure.dim)
+
+
+def fnv1a64(data: bytes) -> str:
+    """64-bit FNV-1a, one byte at a time (the textbook loop)."""
+    h = 0xcbf29ce484222325
+    for byte in data:
+        h ^= byte
+        h = (h * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+    return f"{h:016x}"
+
+
+def csv_writer_dataset(data: Dataset, path) -> None:
+    """A dataset CSV as `csv.writer` writes it, one row at a time."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow([f"x{i + 1}" for i in range(data.dim)] + ["y"])
+        for i in range(data.n):
+            w.writerow([repr(float(v)) for v in data.xs[i]]
+                       + [repr(float(data.ys[i]))])

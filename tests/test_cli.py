@@ -200,6 +200,32 @@ def test_missing_input_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["fit", "metrics", "dendrogram"])
+def test_directory_input_exits_one(workdir, tmp_path, capsys, command):
+    argv = {
+        "fit": ["fit", "--data", str(tmp_path), "--k", "2",
+                "--out", str(tmp_path / "f.json")],
+        "metrics": ["metrics", "--fitted", str(tmp_path),
+                    "--reference", str(workdir / "fit.json")],
+        "dendrogram": ["dendrogram", "--model", str(workdir / "fit.json"),
+                       "--data", str(tmp_path), "--out", str(tmp_path / "d")],
+    }[command]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
+def test_fit_accepts_trailing_blank_line(tmp_path, capsys):
+    p = tmp_path / "ext.csv"
+    rows = "".join(f"{i / 10},{(-1) ** i * 2.5 + i / 50}\n"
+                   for i in range(40))
+    p.write_text("dose,response\n" + rows + "\n")
+    assert run_cli(["fit", "--data", str(p), "--y-last", "--k", "1",
+                    "--seed", "0", "--out", str(tmp_path / "f.json")]) == 0
+    manifest = load_manifest(tmp_path / "f.manifest.json")
+    assert str(p) in manifest.inputs
+
+
 def test_numeric_failure_exits_two(tmp_path, capsys):
     data = tmp_path / "tiny.csv"
     data.write_text("x1,y\n0.1,1.0\n0.2,2.0\n0.3,3.0\n")

@@ -6,7 +6,9 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sgmoe.cli import run_cli
 from sgmoe.dendrogram import build_path
 from sgmoe.errors import InputError
 from sgmoe.estimation import FitResult
@@ -31,7 +33,13 @@ from sgmoe.serialize import (
     write_dataset_csv,
 )
 
-from helpers import g0_three_expert, g0_two_expert, random_measure
+from helpers import (
+    csv_writer_dataset,
+    fnv1a64 as fnv1a64_oracle,
+    g0_three_expert,
+    g0_two_expert,
+    random_measure,
+)
 
 
 def measures_equal(a, b) -> bool:
@@ -187,6 +195,72 @@ class TestDatasetCsv:
         data = load_dataset_csv(p, y_last=True)
         assert data.n == 1 and data.ys[0] == 1.0
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_writer_matches_csv_writer(self, tmp_path, dim):
+        rng = np.random.default_rng(dim)
+        n = 5000  # more than one write chunk
+        xs = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(
+            -300, 300, size=(n, dim))
+        ys = rng.normal(size=n)
+        awkward = [-0.0, 5e-324, 1e-300, 1e308, -1e308, 0.1 + 0.2, 1e16]
+        for i, v in enumerate(awkward):
+            xs[i] = v
+            ys[-1 - i] = v
+        data = Dataset(xs=xs, ys=ys)
+        write_dataset_csv(data, tmp_path / "new.csv")
+        csv_writer_dataset(data, tmp_path / "old.csv")
+        assert ((tmp_path / "new.csv").read_bytes()
+                == (tmp_path / "old.csv").read_bytes())
+
+    @pytest.mark.parametrize("bad, message", [
+        ("abc,2.0", "could not convert"),
+        ("0.5,inf", "non-finite"),
+        ("0.5", "expected 2 columns, got 1"),
+    ])
+    def test_bad_row_past_first_chunk_names_line(self, tmp_path, bad,
+                                                 message):
+        rows = ["0.5,1.0"] * 9000
+        rows[8000] = bad  # file line 8002, in the second 4096-row chunk
+        p = tmp_path / "d.csv"
+        p.write_text("x1,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(InputError, match=f"line 8002: {message}"):
+            load_dataset_csv(p)
+
+    @pytest.mark.parametrize("first, second, line", [
+        ("abc,2.0", "0.5,1.0,3.0", 3),
+        ("0.5,1.0,3.0", "abc,2.0", 3),
+        ("0.5,nan", "0.5", 3),
+    ])
+    def test_first_bad_line_in_a_chunk_wins(self, tmp_path, first, second,
+                                             line):
+        p = tmp_path / "d.csv"
+        p.write_text(f"x1,y\n0.5,1.0\n{first}\n0.25,2.0\n{second}\n")
+        with pytest.raises(InputError, match=f"line {line}:"):
+            load_dataset_csv(p)
+
+    def test_trailing_blank_line_is_skipped(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x1,y\n0.5,1.0\n0.25,2.0\n\n")
+        data = load_dataset_csv(p)
+        assert data.n == 2 and list(data.ys) == [1.0, 2.0]
+
+    def test_blank_lines_keep_physical_line_numbers(self, tmp_path):
+        p = tmp_path / "d.csv"
+        p.write_text("x1,y\n0.5,1.0\n\n\nabc,2.0\n")
+        with pytest.raises(InputError, match="line 5"):
+            load_dataset_csv(p)
+        p.write_text("x1,y\n\n\n")
+        with pytest.raises(InputError, match="no data rows"):
+            load_dataset_csv(p)
+
+    def test_directory_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match="cannot read"):
+            load_dataset_csv(tmp_path)
+        with pytest.raises(InputError, match="cannot read"):
+            load_model(tmp_path)
+        with pytest.raises(InputError, match="cannot read"):
+            file_digest(tmp_path)
+
 
 class TestDigests:
     def test_known_fnv_vectors(self):
@@ -200,6 +274,27 @@ class TestDigests:
         assert file_digest(p) == "85944171f73967e8"
         with pytest.raises(InputError):
             file_digest(tmp_path / "missing")
+
+    @settings(max_examples=40, deadline=None)
+    @given(length=st.sampled_from([0, 1, 7, 8, 9, 63, 64, 65, 65535, 65536,
+                                   65537, 2 * 65536 + 3]),
+           seed=st.integers(0, 2 ** 32 - 1), alphabet=st.integers(1, 256))
+    def test_matches_byte_loop(self, length, seed, alphabet):
+        # small alphabets give long runs of equal low bytes
+        data = np.random.default_rng(seed).integers(
+            0, alphabet, size=length, dtype=np.uint8).tobytes()
+        assert fnv1a64(data) == fnv1a64_oracle(data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.binary(max_size=300))
+    def test_matches_byte_loop_on_short_inputs(self, data):
+        assert fnv1a64(data) == fnv1a64_oracle(data)
+
+    def test_simulated_dataset_digest(self, tmp_path):
+        out = tmp_path / "d.csv"
+        assert run_cli(["simulate", "--truth", "g0_2", "--n", "100000",
+                        "--seed", "0", "--out", str(out)]) == 0
+        assert file_digest(out) == fnv1a64_oracle(out.read_bytes())
 
 
 class TestManifest:
