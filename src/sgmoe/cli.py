@@ -163,13 +163,17 @@ def _cmd_dendrogram(args, argv):
     out_csv = base.with_suffix(".csv")
     save_dendrogram(dg, out_json)
     k_top = dg.levels[0].n_atoms
-    with open(out_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["level", "height", "avg_loglik"])
-        for kappa in range(k_top, 0, -1):
-            height = repr(dg.height_at(kappa)) if kappa >= 2 else ""
-            ll = avg_log_likelihood(dg.level(kappa), data)
-            w.writerow([kappa, height, repr(ll)])
+    rows = [[kappa, repr(dg.height_at(kappa)) if kappa >= 2 else "",
+             repr(avg_log_likelihood(dg.level(kappa), data))]
+            for kappa in range(k_top, 0, -1)]
+    try:
+        with open(out_csv, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(["level", "height", "avg_loglik"])
+            w.writerows(rows)
+    except OSError as exc:
+        raise InputError(
+            f"cannot write {out_csv}: {exc.strerror or exc}") from exc
     _write_manifest("dendrogram", {"model": str(args.model),
                                    "data": str(args.data)},
                     None, started, [Path(args.model), Path(args.data)],

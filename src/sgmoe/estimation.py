@@ -2,6 +2,9 @@
 
 The E-step takes responsibilities and the average log-likelihood from one
 pass over ``model.log_joint``, the kernel behind every likelihood here.
+Every pass over the data rows (E-step, gating objective, gradient and
+Hessian) works on blocks of ``model.ROW_BLOCK`` rows, so its temporaries
+stay cache-sized at any N; with one block it is the unblocked arithmetic.
 The M-step solves the experts in closed form (weighted least squares,
 weighted residual variance) and improves the gating network with damped
 Newton steps on the multinomial-logistic objective, whose Hessian is two
@@ -30,6 +33,7 @@ from .model import (
     log_joint,
     logsumexp_rows,
     normalize_baseline,
+    row_blocks,
     softmax_rows,
 )
 
@@ -123,6 +127,11 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # gating M-step
 
+def _design(xs: np.ndarray) -> np.ndarray:
+    """The regression design (x, 1), shape (n, D+1)."""
+    return np.hstack([xs, np.ones((xs.shape[0], 1))])
+
+
 def _box_project(gates: np.ndarray, box) -> np.ndarray:
     """Bring gates into the compact box, stated in the baseline gauge.
 
@@ -137,6 +146,30 @@ def _box_project(gates: np.ndarray, box) -> np.ndarray:
     return out
 
 
+def _gating_terms(gates: np.ndarray, resp: np.ndarray,
+                  z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective, gradient and Hessian (without the ridge) of the gating
+    objective over one block of rows; ``z`` is the block's (x, 1) design."""
+    n, p = z.shape
+    k = gates.shape[0]
+    logits = z @ gates.T                          # (B, K)
+    pi, lse = softmax_rows(logits)
+    # sum_n sum_k r_nk log softmax_k(logits_n); rows of resp sum to 1
+    obj = float(np.sum(resp * logits) - np.sum(lse))
+    grad = (resp - pi).T @ z                      # (K, D+1)
+
+    # Fisher-style Hessian blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T
+    # as GEMMs: -(P^T P) with P_n = pi_n (x) z_n, plus sum_n pi_nk z_n z_n^T;
+    # outer products on contiguous (., B) copies, where broadcasts are fast
+    zt = np.ascontiguousarray(z.T)
+    pzt = (np.ascontiguousarray(pi.T)[:, None, :] * zt).reshape(k * p, n)
+    hess = -(pzt @ pzt.T)
+    zzt = (zt[:, None, :] * zt).reshape(p * p, n)
+    diag = np.arange(k)
+    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi.T @ zzt.T).reshape(k, p, p)
+    return obj, grad, hess
+
+
 def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
                        ridge: float = 1e-8,
                        box=None) -> tuple[np.ndarray, float]:
@@ -149,29 +182,22 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     ridge to be solvable; the update then stays in a fixed gauge section.
     When ``box`` is given, each candidate is projected into the compact
     gate region before the acceptance test, so iterates stay feasible
-    and the objective still never decreases.
+    and the objective still never decreases.  Objective, gradient and
+    Hessian are sums over row blocks (``model.row_blocks``).
     """
     n, d = xs.shape
     k = gates.shape[0]
     if resp.shape != (n, k):
         raise InputError("responsibility matrix shape mismatch")
     p = d + 1
-    z = np.hstack([xs, np.ones((n, 1))])          # (N, D+1)
-    logits = z @ gates.T                          # (N, K)
-    pi, lse = softmax_rows(logits)
-    # sum_n sum_k r_nk log softmax_k(logits_n); rows of resp sum to 1
-    obj0 = float(np.sum(resp * logits) - np.sum(lse))
-    grad = (resp - pi).T @ z                      # (K, D+1)
-
-    # Fisher-style Hessian blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T
-    # as GEMMs: -(P^T P) with P_n = pi_n (x) z_n, plus sum_n pi_nk z_n z_n^T;
-    # outer products on contiguous (., N) copies, where broadcasts are fast
-    zt = np.ascontiguousarray(z.T)
-    pzt = (np.ascontiguousarray(pi.T)[:, None, :] * zt).reshape(k * p, n)
-    hess = -(pzt @ pzt.T)
-    zzt = (zt[:, None, :] * zt).reshape(p * p, n)
-    diag = np.arange(k)
-    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi.T @ zzt.T).reshape(k, p, p)
+    blocks = row_blocks(n)
+    zs = [_design(xs[rows]) for rows in blocks]  # (B, D+1) each
+    obj0, grad, hess = _gating_terms(gates, resp[blocks[0]], zs[0])
+    for rows, z in zip(blocks[1:], zs[1:]):
+        obj, g, h = _gating_terms(gates, resp[rows], z)
+        obj0 += obj
+        grad += g
+        hess += h
     hess[np.diag_indices_from(hess)] += ridge
 
     try:
@@ -186,8 +212,11 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
         cand = gates + scale * step
         if box is not None:
             cand = _box_project(cand, box)
-        logits = z @ cand.T
-        obj = float(np.sum(resp * logits) - np.sum(logsumexp_rows(logits)))
+        obj = 0.0
+        for rows, z in zip(blocks, zs):
+            logits = z @ cand.T
+            obj += float(np.sum(resp[rows] * logits)
+                         - np.sum(logsumexp_rows(logits)))
         if obj >= obj0:
             return cand, obj
         scale *= 0.5
@@ -224,7 +253,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     xs, ys = data.xs, data.ys
     n, d = xs.shape
     k = cfg.K
-    z = np.hstack([xs, np.ones((n, 1))])
+    z = _design(xs)
 
     omega0 = init.omega0s()
     omega = init.omega1s()
@@ -239,17 +268,23 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
         omega = start[:, :d].copy()
         omega0 = start[:, d].copy()
 
-    def current_loglik(iteration: int) -> tuple[np.ndarray, float]:
-        # one pass gives the likelihood and the next E-step's responsibilities
-        resp, row_ll = softmax_rows(
-            log_joint(omega, omega0, slopes, intercepts, sigmas, xs, ys))
-        avg = float(np.mean(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
+    resp = np.empty((n, k))
+
+    def current_loglik(iteration: int) -> float:
+        # one pass, block by block, gives the likelihood and the next
+        # E-step's responsibilities (written into resp)
+        total = 0.0
+        for rows in row_blocks(n):
+            resp[rows], row_ll = softmax_rows(log_joint(
+                omega, omega0, slopes, intercepts, sigmas, xs[rows], ys[rows]))
+            total += float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
+        avg = total / n
         if not math.isfinite(avg):
             raise NumericError("average log-likelihood became non-finite",
                                iteration=iteration)
-        return resp, avg
+        return avg
 
-    resp, avg_ll = current_loglik(0)
+    avg_ll = current_loglik(0)
     trace: list[float] = [avg_ll]
     converged = False
     iteration = 0
@@ -287,7 +322,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
             raise NumericError("model parameters became non-finite",
                                iteration=iteration)
 
-        resp, avg_ll = current_loglik(iteration)
+        avg_ll = current_loglik(iteration)
         trace.append(avg_ll)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
@@ -311,7 +346,7 @@ def _cluster_atom(xs: np.ndarray, ys: np.ndarray, proportion: float,
     """Least-squares expert for one cluster; falls back to a flat fit when
     the cluster design is singular (too few or collinear points)."""
     n, d = xs.shape
-    z = np.hstack([xs, np.ones((n, 1))])
+    z = _design(xs)
     gram = z.T @ z
     if n >= d + 1 and np.linalg.matrix_rank(gram) == d + 1:
         beta = np.linalg.solve(gram, z.T @ ys)

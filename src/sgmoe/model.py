@@ -52,6 +52,18 @@ LOG_DENSITY_FLOOR = math.log(DENSITY_FLOOR)
 
 LOG_2PI = math.log(2.0 * math.pi)
 
+# Passes over the N data rows work on blocks of this many rows, so that a
+# pass holds O(ROW_BLOCK * K) temporaries whatever N is.  Every such pass
+# is exactly its unblocked arithmetic when N <= ROW_BLOCK.
+ROW_BLOCK = 16384
+
+
+def row_blocks(n: int) -> list[slice]:
+    """Consecutive slices of at most ROW_BLOCK rows covering range(n); one
+    (empty) slice when n is 0."""
+    return [slice(start, start + ROW_BLOCK)
+            for start in range(0, max(n, 1), ROW_BLOCK)]
+
 
 class UnderflowWarning(RuntimeWarning):
     """Some density evaluations underflowed and were floored."""
@@ -324,10 +336,14 @@ def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
                        ys: np.ndarray) -> np.ndarray:
     """Per-point log conditional density, floored at log(1e-300).
 
+    Works through the rows one block at a time and keeps only the result.
     Emits :class:`UnderflowWarning` with the number of floored points; the
     floor keeps far-out observations from dragging averages to -inf.
     """
-    logp = logsumexp_rows(log_joint_matrix(measure, xs, ys))
+    logp = np.empty(xs.shape[0])
+    for rows in row_blocks(xs.shape[0]):
+        logp[rows] = logsumexp_rows(
+            log_joint_matrix(measure, xs[rows], ys[rows]))
     floored = logp < LOG_DENSITY_FLOOR
     n_floor = int(np.count_nonzero(floored))
     if n_floor:
@@ -335,7 +351,7 @@ def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
             f"{n_floor} of {logp.shape[0]} density values underflowed; "
             f"floored at {DENSITY_FLOOR:g}",
             UnderflowWarning, stacklevel=2)
-        logp = np.where(floored, LOG_DENSITY_FLOOR, logp)
+        logp[floored] = LOG_DENSITY_FLOOR
     return logp
 
 
@@ -370,7 +386,11 @@ def responsibility_matrix(measure: MixingMeasure, data: Dataset) -> np.ndarray:
         raise InputError(
             f"dataset dim {data.dim} does not match model dim {measure.dim}")
     # a fully underflowed row becomes uniform
-    return softmax_rows(log_joint_matrix(measure, data.xs, data.ys))[0]
+    out = np.empty((data.n, measure.n_atoms))
+    for rows in row_blocks(data.n):
+        out[rows] = softmax_rows(
+            log_joint_matrix(measure, data.xs[rows], data.ys[rows]))[0]
+    return out
 
 
 def responsibilities(measure: MixingMeasure, x, y) -> np.ndarray:

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,12 +38,21 @@ def format_tag(kind: str) -> str:
     return f"sgmoe/{kind}/v{SUPPORTED_MAJOR}"
 
 
-def _unreadable(path, exc: OSError) -> InputError:
-    return InputError(f"cannot read {path}: {exc.strerror or exc}")
+def _unreadable(path, exc: Exception) -> InputError:
+    return InputError(
+        f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}")
+
+
+def _unwritable(path, exc: OSError) -> InputError:
+    return InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _write_json(doc: dict, path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def _read_stamped(path) -> tuple[str, dict]:
@@ -51,7 +61,7 @@ def _read_stamped(path) -> tuple[str, dict]:
         raise InputError(f"no such file: {path}")
     try:
         doc = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"{path} is not valid JSON: {exc}") from exc
@@ -138,11 +148,14 @@ def write_dataset_csv(data: Dataset, path) -> None:
     """
     table = np.column_stack((data.xs, data.ys))
     line = ",".join(["%r"] * table.shape[1]) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(dataset_header(data.dim)) + "\r\n")
-        for start in range(0, data.n, _CSV_CHUNK_ROWS):
-            rows = table[start:start + _CSV_CHUNK_ROWS]
-            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+    try:
+        with open(path, "w", newline="") as fh:
+            fh.write(",".join(dataset_header(data.dim)) + "\r\n")
+            for start in range(0, data.n, _CSV_CHUNK_ROWS):
+                rows = table[start:start + _CSV_CHUNK_ROWS]
+                fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def load_dataset_csv(path, y_last: bool = False) -> Dataset:
@@ -152,54 +165,79 @@ def load_dataset_csv(path, y_last: bool = False) -> Dataset:
     column names are accepted (external tables), the last column is taken
     as the response. Blank lines are skipped. Errors carry 1-based file
     line numbers; the header is line 1.
+
+    The body goes through numpy's C reader first. Where that does not give
+    a non-empty, finite table of the header's width, a `csv.reader` scan
+    reads it again; it accepts everything `float` does (`1_0`, quoted
+    fields) and names the first bad line.
     """
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     try:
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise InputError(f"{path} is empty")
-            if len(header) < 2:
-                raise InputError(
-                    f"{path} line 1: need at least one covariate and y")
-            dim = len(header) - 1
-            if not y_last and header != dataset_header(dim):
-                raise InputError(f"{path} line 1: expected header "
-                                 f"{','.join(dataset_header(dim))}")
-            parts, line = [], 2
-            while chunk := list(itertools.islice(reader, _CSV_CHUNK_ROWS)):
-                parts.append(_parse_rows(chunk, line, dim + 1, path))
-                line += len(chunk)
-    except OSError as exc:
+            width = _read_header(csv.reader(fh), path, y_last)
+            table = _load_body(fh, width)
+            if table is None:
+                fh.seek(0)
+                reader = csv.reader(fh)
+                next(reader)
+                table = _scan_body(reader, width, path)
+    except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
-    table = np.concatenate([np.empty((0, dim + 1)), *parts])
+    return Dataset(xs=table[:, :-1], ys=table[:, -1])
+
+
+def _read_header(reader, path, y_last: bool) -> int:
+    """Check the header row; returns the table width D+1."""
+    header = next(reader, None)
+    if header is None:
+        raise InputError(f"{path} is empty")
+    if len(header) < 2:
+        raise InputError(f"{path} line 1: need at least one covariate and y")
+    dim = len(header) - 1
+    if not y_last and header != dataset_header(dim):
+        raise InputError(f"{path} line 1: expected header "
+                         f"{','.join(dataset_header(dim))}")
+    return len(header)
+
+
+def _load_body(fh, width: int) -> np.ndarray | None:
+    """The rest of `fh` by `np.loadtxt`, or None unless that gives a
+    non-empty, all-finite (rows, width) table."""
+    with warnings.catch_warnings():
+        # an empty body warns "input contained no data"; the scan reports it
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+        except UnicodeDecodeError:
+            raise
+        except ValueError:
+            return None
+    if len(table) == 0 or table.shape[1] != width \
+            or not np.isfinite(table).all():
+        return None
+    return table
+
+
+def _scan_body(reader, width: int, path) -> np.ndarray:
+    """The remaining rows of a `csv.reader`, chunk by chunk; the header was
+    file line 1."""
+    parts, line = [], 2
+    while chunk := list(itertools.islice(reader, _CSV_CHUNK_ROWS)):
+        parts.append(_parse_rows(chunk, line, width, path))
+        line += len(chunk)
+    table = np.concatenate([np.empty((0, width)), *parts])
     if len(table) == 0:
         raise InputError(f"{path} has a header but no data rows")
-    return Dataset(xs=table[:, :dim], ys=table[:, dim])
+    return table
 
 
 def _parse_rows(chunk: list, first_line: int, width: int, path) -> np.ndarray:
-    """The non-blank rows of `chunk` as a (rows, width) float array.
-
-    One numpy conversion when the whole chunk is well formed; otherwise
-    a row-by-row pass names the first bad line (`first_line` is the file
-    line of chunk[0]).
-    """
-    rows = [row for row in chunk if row]
-    if set(map(len, rows)) <= {width}:
-        try:
-            table = np.fromiter(map(float, itertools.chain.from_iterable(rows)),
-                                dtype=float, count=len(rows) * width)
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(table).all():
-                return table.reshape(len(rows), width)
-    table = np.empty((len(rows), width))
-    i = 0
+    """The non-blank rows of `chunk` as a (rows, width) float array, or an
+    error naming the first bad line (`first_line` is the file line of
+    chunk[0])."""
+    table = []
     for line, row in enumerate(chunk, start=first_line):
         if not row:
             continue
@@ -212,9 +250,8 @@ def _parse_rows(chunk: list, first_line: int, width: int, path) -> np.ndarray:
             raise InputError(f"{path} line {line}: {exc}") from exc
         if not all(math.isfinite(v) for v in vals):
             raise InputError(f"{path} line {line}: non-finite value")
-        table[i] = vals
-        i += 1
-    return table
+        table.append(vals)
+    return np.array(table).reshape(-1, width)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,25 @@ from scipy.optimize import minimize
 from scipy.special import logsumexp
 
 from sgmoe.datagen import GenConfig, builtin_truths, sample
-from sgmoe.estimation import FitConfig, FitResult, em_fit, init_perturbed
+from sgmoe.errors import InputError
+from sgmoe.estimation import (
+    FitConfig,
+    FitResult,
+    _box_project,
+    em_fit,
+    init_perturbed,
+)
 from sgmoe.metrics import _objective, _prepare
-from sgmoe.model import Dataset, ExpertAtom, MixingMeasure
+from sgmoe.model import (
+    LOG_DENSITY_FLOOR,
+    Dataset,
+    ExpertAtom,
+    MixingMeasure,
+    log_joint,
+    logsumexp_rows,
+    normalize_baseline,
+    softmax_rows,
+)
 
 
 def make_atom(omega0=0.0, omega1=(0.0,), a=(0.0,), b=0.0, sigma=1.0) -> ExpertAtom:
@@ -138,6 +154,112 @@ def naive_gating_newton_step(gates, resp, xs, ridge=1e-8, box=None):
         if obj >= obj0:
             return cand, obj
     return gates, obj0
+
+
+# ---------------------------------------------------------------------------
+# unblocked EM reference: the gating Newton step and the E-step as single
+# passes over all N rows, with the library's formulas; at N <= ROW_BLOCK the
+# library must reproduce these bit for bit
+
+def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8, box=None):
+    """One damped gating Newton step over all rows at once; returns a dict
+    of the start objective obj0, gradient grad, Hessian hess (ridge
+    included), step, the number of halvings taken (None when no candidate
+    was accepted), and the resulting gates and objective."""
+    n, d = xs.shape
+    k = gates.shape[0]
+    p = d + 1
+    z = np.hstack([xs, np.ones((n, 1))])
+    logits = z @ gates.T
+    pi, lse = softmax_rows(logits)
+    obj0 = float(np.sum(resp * logits) - np.sum(lse))
+    grad = (resp - pi).T @ z
+    zt = np.ascontiguousarray(z.T)
+    pzt = (np.ascontiguousarray(pi.T)[:, None, :] * zt).reshape(k * p, n)
+    hess = -(pzt @ pzt.T)
+    zzt = (zt[:, None, :] * zt).reshape(p * p, n)
+    diag = np.arange(k)
+    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi.T @ zzt.T).reshape(k, p, p)
+    hess[np.diag_indices_from(hess)] += ridge
+    step = np.linalg.solve(hess, grad.reshape(-1)).reshape(k, p)
+    out = dict(obj0=obj0, grad=grad, hess=hess, step=step, halvings=None,
+               gates=gates, obj=obj0)
+    scale = 1.0
+    for halvings in range(20):
+        cand = gates + scale * step
+        if box is not None:
+            cand = _box_project(cand, box)
+        logits = z @ cand.T
+        obj = float(np.sum(resp * logits) - np.sum(logsumexp_rows(logits)))
+        if obj >= obj0:
+            out.update(halvings=halvings, gates=cand, obj=obj)
+            break
+        scale *= 0.5
+    return out
+
+
+def unblocked_estep(omega, omega0, slopes, intercepts, sigmas, xs, ys):
+    """Responsibilities and the average floored log-likelihood from one
+    log-joint pass over all rows."""
+    resp, row_ll = softmax_rows(
+        log_joint(omega, omega0, slopes, intercepts, sigmas, xs, ys))
+    return resp, float(np.mean(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
+
+
+def unblocked_em_fit(data: Dataset, cfg: FitConfig,
+                     init: MixingMeasure) -> FitResult:
+    """``em_fit`` built on the unblocked E-step and gating step above."""
+    xs, ys = data.xs, data.ys
+    n, d = xs.shape
+    z = np.hstack([xs, np.ones((n, 1))])
+    omega0, omega = init.omega0s(), init.omega1s()
+    slopes, intercepts = init.slopes(), init.intercepts()
+    sigmas = np.maximum(init.sigmas(), cfg.sigma_floor)
+    if cfg.gate_box is not None:
+        start = _box_project(np.hstack([omega, omega0[:, None]]),
+                             cfg.gate_box)
+        omega, omega0 = start[:, :d].copy(), start[:, d].copy()
+    resp, avg_ll = unblocked_estep(omega, omega0, slopes, intercepts, sigmas,
+                                   xs, ys)
+    trace = [avg_ll]
+    converged = False
+    iteration = 0
+    for iteration in range(1, cfg.max_iter + 1):
+        for j in range(cfg.K):
+            w = resp[:, j]
+            sw = float(np.sum(w))
+            zw = z * w[:, None]
+            beta = np.linalg.solve(z.T @ zw, zw.T @ ys)
+            resid = ys - z @ beta
+            slopes[j], intercepts[j] = beta[:d], beta[d]
+            sigmas[j] = max(float(np.sum(w * resid ** 2) / sw),
+                            cfg.sigma_floor)
+        gates = np.hstack([omega, omega0[:, None]])
+        obj = None
+        for _ in range(cfg.newton_max_iter):
+            step = unblocked_gating_newton_step(gates, resp, xs,
+                                                ridge=cfg.ridge,
+                                                box=cfg.gate_box)
+            gates, new_obj = step["gates"], step["obj"]
+            if obj is not None and new_obj - obj < cfg.newton_tol:
+                break
+            obj = new_obj
+        omega, omega0 = gates[:, :d], gates[:, d]
+        resp, avg_ll = unblocked_estep(omega, omega0, slopes, intercepts,
+                                       sigmas, xs, ys)
+        trace.append(avg_ll)
+        if abs(trace[-1] - trace[-2]) < cfg.tol:
+            converged = True
+            break
+    atoms = tuple(
+        ExpertAtom(omega0=float(omega0[j]), omega1=omega[j].copy(),
+                   a=slopes[j].copy(), b=float(intercepts[j]),
+                   sigma=float(sigmas[j]))
+        for j in range(cfg.K))
+    return FitResult(model=normalize_baseline(MixingMeasure(atoms=atoms,
+                                                            dim=d)),
+                     loglik_trace=tuple(trace), iterations=iteration,
+                     converged=converged)
 
 
 @functools.lru_cache(maxsize=None)
@@ -364,3 +486,39 @@ def csv_writer_dataset(data: Dataset, path) -> None:
         for i in range(data.n):
             w.writerow([repr(float(v)) for v in data.xs[i]]
                        + [repr(float(data.ys[i]))])
+
+
+def csv_reader_dataset(path, y_last: bool = False) -> Dataset:
+    """A dataset CSV read one `csv.reader` row at a time with `float`,
+    raising the loader's messages at the first bad line."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise InputError(f"{path} is empty")
+        if len(header) < 2:
+            raise InputError(
+                f"{path} line 1: need at least one covariate and y")
+        width = len(header)
+        names = [f"x{i + 1}" for i in range(width - 1)] + ["y"]
+        if not y_last and header != names:
+            raise InputError(
+                f"{path} line 1: expected header {','.join(names)}")
+        rows = []
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != width:
+                raise InputError(f"{path} line {line}: expected {width} "
+                                 f"columns, got {len(row)}")
+            try:
+                vals = [float(tok) for tok in row]
+            except ValueError as exc:
+                raise InputError(f"{path} line {line}: {exc}") from exc
+            if not all(math.isfinite(v) for v in vals):
+                raise InputError(f"{path} line {line}: non-finite value")
+            rows.append(vals)
+    if not rows:
+        raise InputError(f"{path} has a header but no data rows")
+    table = np.array(rows)
+    return Dataset(xs=table[:, :-1], ys=table[:, -1])

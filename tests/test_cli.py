@@ -215,6 +215,50 @@ def test_directory_input_exits_one(workdir, tmp_path, capsys, command):
     assert err.startswith("error: cannot read") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("case", ["early-line", "late-line",
+                                  "after-quoted-field", "json"])
+def test_undecodable_input_exits_one(workdir, tmp_path, capsys, case):
+    # a 0xff byte read by the header read, numpy's C reader, the csv
+    # fallback scan (a quoted field sends the body there) or the JSON loader
+    lines = (workdir / "data.csv").read_bytes().split(b"\r\n")
+    if case == "after-quoted-field":
+        lines[2] = b'"' + lines[2].replace(b",", b'",', 1)
+    at = 3 if case == "early-line" else 350
+    lines[at] = b"\xff" + lines[at]
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"\r\n".join(lines))
+    argv = ["fit", "--data", str(bad), "--k", "1",
+            "--out", str(tmp_path / "f.json")]
+    if case == "json":
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"format": "sgmoe/fit/v1", "x": "\xff"}')
+        argv = ["metrics", "--fitted", str(bad), "--reference", str(bad)]
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "dendrogram"])
+def test_directory_output_exits_one(workdir, tmp_path, capsys, command):
+    taken = tmp_path / "taken"
+    argv = {
+        "simulate": ["simulate", "--truth", "g0_2", "--n", "50",
+                     "--out", str(taken)],
+        "fit": ["fit", "--data", str(workdir / "data.csv"), "--k", "1",
+                "--out", str(taken)],
+        "dendrogram": ["dendrogram", "--model", str(workdir / "fit.json"),
+                       "--data", str(workdir / "data.csv"),
+                       "--out", str(tmp_path / "taken")],
+    }[command]
+    if command == "dendrogram":
+        taken = tmp_path / "taken.csv"   # the level table's path
+    taken.mkdir()
+    assert run_cli(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {taken}:")
+    assert "Traceback" not in err
+
+
 def test_fit_accepts_trailing_blank_line(tmp_path, capsys):
     p = tmp_path / "ext.csv"
     rows = "".join(f"{i / 10},{(-1) ** i * 2.5 + i / 50}\n"

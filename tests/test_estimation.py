@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgmoe import estimation
+from sgmoe import estimation, model
 from sgmoe.datagen import GenConfig, sample
 from sgmoe.errors import InputError
 from sgmoe.estimation import (
@@ -21,6 +21,7 @@ from sgmoe.estimation import (
     init_random,
     make_init,
 )
+from sgmoe.datagen import builtin_truths
 from sgmoe.model import Dataset, avg_log_likelihood
 
 from helpers import (
@@ -28,6 +29,8 @@ from helpers import (
     make_measure,
     naive_gating_newton_step,
     random_dataset,
+    unblocked_em_fit,
+    unblocked_gating_newton_step,
 )
 
 
@@ -441,3 +444,128 @@ class TestMakeInit:
         data = random_dataset(rng, n=50, dim=1)
         with pytest.raises(InputError):
             make_init(data, FitConfig(K=2, init="perturbed_truth", seed=0))
+
+
+class TestRowBlocks:
+    """Passes over the rows run block by block: one block is the unblocked
+    arithmetic bit for bit, several blocks agree with it to rounding."""
+
+    B = 64
+
+    @pytest.mark.parametrize("n", [B - 1, B, B + 1, 2 * B + 3])
+    @pytest.mark.parametrize("start", ["near", "far", "boxed"])
+    def test_gating_step_matches_unblocked(self, monkeypatch, n, start):
+        monkeypatch.setattr(model, "ROW_BLOCK", self.B)
+        rng = np.random.default_rng(n)
+        k, d = 3, 2
+        xs = rng.uniform(-2, 2, size=(n, d))
+        raw = rng.uniform(0.01, 1.0, size=(n, k))
+        resp = raw / raw.sum(axis=1, keepdims=True)
+        # far from the optimum the full step overshoots and is halved
+        gates = rng.normal(scale=3.0 if start == "far" else 0.5,
+                           size=(k, d + 1))
+        box = ((-3.0, 3.0), (-2.0, 2.0)) if start == "boxed" else None
+        want = unblocked_gating_newton_step(gates, resp, xs, box=box)
+        if start == "far":
+            assert want["halvings"] > 0
+
+        solved = []
+        real_solve = np.linalg.solve
+
+        def spy(a, b):
+            solved.append((a.copy(), b.copy()))
+            return real_solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", spy)
+        got, got_obj = gating_newton_step(gates, resp, xs, box=box)
+        monkeypatch.setattr(np.linalg, "solve", real_solve)
+
+        def close(a, b, size=None):
+            size = np.linalg.norm(b) if size is None else size
+            return np.linalg.norm(a - b) <= 1e-12 * size
+
+        (hess, grad), = solved
+        assert close(hess, want["hess"])
+        assert close(grad, want["grad"].reshape(-1))
+        step = real_solve(hess, grad).reshape(want["step"].shape)
+
+        # the translation direction is fixed by the ridge alone, so its
+        # rounding grows by 1/ridge: compare in the pinned gauge
+        def pin(g):
+            return g - g[-1]
+
+        assert close(pin(step), pin(want["step"]))
+        # the same number of halvings: the accepted move is the same
+        # fraction of the step, and the gates agree to the rounding of
+        # gates + scale * step
+        scale = 0.5 ** want["halvings"]
+        if box is None:
+            moved = pin(got) - pin(gates)
+            ref = pin(want["step"])
+            assert float(np.vdot(moved, ref) / np.vdot(ref, ref)) == \
+                pytest.approx(scale, rel=1e-9)
+        assert close(pin(got), pin(want["gates"]),
+                     size=np.linalg.norm(pin(gates))
+                     + scale * np.linalg.norm(pin(want["step"])))
+        assert got_obj == pytest.approx(want["obj"], rel=1e-12)
+        if n <= self.B:
+            assert np.array_equal(got, want["gates"])
+            assert got_obj == want["obj"]
+
+    @pytest.mark.parametrize("n", [100, 1000, 3162])
+    def test_em_fit_one_block_is_bit_identical(self, n):
+        g0 = builtin_truths()["g0_2"]
+        data = sample(g0, GenConfig(n=n, seed=n))
+        for cfg in (FitConfig(K=4, seed=1, max_iter=300),
+                    FitConfig(K=3, seed=2, max_iter=300,
+                              gate_box=((-30.0, 30.0), (-60.0, 60.0)))):
+            init = init_perturbed(g0, cfg.K, 0.5, cfg.seed)
+            got = em_fit(data, cfg, init)
+            want = unblocked_em_fit(data, cfg, init)
+            assert got.loglik_trace == want.loglik_trace
+            assert got.iterations == want.iterations
+            assert got.model.to_dict() == want.model.to_dict()
+
+    def test_em_fit_over_blocks_follows_unblocked(self, monkeypatch):
+        # g0_3's gates overlap; on near-separable data (g0_2 at this N)
+        # the gating objective is flat and rounding moves the gates
+        g0 = builtin_truths()["g0_3"]
+        data = sample(g0, GenConfig(n=2 * self.B + 3, seed=5))
+        cfg = FitConfig(K=3, seed=0, max_iter=50)
+        init = init_perturbed(g0, 3, 0.3, 0)
+        want = unblocked_em_fit(data, cfg, init)
+        monkeypatch.setattr(model, "ROW_BLOCK", self.B)
+        got = em_fit(data, cfg, init)
+        assert got.iterations == want.iterations
+        np.testing.assert_allclose(got.loglik_trace, want.loglik_trace,
+                                   rtol=1e-12)
+
+    def test_estep_dead_rows_in_later_blocks(self, monkeypatch):
+        # underflowed rows in any block get uniform responsibilities
+        monkeypatch.setattr(model, "ROW_BLOCK", 16)
+        rng = np.random.default_rng(3)
+        data = single_expert_data(rng, n=50)
+        dead = [5, 17, 40]
+        real_log_joint = estimation.log_joint
+        real_step = estimation.gating_newton_step
+        block_sizes, seen = [], []
+
+        def dead_rows(*args):
+            lj = real_log_joint(*args)
+            xs = args[5]
+            block_sizes.append(len(xs))
+            lj[np.isin(xs[:, 0], data.xs[dead, 0])] = -np.inf
+            return lj
+
+        def spy(gates, resp, xs, **kwargs):
+            seen.append(resp.copy())
+            return real_step(gates, resp, xs, **kwargs)
+
+        monkeypatch.setattr(estimation, "log_joint", dead_rows)
+        monkeypatch.setattr(estimation, "gating_newton_step", spy)
+        em_fit(data, FitConfig(K=3, max_iter=1), init_random(data, 3, 0))
+        assert block_sizes[:4] == [16, 16, 16, 2]
+        resp = seen[0]
+        assert np.all(resp[dead] == 1.0 / 3.0)
+        assert np.all(np.isfinite(resp))
+        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-12)

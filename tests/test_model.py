@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
+from sgmoe import model
 from sgmoe.errors import InputError
 from sgmoe.model import (
     Dataset,
@@ -20,6 +21,8 @@ from sgmoe.model import (
     avg_log_likelihood,
     conditional_density,
     gating_probs,
+    log_density_vector,
+    log_joint_matrix,
     logsumexp_rows,
     normalize_baseline,
     responsibilities,
@@ -318,3 +321,44 @@ class TestWeightOverflow:
                         sigma=1.0)
         with pytest.raises(NumericError, match="overflow"):
             at.weight
+
+
+class TestRowBlocks:
+    """Passes over the rows run in blocks of model.ROW_BLOCK rows."""
+
+    def test_log_density_over_blocks_warns_once_with_total(self,
+                                                           monkeypatch):
+        monkeypatch.setattr(model, "ROW_BLOCK", 16)
+        rng = np.random.default_rng(8)
+        g = random_measure(rng, k=3, dim=2, scale=1.0)
+        data = random_dataset(rng, n=53, dim=2)
+        ys = data.ys.copy()
+        far = [2, 20, 21, 52]   # in the first, second and last block
+        ys[far] = 1e4
+        with pytest.warns(UnderflowWarning) as record:
+            got = log_density_vector(g, data.xs, ys)
+        assert len(record) == 1
+        assert str(record[0].message).startswith("4 of 53 density values")
+        want = logsumexp_rows(log_joint_matrix(g, data.xs, ys))
+        assert np.all(got[far] == model.LOG_DENSITY_FLOOR)
+        keep = np.setdiff1d(np.arange(53), far)
+        np.testing.assert_allclose(got[keep], want[keep], rtol=1e-13)
+
+    def test_one_block_is_the_unblocked_pass(self):
+        rng = np.random.default_rng(9)
+        g = random_measure(rng, k=4, dim=2, scale=1.0)
+        data = random_dataset(rng, n=500, dim=2)
+        lj = log_joint_matrix(g, data.xs, data.ys)
+        assert np.array_equal(log_density_vector(g, data.xs, data.ys),
+                              logsumexp_rows(lj))
+        assert np.array_equal(responsibility_matrix(g, data),
+                              softmax_rows(lj)[0])
+
+    def test_responsibilities_over_blocks(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        g = random_measure(rng, k=3, dim=1, scale=1.0)
+        data = random_dataset(rng, n=70, dim=1)
+        want = responsibility_matrix(g, data)
+        monkeypatch.setattr(model, "ROW_BLOCK", 32)
+        np.testing.assert_allclose(responsibility_matrix(g, data), want,
+                                   rtol=1e-13, atol=1e-300)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from sgmoe.serialize import (
 )
 
 from helpers import (
+    csv_reader_dataset,
     csv_writer_dataset,
     fnv1a64 as fnv1a64_oracle,
     g0_three_expert,
@@ -260,6 +262,107 @@ class TestDatasetCsv:
             load_model(tmp_path)
         with pytest.raises(InputError, match="cannot read"):
             file_digest(tmp_path)
+
+
+# dataset bodies for the reader differential test: mostly well-formed rows,
+# mixed with what `float` and numpy's C reader treat differently
+
+_FLOAT_TEXT = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map(
+        lambda v: f"{v:.25e}"),
+    st.integers(-10 ** 25, 10 ** 25).map(str),
+    st.sampled_from([" 1.5 ", "\t-2\t", "+.5", "5.", "-0", "1e-400",
+                     "4.9406564584124654e-324", "1.7976931348623158e308"]),
+)
+_ODD_TEXT = st.sampled_from([
+    "1_0", "\u0661", "inf", "-inf", "nan", "1e500", '"1.0"', '"2,5"', '"3',
+    '4"', "", " ", "abc", "0x1p3", "1e", "\xa07"])
+
+
+@st.composite
+def _dataset_text(draw):
+    """A header, up to 10 well-formed rows and blank lines, and in half the
+    files one or two odd lines put in among them; in a quarter of the
+    files every row has the other width."""
+    header_width = draw(st.sampled_from([2, 3]))
+    width = draw(st.sampled_from([header_width] * 3 + [5 - header_width]))
+    row = st.lists(_FLOAT_TEXT, min_size=width, max_size=width).map(
+        ",".join)
+    lines = draw(st.lists(st.one_of(row, st.just("")), max_size=10))
+    if draw(st.booleans()):
+        token = st.one_of(_FLOAT_TEXT, _ODD_TEXT)
+        odd_line = st.one_of(
+            st.tuples(row, st.integers(0, width - 1), _ODD_TEXT).map(
+                lambda t: ",".join(t[0].split(",")[:t[1]] + [t[2]]
+                                   + t[0].split(",")[t[1] + 1:])),
+            st.lists(token, min_size=1, max_size=4).map(",".join),
+            row.map(lambda r: r + ","),
+            st.sampled_from([" ", "\t"]))
+        for _ in range(draw(st.integers(1, 2))):
+            lines.insert(draw(st.integers(0, len(lines))), draw(odd_line))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                         min_size=len(lines) + 1, max_size=len(lines) + 1))
+    header = ",".join([f"x{i + 1}" for i in range(header_width - 1)]
+                      + ["y"])
+    text = header + ends[0]
+    for i, body in enumerate(lines):
+        text += body
+        if i + 1 < len(lines) or draw(st.booleans()):
+            text += ends[i + 1]
+    return text
+
+
+def _read_outcome(read, path):
+    try:
+        data = read(path)
+    except InputError as exc:
+        return ("error", str(exc))
+    return ("ok", data.xs.shape, data.xs.tobytes(), data.ys.tobytes())
+
+
+class TestDatasetReader:
+    """numpy's C reader with the `csv.reader` scan as its fallback reads
+    exactly what a row-by-row `csv.reader` and `float` pass reads."""
+
+    @given(text=_dataset_text())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_row_by_row_reader(self, tmp_path_factory, text):
+        p = tmp_path_factory.getbasetemp() / "differential.csv"
+        p.write_bytes(text.encode())
+        want = _read_outcome(csv_reader_dataset, p)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = _read_outcome(load_dataset_csv, p)
+        assert got == want
+        assert not caught
+
+    @pytest.mark.parametrize("body", ["", "\r\n", "\n\n\r"])
+    def test_header_only_raises_without_warning(self, tmp_path, body):
+        p = tmp_path / "d.csv"
+        p.write_bytes(("x1,y\r\n" + body).encode())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InputError, match="has a header but no data"):
+                load_dataset_csv(p)
+        assert not caught
+
+    @pytest.mark.parametrize("token, value", [
+        ("1_0", 10.0), ("\u0661", 1.0), ('"1.5"', 1.5)])
+    def test_float_only_spellings_still_parse(self, tmp_path, token, value):
+        # the C reader refuses these; the scan reads them as float does
+        p = tmp_path / "d.csv"
+        p.write_text(f"x1,y\n0.5,{token}\n")
+        assert load_dataset_csv(p).ys[0] == value
+
+    @pytest.mark.parametrize("line", [3, 9000])
+    def test_undecodable_byte_is_an_input_error(self, tmp_path, line):
+        rows = [b"0.5,1.0"] * 9000
+        rows[line - 2] = b"\xff0.5,1.0"
+        p = tmp_path / "d.csv"
+        p.write_bytes(b"x1,y\r\n" + b"\r\n".join(rows) + b"\r\n")
+        with pytest.raises(InputError, match="cannot read .*codec"):
+            load_dataset_csv(p)
 
 
 class TestDigests:
