@@ -29,16 +29,11 @@ from .experiments import (
     preset,
     run_rate_study,
     run_selection_study,
+    select_order,
 )
 from .metrics import loss_report
 from .model import avg_log_likelihood
-from .selection import (
-    METHODS,
-    SelectionReport,
-    argmin_level,
-    criterion_scores,
-    dsc_select,
-)
+from .selection import METHODS
 from .serialize import (
     TOOL_VERSION,
     RunManifest,
@@ -51,6 +46,7 @@ from .serialize import (
     save_report,
     save_stamped,
     write_dataset_csv,
+    _unwritable,
 )
 
 
@@ -166,14 +162,7 @@ def _cmd_dendrogram(args, argv):
     rows = [[kappa, repr(dg.height_at(kappa)) if kappa >= 2 else "",
              repr(avg_log_likelihood(dg.level(kappa), data))]
             for kappa in range(k_top, 0, -1)]
-    try:
-        with open(out_csv, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["level", "height", "avg_loglik"])
-            w.writerows(rows)
-    except OSError as exc:
-        raise InputError(
-            f"cannot write {out_csv}: {exc.strerror or exc}") from exc
+    _write_table(out_csv, [["level", "height", "avg_loglik"], *rows])
     _write_manifest("dendrogram", {"model": str(args.model),
                                    "data": str(args.data)},
                     None, started, [Path(args.model), Path(args.data)],
@@ -189,28 +178,9 @@ def _cmd_select(args, argv):
     epsilon = _parse_epsilon(args.epsilon)
     methods = METHODS if args.method == "all" else (args.method,)
     cfg = _fit_config(args, args.kmax)
-
-    need_sweep = any(m != "dsc" for m in methods)
-    ks = list(range(1, args.kmax + 1)) if need_sweep else [args.kmax]
-    fits = {}
-    for k in ks:
-        sub = replace(cfg, K=k)
-        try:
-            fits[k] = em_fit(data, sub, make_init(data, sub))
-        except (InputError, NumericError) as exc:
-            raise NumericError(
-                f"fit failed at candidate size {k}: {exc}") from exc
-    sweep = [fits[k] for k in ks]
-
-    reports = {}
-    for m in methods:
-        if m == "dsc":
-            dg = build_path(fits[args.kmax].model)
-            reports[m] = dsc_select(dg, data, epsilon)
-        else:
-            scores = criterion_scores(sweep, data, m)
-            reports[m] = SelectionReport(method=m, per_level=scores,
-                                         chosen=argmin_level(scores))
+    reports = select_order(data, args.kmax, methods, cfg,
+                           lambda k: make_init(data, replace(cfg, K=k)),
+                           epsilon)
 
     base = Path(args.out)
     outputs = []
@@ -295,10 +265,20 @@ def _read_rows(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
+def _write_table(path, rows, **dialect) -> None:
+    """Write CSV rows (or, with a dialect, other tables); a path that cannot
+    be written is an input error, as in `serialize`."""
+    try:
+        with open(path, "w", newline="") as fh:
+            csv.writer(fh, **dialect).writerows(rows)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
+
+
 def _write_curve(path, points) -> None:
-    with open(path, "w") as fh:
-        for n, value in points:
-            fh.write(f"{n} {repr(value)}\n")
+    """One 'N value' line per point, for plotting tools."""
+    _write_table(path, [[n, repr(value)] for n, value in points],
+                 delimiter=" ", lineterminator="\n")
 
 
 def _cmd_rate_study(args, argv):
@@ -310,29 +290,25 @@ def _cmd_rate_study(args, argv):
     result = run_rate_study(cfg, checkpoint=checkpoint)
 
     out_csv = base.with_suffix(".csv")
-    agg_fields = ["record", "n", "rep", "status", "loss", "raw_loss",
-                  "mean_loss", "std_loss", "reps_used", "slope",
-                  "intercept", "skipped"]
-    with open(out_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(agg_fields)
-        for rec in _read_rows(checkpoint):
-            w.writerow(["rep", rec["n"], rec["rep"], rec["status"],
-                        rec["loss"], rec["raw_loss"], "", "", "", "", "", ""])
-        for row in result.rows:
-            w.writerow(["agg", row.n, "", "", "", "", repr(row.mean_loss),
-                        repr(row.std_loss), row.reps_used, "", "", ""])
-        for row in result.raw_rows:
-            w.writerow(["agg_raw", row.n, "", "", "", "",
-                        repr(row.mean_loss), repr(row.std_loss),
-                        row.reps_used, "", "", ""])
-        w.writerow(["study", "", "", "", "", "", "", "", "",
-                    repr(result.slope), repr(result.intercept),
-                    result.skipped])
-        if result.raw_rows:
-            w.writerow(["study_raw", "", "", "", "", "", "", "", "",
-                        repr(result.raw_slope), repr(result.raw_intercept),
-                        result.skipped])
+    rows = [["record", "n", "rep", "status", "loss", "raw_loss",
+             "mean_loss", "std_loss", "reps_used", "slope", "intercept",
+             "skipped"]]
+    for rec in _read_rows(checkpoint):
+        rows.append(["rep", rec["n"], rec["rep"], rec["status"],
+                     rec["loss"], rec["raw_loss"], "", "", "", "", "", ""])
+    for row in result.rows:
+        rows.append(["agg", row.n, "", "", "", "", repr(row.mean_loss),
+                     repr(row.std_loss), row.reps_used, "", "", ""])
+    for row in result.raw_rows:
+        rows.append(["agg_raw", row.n, "", "", "", "", repr(row.mean_loss),
+                     repr(row.std_loss), row.reps_used, "", "", ""])
+    rows.append(["study", "", "", "", "", "", "", "", "",
+                 repr(result.slope), repr(result.intercept), result.skipped])
+    if result.raw_rows:
+        rows.append(["study_raw", "", "", "", "", "", "", "", "",
+                     repr(result.raw_slope), repr(result.raw_intercept),
+                     result.skipped])
+    _write_table(out_csv, rows)
 
     outputs = [out_csv]
     curve = base.with_suffix(".dat")
@@ -359,18 +335,16 @@ def _cmd_select_study(args, argv):
     result = run_selection_study(cfg, checkpoint=checkpoint)
 
     out_csv = base.with_suffix(".csv")
-    agg_fields = ["record", "n", "rep", "status", *cfg.methods, "method",
-                  "proportion_correct", "mean_chosen", "reps_used"]
-    with open(out_csv, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(agg_fields)
-        for rec in _read_rows(checkpoint):
-            w.writerow(["rep", rec["n"], rec["rep"], rec["status"],
-                        *[rec[m] for m in cfg.methods], "", "", "", ""])
-        for row in result.rows:
-            w.writerow(["agg", row.n, "", "", *[""] * len(cfg.methods),
-                        row.method, repr(row.proportion_correct),
-                        repr(row.mean_chosen), row.reps_used])
+    rows = [["record", "n", "rep", "status", *cfg.methods, "method",
+             "proportion_correct", "mean_chosen", "reps_used"]]
+    for rec in _read_rows(checkpoint):
+        rows.append(["rep", rec["n"], rec["rep"], rec["status"],
+                     *[rec[m] for m in cfg.methods], "", "", "", ""])
+    for row in result.rows:
+        rows.append(["agg", row.n, "", "", *[""] * len(cfg.methods),
+                     row.method, repr(row.proportion_correct),
+                     repr(row.mean_chosen), row.reps_used])
+    _write_table(out_csv, rows)
 
     outputs = [out_csv]
     for m in cfg.methods:

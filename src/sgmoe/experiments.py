@@ -25,8 +25,10 @@ from .dendrogram import build_path
 from .errors import InputError, NumericError
 from .estimation import FitConfig, em_fit, init_kmeans, init_perturbed
 from .metrics import vde, vdfra, vdo
-from .selection import (METHODS, argmin_level, criterion_scores,
-                        dsc_select)
+from .model import Dataset, MixingMeasure
+from .selection import (METHODS, SelectionReport, argmin_level,
+                        criterion_scores, dsc_select)
+from .serialize import _unwritable
 
 LOSSES = {"vde": vde, "vdo": vdo, "vdfra": vdfra}
 SETTINGS = ("exact", "overfit", "merged")
@@ -273,12 +275,15 @@ def _write_checkpoint(path, fields, records: dict) -> None:
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(fields)
-        for key in sorted(records):
-            w.writerow([records[key][f] for f in fields])
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            w = csv.writer(fh)
+            w.writerow(fields)
+            for key in sorted(records):
+                w.writerow([records[key][f] for f in fields])
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 class _CheckpointWriter:
@@ -290,7 +295,10 @@ class _CheckpointWriter:
         if rewrite is not None:
             _write_checkpoint(path, fields, rewrite)
         fresh = not path.exists() or path.stat().st_size == 0
-        self.fh = open(path, "a", newline="")
+        try:
+            self.fh = open(path, "a", newline="")
+        except OSError as exc:
+            raise _unwritable(path, exc) from exc
         self.writer = csv.writer(self.fh)
         if fresh:
             self.writer.writerow(fields)
@@ -478,41 +486,62 @@ class SelectionStudyResult:
     skipped: int
 
 
+def select_order(data: Dataset, kmax: int, methods: Sequence[str],
+                 em: FitConfig, init_for: Callable[[int], MixingMeasure],
+                 epsilon_n: float | None = None,
+                 ) -> dict[str, SelectionReport]:
+    """Fit candidate sizes and choose among them; one report per method.
+
+    Fits sizes 1..kmax, or only kmax when the DSC is the only method, each
+    from init_for(k) with em's settings at K = k. The DSC reads the kmax
+    fit's dendrogram (epsilon_n None means log N); AIC/BIC/ICL score every
+    fitted size. A failed fit raises NumericError naming its size.
+
+    The one pipeline behind `sgmoe select` and the selection study. It
+    looks `em_fit`, `build_path` and the scorers up as this module's
+    globals, where the benchmark (perfbench/) wraps them.
+    """
+    sweep = any(m != "dsc" for m in methods)
+    fits = {}
+    for k in range(1, kmax + 1) if sweep else (kmax,):
+        try:
+            fits[k] = em_fit(data, replace(em, K=k), init_for(k))
+        except (InputError, NumericError) as exc:
+            raise NumericError(
+                f"fit failed at candidate size {k}: {exc}") from exc
+    reports = {}
+    for m in methods:
+        if m == "dsc":
+            reports[m] = dsc_select(build_path(fits[kmax].model), data,
+                                    epsilon_n)
+        else:
+            scores = criterion_scores(list(fits.values()), data, m)
+            reports[m] = SelectionReport(method=m, per_level=scores,
+                                         chosen=argmin_level(scores))
+    return reports
+
+
 def _selection_replication(cfg: SelectionStudyConfig, n_index: int, n: int,
                            rep: int) -> tuple[str, dict[str, int]]:
     """Chosen size per method for one dataset; any EM failure skips the rep."""
     truth = builtin_truths()[cfg.truth]
-    k0 = truth.n_atoms
     data = sample(truth, GenConfig(
         n=n, seed=derive_seed(cfg.seed, n_index, rep, 0),
         contamination_eps=cfg.contamination_eps))
-    want_sweep = any(m != "dsc" for m in cfg.methods)
-    ks = list(range(1, cfg.kmax + 1)) if want_sweep else [cfg.kmax]
+
+    def init_for(k):
+        init_seed = derive_seed(cfg.seed, n_index, rep, 1, k)
+        if k >= truth.n_atoms:
+            return init_perturbed(truth, k, cfg.em.init_scale, init_seed,
+                                  gate_scale=cfg.em.init_gate_scale)
+        return init_kmeans(data, k, init_seed, sigma_floor=cfg.em.sigma_floor)
+
     try:
-        fits = {}
-        for k in ks:
-            init_seed = derive_seed(cfg.seed, n_index, rep, 1, k)
-            if k >= k0:
-                init = init_perturbed(truth, k, cfg.em.init_scale, init_seed,
-                                      gate_scale=cfg.em.init_gate_scale)
-            else:
-                init = init_kmeans(data, k, init_seed,
-                                   sigma_floor=cfg.em.sigma_floor)
-            fits[k] = em_fit(data, replace(cfg.em, K=k), init)
-        chosen: dict[str, int] = {}
-        if "dsc" in cfg.methods:
-            dg = build_path(fits[cfg.kmax].model)
-            chosen["dsc"] = dsc_select(dg, data, cfg.epsilon_n).chosen
-        if want_sweep:
-            sweep = [fits[k] for k in ks]
-            for m in cfg.methods:
-                if m == "dsc":
-                    continue
-                chosen[m] = argmin_level(
-                    criterion_scores(sweep, data, m))
+        reports = select_order(data, cfg.kmax, cfg.methods, cfg.em, init_for,
+                               cfg.epsilon_n)
     except NumericError:
         return "skip", {}
-    return "ok", chosen
+    return "ok", {m: report.chosen for m, report in reports.items()}
 
 
 def selection_fields(methods) -> tuple[str, ...]:

@@ -1,4 +1,4 @@
-"""Model-order selection: the dendrogram criterion and sweep baselines.
+"""Model-order selection scores: the dendrogram criterion and sweep baselines.
 
 The dendrogram criterion scores each level kappa of a single fitted
 model's aggregation path by
@@ -8,28 +8,32 @@ model's aggregation path by
 and selects the argmin over kappa in [2, K].  Merging distinct experts
 costs a large height h while merging near-duplicates is nearly free, so
 the score dips exactly where aggregation stops being harmless; no model
-of any other size is ever fitted.  The AIC/BIC/ICL baselines fit one
-model per candidate size and pick the best penalized likelihood.
+of any other size is ever fitted.  The AIC/BIC/ICL baselines score one
+fit per candidate size and pick the best penalized likelihood.
+
+This module only scores fits it is given. Fitting the candidate sizes
+lives in `experiments.select_order`, the one pipeline behind
+`sgmoe select` and the selection study; the benchmark wraps its EM,
+dendrogram and scoring calls where `experiments` looks them up.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .dendrogram import Dendrogram
-from .errors import InputError, NumericError
-from .estimation import FitConfig, FitResult, em_fit, make_init
-from .model import Dataset, MixingMeasure, avg_log_likelihood, responsibility_matrix
+from .errors import InputError
+from .estimation import FitResult
+from .model import Dataset, avg_log_likelihood, responsibility_matrix
 
 __all__ = [
     "SelectionReport",
+    "argmin_level",
     "dsc_select",
     "param_count",
-    "criterion_sweep",
-    "sweep_fits",
     "criterion_scores",
 ]
 
@@ -103,21 +107,6 @@ def param_count(k: int, d: int) -> int:
     return (k - 1) * (d + 1) + k * (d + 1) + k
 
 
-def sweep_fits(data: Dataset, kmax: int, cfg: FitConfig,
-               reference: MixingMeasure | None = None) -> list[FitResult]:
-    """Fit candidate sizes 1..kmax, reporting which size failed on error."""
-    if kmax < 1:
-        raise InputError(f"kmax must be >= 1, got {kmax}")
-    fits = []
-    for k in range(1, kmax + 1):
-        sub = replace(cfg, K=k)
-        try:
-            fits.append(em_fit(data, sub, make_init(data, sub, reference)))
-        except (InputError, NumericError) as exc:
-            raise NumericError(f"fit failed at candidate size {k}: {exc}") from exc
-    return fits
-
-
 def criterion_scores(fits: list[FitResult], data: Dataset,
                      method: str) -> dict[int, float]:
     """AIC/BIC/ICL scores (lower is better) for pre-computed fits 1..kmax."""
@@ -141,11 +130,3 @@ def criterion_scores(fits: list[FitResult], data: Dataset,
             scores[k] = score
     return scores
 
-
-def criterion_sweep(data: Dataset, kmax: int, cfg: FitConfig, method: str,
-                    reference: MixingMeasure | None = None) -> SelectionReport:
-    """Fit sizes 1..kmax and select by the named penalized criterion."""
-    fits = sweep_fits(data, kmax, cfg, reference)
-    scores = criterion_scores(fits, data, method)
-    return SelectionReport(method=method, per_level=scores,
-                           chosen=argmin_level(scores))

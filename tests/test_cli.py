@@ -238,9 +238,14 @@ def test_undecodable_input_exits_one(workdir, tmp_path, capsys, case):
     assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
 
 
-@pytest.mark.parametrize("command", ["simulate", "fit", "dendrogram"])
+@pytest.mark.parametrize("command", ["simulate", "fit", "dendrogram",
+                                     "rate-study", "select-study",
+                                     "missing-directory"])
 def test_directory_output_exits_one(workdir, tmp_path, capsys, command):
     taken = tmp_path / "taken"
+    study = ["--truth", "g0_2", "--n-min", "100", "--n-max", "100",
+             "--n-count", "1", "--reps", "1", "--em-max-iter", "50",
+             "--workers", "1", "--out", str(taken)]
     argv = {
         "simulate": ["simulate", "--truth", "g0_2", "--n", "50",
                      "--out", str(taken)],
@@ -249,10 +254,18 @@ def test_directory_output_exits_one(workdir, tmp_path, capsys, command):
         "dendrogram": ["dendrogram", "--model", str(workdir / "fit.json"),
                        "--data", str(workdir / "data.csv"),
                        "--out", str(tmp_path / "taken")],
+        "rate-study": ["rate-study", *study],
+        "select-study": ["select-study", "--kmax", "2", *study],
+        "missing-directory": ["select-study", "--kmax", "2", *study[:-1],
+                              str(tmp_path / "nodir" / "x")],
     }[command]
-    if command == "dendrogram":
-        taken = tmp_path / "taken.csv"   # the level table's path
-    taken.mkdir()
+    if command in ("dendrogram", "rate-study", "select-study"):
+        taken = tmp_path / "taken.csv"   # the level or results table's path
+    if command == "missing-directory":
+        # the checkpoint is opened before any replication runs
+        taken = tmp_path / "nodir" / "x.checkpoint.csv"
+    else:
+        taken.mkdir()
     assert run_cli(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {taken}:")

@@ -388,6 +388,47 @@ class TestSelectionStudy:
         with pytest.raises(InputError):
             self.small_config(n_min=10, n_max=500)
 
+    def test_cli_and_study_share_one_pipeline(self, monkeypatch, tmp_path):
+        # `sgmoe select` and a replication both fit sizes 1..kmax and build
+        # one dendrogram of the kmax fit through `experiments`' globals,
+        # the names the benchmark's recorder and tracer wrap
+        import sgmoe.experiments as exp
+        from sgmoe.cli import run_cli
+
+        calls = []
+
+        def record(name, describe=lambda args, out: ""):
+            fn = getattr(exp, name)
+
+            def wrapped(*args, **kw):
+                out = fn(*args, **kw)
+                calls.append(name + describe(args, out))
+                return out
+            monkeypatch.setattr(exp, name, wrapped)
+
+        record("em_fit", lambda args, fit: f":{fit.model.n_atoms}")
+        record("build_path", lambda args, dg: f":{args[0].n_atoms}")
+        for name in ("init_perturbed", "init_kmeans", "dsc_select",
+                     "criterion_scores"):
+            record(name)
+        scoring = ["build_path:3", "dsc_select"] + ["criterion_scores"] * 3
+
+        data = tmp_path / "data.csv"
+        assert run_cli(["simulate", "--truth", "g0_2", "--n", "300",
+                        "--seed", "7", "--out", str(data)]) == 0
+        assert run_cli(["select", "--data", str(data), "--kmax", "3",
+                        "--method", "all", "--seed", "5",
+                        "--out", str(tmp_path / "sel")]) == 0
+        assert calls == ["em_fit:1", "em_fit:2", "em_fit:3"] + scoring
+
+        calls.clear()
+        res = run_selection_study(self.small_config(n_min=300, n_max=300,
+                                                    reps=1, kmax=3))
+        assert res.skipped == 0
+        assert calls == ["init_kmeans", "em_fit:1",
+                         "init_perturbed", "em_fit:2",
+                         "init_perturbed", "em_fit:3"] + scoring
+
 
 class TestPresets:
     def test_all_names_construct(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,14 +11,13 @@ import pytest
 from sgmoe.datagen import GenConfig, builtin_truths, sample
 from sgmoe.dendrogram import Dendrogram, MergeRecord, build_path
 from sgmoe.errors import InputError
-from sgmoe.estimation import FitConfig, em_fit, init_perturbed
+from sgmoe.estimation import FitConfig, em_fit, init_perturbed, make_init
+from sgmoe.experiments import select_order
 from sgmoe.selection import (
     SelectionReport,
     criterion_scores,
-    criterion_sweep,
     dsc_select,
     param_count,
-    sweep_fits,
 )
 from sgmoe.model import Dataset
 
@@ -47,6 +47,12 @@ def constant_density_dendrogram(heights):
 def toy_data(seed=0, n=50):
     rng = np.random.default_rng(seed)
     return Dataset(xs=rng.uniform(-1, 1, size=(n, 1)), ys=rng.normal(size=n))
+
+
+def sweep(data, kmax, methods, cfg):
+    """`select_order` with the command line's starts: make_init at each size."""
+    return select_order(data, kmax, methods, cfg,
+                        lambda k: make_init(data, replace(cfg, K=k)))
 
 
 class TestParamCount:
@@ -124,44 +130,51 @@ class TestDscSelect:
 
 
 class TestCriterionSweep:
+    """AIC/BIC/ICL through `select_order`, started as `sgmoe select` does."""
+
     def test_bic_consistent_on_single_expert(self):
         # single-expert data: BIC should pick 1 nearly always at this size
         g1 = make_measure([(0.0, (0.0,), (1.2,), 0.3, 0.25)])
         hits = 0
         for seed in range(20):
             data = sample(g1, GenConfig(n=5000, seed=1000 + seed))
-            rep = criterion_sweep(data, 3, FitConfig(K=1, seed=seed,
-                                                     init="kmeans"), "bic")
+            rep = sweep(data, 3, ("bic",),
+                        FitConfig(K=1, seed=seed, init="kmeans"))["bic"]
             hits += rep.chosen == 1
         assert hits >= 18
 
     def test_icl_at_least_bic(self):
         g0 = builtin_truths()["g0_2"]
         data = sample(g0, GenConfig(n=2000, seed=8))
-        fits = sweep_fits(data, 3, FitConfig(K=1, seed=0, init="kmeans"))
-        bic = criterion_scores(fits, data, "bic")
-        icl = criterion_scores(fits, data, "icl")
+        reports = sweep(data, 3, ("bic", "icl"),
+                        FitConfig(K=1, seed=0, init="kmeans"))
+        bic = reports["bic"].per_level
+        icl = reports["icl"].per_level
         for k in bic:
             assert icl[k] >= bic[k] - 1e-9
 
     def test_all_methods_recover_truth_at_large_n(self):
+        # AIC/BIC/ICL on one large draw; TestDscSelect checks the DSC on one
         g0 = builtin_truths()["g0_2"]
         data = sample(g0, GenConfig(n=20_000, seed=1618))
-        fits = sweep_fits(data, 3, FitConfig(K=1, seed=9, init="kmeans"))
+        reports = sweep(data, 3, ("aic", "bic", "icl"),
+                        FitConfig(K=1, seed=9, init="kmeans"))
         for method in ("aic", "bic", "icl"):
-            scores = criterion_scores(fits, data, method)
+            scores = reports[method].per_level
             assert min(scores, key=lambda k: (scores[k], k)) == 2
 
     def test_failure_names_candidate_size(self):
         from sgmoe.errors import NumericError
         data = toy_data(n=3)
         with pytest.raises(NumericError, match="candidate size 4"):
-            sweep_fits(data, 4, FitConfig(K=1, seed=0, init="kmeans"))
+            sweep(data, 4, ("bic",), FitConfig(K=1, seed=0, init="kmeans"))
 
     def test_unknown_method_rejected(self):
         data = toy_data()
         with pytest.raises(InputError):
-            criterion_sweep(data, 2, FitConfig(K=1, seed=0), "gic")
+            criterion_scores([], data, "gic")
+        with pytest.raises(InputError):
+            sweep(data, 2, ("gic",), FitConfig(K=1, seed=0))
 
 
 class TestSelectionReport:
