@@ -24,6 +24,7 @@ from .errors import InputError, NumericError
 from .estimation import FitConfig, em_fit, make_init
 from .experiments import (
     PRESET_NAMES,
+    RATE_VALUES,
     RateStudyConfig,
     SelectionStudyConfig,
     preset,
@@ -227,7 +228,8 @@ def _cmd_metrics(args, argv):
                         argv, out.with_suffix(".manifest.json"))
 
 
-def _study_config(args, kind: str):
+def _study_config(args):
+    kind = "rate" if args.command == "rate-study" else "selection"
     if args.preset is not None:
         cfg = preset(args.preset)
         want = RateStudyConfig if kind == "rate" else SelectionStudyConfig
@@ -259,12 +261,6 @@ def _study_config(args, kind: str):
         **common)
 
 
-def _read_rows(path) -> list[dict]:
-    # a finished study leaves its checkpoint complete and sorted by key
-    with open(path, newline="") as fh:
-        return list(csv.DictReader(fh))
-
-
 def _write_table(path, rows, **dialect) -> None:
     """Write CSV rows (or, with a dialect, other tables); a path that cannot
     be written is an input error, as in `serialize`."""
@@ -281,86 +277,79 @@ def _write_curve(path, points) -> None:
                  delimiter=" ", lineterminator="\n")
 
 
-def _cmd_rate_study(args, argv):
-    started = _now()
-    cfg = _study_config(args, "rate")
-    base = Path(args.out)
-    checkpoint = Path(args.checkpoint) if args.checkpoint else \
-        base.with_suffix(".checkpoint.csv")
-    result = run_rate_study(cfg, checkpoint=checkpoint)
+def _rate_outputs(result):
+    """Value and summary columns, summary rows (kind, n, cells), curves by
+    file suffix and the status line of a rate study."""
+    def agg(kind, rows):
+        return [(kind, r.n, [repr(r.mean_loss), repr(r.std_loss),
+                             r.reps_used, "", "", ""]) for r in rows]
 
-    out_csv = base.with_suffix(".csv")
-    rows = [["record", "n", "rep", "status", "loss", "raw_loss",
-             "mean_loss", "std_loss", "reps_used", "slope", "intercept",
-             "skipped"]]
-    for rec in _read_rows(checkpoint):
-        rows.append(["rep", rec["n"], rec["rep"], rec["status"],
-                     rec["loss"], rec["raw_loss"], "", "", "", "", "", ""])
-    for row in result.rows:
-        rows.append(["agg", row.n, "", "", "", "", repr(row.mean_loss),
-                     repr(row.std_loss), row.reps_used, "", "", ""])
-    for row in result.raw_rows:
-        rows.append(["agg_raw", row.n, "", "", "", "", repr(row.mean_loss),
-                     repr(row.std_loss), row.reps_used, "", "", ""])
-    rows.append(["study", "", "", "", "", "", "", "", "",
-                 repr(result.slope), repr(result.intercept), result.skipped])
+    def curve(rows):
+        return [(r.n, r.mean_loss) for r in rows if r.reps_used > 0]
+
+    summary = agg("agg", result.rows) + agg("agg_raw", result.raw_rows)
+    summary.append(("study", "", ["", "", "", repr(result.slope),
+                                  repr(result.intercept), result.skipped]))
+    curves = {".dat": curve(result.rows)}
     if result.raw_rows:
-        rows.append(["study_raw", "", "", "", "", "", "", "", "",
-                     repr(result.raw_slope), repr(result.raw_intercept),
-                     result.skipped])
-    _write_table(out_csv, rows)
-
-    outputs = [out_csv]
-    curve = base.with_suffix(".dat")
-    _write_curve(curve, [(r.n, r.mean_loss) for r in result.rows
-                         if r.reps_used > 0])
-    outputs.append(curve)
-    if result.raw_rows:
-        raw_curve = base.with_suffix(".raw.dat")
-        _write_curve(raw_curve, [(r.n, r.mean_loss) for r in result.raw_rows
-                                 if r.reps_used > 0])
-        outputs.append(raw_curve)
-    _write_manifest("rate-study", asdict(cfg), cfg.seed, started, [],
-                    outputs, argv, base.with_suffix(".manifest.json"))
-    print(f"slope={result.slope:.4f} intercept={result.intercept:.4f} "
-          f"skipped={result.skipped}")
+        summary.append(("study_raw", "", [
+            "", "", "", repr(result.raw_slope), repr(result.raw_intercept),
+            result.skipped]))
+        curves[".raw.dat"] = curve(result.raw_rows)
+    status = (f"slope={result.slope:.4f} intercept={result.intercept:.4f} "
+              f"skipped={result.skipped}")
+    return (RATE_VALUES, ("mean_loss", "std_loss", "reps_used", "slope",
+                          "intercept", "skipped"), summary, curves, status)
 
 
-def _cmd_select_study(args, argv):
-    started = _now()
-    cfg = _study_config(args, "selection")
-    base = Path(args.out)
-    checkpoint = Path(args.checkpoint) if args.checkpoint else \
-        base.with_suffix(".checkpoint.csv")
-    result = run_selection_study(cfg, checkpoint=checkpoint)
-
-    out_csv = base.with_suffix(".csv")
-    rows = [["record", "n", "rep", "status", *cfg.methods, "method",
-             "proportion_correct", "mean_chosen", "reps_used"]]
-    for rec in _read_rows(checkpoint):
-        rows.append(["rep", rec["n"], rec["rep"], rec["status"],
-                     *[rec[m] for m in cfg.methods], "", "", "", ""])
-    for row in result.rows:
-        rows.append(["agg", row.n, "", "", *[""] * len(cfg.methods),
-                     row.method, repr(row.proportion_correct),
-                     repr(row.mean_chosen), row.reps_used])
-    _write_table(out_csv, rows)
-
-    outputs = [out_csv]
-    for m in cfg.methods:
-        curve = base.with_suffix(f".{m}.dat")
-        _write_curve(curve, [(r.n, r.proportion_correct)
-                             for r in result.rows
-                             if r.method == m and r.reps_used > 0])
-        outputs.append(curve)
-    _write_manifest("select-study", asdict(cfg), cfg.seed, started, [],
-                    outputs, argv, base.with_suffix(".manifest.json"))
+def _selection_outputs(cfg, result):
+    """As `_rate_outputs`, for a selection study."""
+    summary = [("agg", r.n, [r.method, repr(r.proportion_correct),
+                             repr(r.mean_chosen), r.reps_used])
+               for r in result.rows]
+    curves = {f".{m}.dat": [(r.n, r.proportion_correct) for r in result.rows
+                            if r.method == m and r.reps_used > 0]
+              for m in cfg.methods}
     lines = [f"true size {result.true_k}, skipped {result.skipped}"]
     for row in result.rows:
         lines.append(f"N={row.n:<7} {row.method:<4} "
                      f"correct={row.proportion_correct:.2f} "
                      f"mean_chosen={row.mean_chosen:.2f}")
-    print("\n".join(lines))
+    return (cfg.methods, ("method", "proportion_correct", "mean_chosen",
+                          "reps_used"), summary, curves, "\n".join(lines))
+
+
+def _cmd_study(args, argv):
+    """rate-study and select-study: run the study, then write the results
+    CSV (one `rep` row per checkpoint record, then the summary rows), the
+    curves and the manifest, and print the status line."""
+    started = _now()
+    cfg = _study_config(args)
+    base = Path(args.out)
+    checkpoint = Path(args.checkpoint) if args.checkpoint else \
+        base.with_suffix(".checkpoint.csv")
+    if isinstance(cfg, RateStudyConfig):
+        result = run_rate_study(cfg, checkpoint=checkpoint)
+        report = _rate_outputs(result)
+    else:
+        result = run_selection_study(cfg, checkpoint=checkpoint)
+        report = _selection_outputs(cfg, result)
+    values, columns, summary, curves, status = report
+
+    out_csv = base.with_suffix(".csv")
+    blank_values, blank_summary = [""] * len(values), [""] * len(columns)
+    _write_table(out_csv, [
+        ["record", "n", "rep", "status", *values, *columns],
+        *(["rep", *rec[1:], *blank_summary] for rec in result.records),
+        *([kind, n, "", "", *blank_values, *cells]
+          for kind, n, cells in summary)])
+    outputs = [out_csv]
+    for suffix, points in curves.items():
+        outputs.append(base.with_suffix(suffix))
+        _write_curve(outputs[-1], points)
+    _write_manifest(args.command, asdict(cfg), cfg.seed, started, [],
+                    outputs, argv, base.with_suffix(".manifest.json"))
+    print(status)
 
 
 # ---------------------------------------------------------------------------
@@ -475,7 +464,7 @@ def build_parser() -> _Parser:
                    default="exact")
     p.add_argument("--fit-k", type=int, default=4)
     p.add_argument("--loss", choices=("vde", "vdo", "vdfra"), default="vde")
-    p.set_defaults(handler=_cmd_rate_study)
+    p.set_defaults(handler=_cmd_study)
 
     p = sub.add_parser("select-study",
                        help="selection-frequency study")
@@ -487,7 +476,7 @@ def build_parser() -> _Parser:
                    help="contamination fraction")
     p.add_argument("--epsilon", default="logn",
                    help="dendrogram criterion weight: 'logn' or a number")
-    p.set_defaults(handler=_cmd_select_study)
+    p.set_defaults(handler=_cmd_study)
 
     return parser
 

@@ -1,16 +1,21 @@
 """Simulation studies: convergence-rate curves and selection-frequency tables.
 
-Both study runners share the same execution model: the work is a flat list
-of replications keyed by (size index, rep index), every replication derives
-its own seed from the study seed, completed replications can be persisted
-to a checkpoint CSV and are skipped on resume, a finished run leaves the
-checkpoint sorted by key, and aggregation is a deterministic reduce over
-sorted keys. Worker scheduling therefore cannot change any output byte.
+Both studies run on one grid runner, `_run_grid`. The work is a flat list
+of replications keyed by (size index, rep index), and every replication
+derives its own seed from the study seed. A replication returns (status,
+*values); the runner encodes it once as its checkpoint record, the strings
+(n_index, n, rep, status, *values) with each value's repr and "" for None.
+Completed records persist to an optional checkpoint CSV and are skipped on
+resume; a final line without its line terminator was torn by a kill and is
+recomputed. A finished run leaves the checkpoint sorted by key, and
+aggregation is a deterministic reduce over sorted keys. Worker scheduling
+therefore cannot change any output byte.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -28,7 +33,7 @@ from .metrics import vde, vdfra, vdo
 from .model import Dataset, MixingMeasure
 from .selection import (METHODS, SelectionReport, argmin_level,
                         criterion_scores, dsc_select)
-from .serialize import _unwritable
+from .serialize import _unreadable, _unwritable
 
 LOSSES = {"vde": vde, "vdo": vdo, "vdfra": vdfra}
 SETTINGS = ("exact", "overfit", "merged")
@@ -74,27 +79,20 @@ def slope_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     return float(coeffs[0]), float(coeffs[1])
 
 
-# ---------------------------------------------------------------------------
-# rate study
-
 @dataclass(frozen=True)
-class RateStudyConfig:
-    """Convergence-rate study: loss to the truth as N grows.
+class _StudyConfig:
+    """What both studies share: the truth, the (size, rep) grid, the EM
+    settings, the study seed and the worker count. em.K, em.seed and
+    em.init are ignored; replication seeds derive from `seed`.
 
-    `setting` picks the estimator: "exact" fits the true number of experts,
-    "overfit" fits `fit_k` experts, "merged" fits `fit_k` and then merges
-    down the aggregation path to the true size. Every fit starts from a
-    perturbed copy of the truth (scale em.init_scale); em.K, em.seed and
-    em.init are ignored, replication seeds derive from `seed`.
+    Each study adds its own fields, checks them in `_check(k0)` (k0 is the
+    true size) and names its largest fitted size in `fit_size()`.
     """
     truth: str = "g0_2"
-    setting: str = "exact"
-    fit_k: int = 4
     n_min: int = 100
     n_max: int = 10_000
     n_count: int = 12
     reps: int = 10
-    loss: str = "vde"
     em: FitConfig = field(default_factory=FitConfig)
     seed: int = 0
     workers: int | None = None
@@ -103,16 +101,9 @@ class RateStudyConfig:
         registry = builtin_truths()
         if self.truth not in registry:
             raise InputError(f"unknown truth {self.truth!r}")
-        if self.setting not in SETTINGS:
-            raise InputError(f"unknown setting {self.setting!r}")
-        if self.loss not in LOSSES:
-            raise InputError(f"unknown loss {self.loss!r}")
+        self._check(registry[self.truth].n_atoms)
         if self.reps < 1:
             raise InputError(f"reps must be >= 1, got {self.reps}")
-        k0 = registry[self.truth].n_atoms
-        if self.setting != "exact" and self.fit_k < k0:
-            raise InputError(
-                f"fit_k must be >= the true size {k0}, got {self.fit_k}")
         if self.n_min < 10 * self.fit_size():
             raise InputError(
                 f"n_min must be >= 10*K = {10 * self.fit_size()}")
@@ -120,13 +111,39 @@ class RateStudyConfig:
             raise InputError("workers must be >= 1")
         log_size_grid(self.n_min, self.n_max, self.n_count)  # validates
 
+    def sizes(self) -> tuple[int, ...]:
+        return log_size_grid(self.n_min, self.n_max, self.n_count)
+
+
+# ---------------------------------------------------------------------------
+# rate study
+
+@dataclass(frozen=True)
+class RateStudyConfig(_StudyConfig):
+    """Convergence-rate study: loss to the truth as N grows.
+
+    `setting` picks the estimator: "exact" fits the true number of experts,
+    "overfit" fits `fit_k` experts, "merged" fits `fit_k` and then merges
+    down the aggregation path to the true size. Every fit starts from a
+    perturbed copy of the truth (scale em.init_scale).
+    """
+    setting: str = "exact"
+    fit_k: int = 4
+    loss: str = "vde"
+
+    def _check(self, k0: int):
+        if self.setting not in SETTINGS:
+            raise InputError(f"unknown setting {self.setting!r}")
+        if self.loss not in LOSSES:
+            raise InputError(f"unknown loss {self.loss!r}")
+        if self.setting != "exact" and self.fit_k < k0:
+            raise InputError(
+                f"fit_k must be >= the true size {k0}, got {self.fit_k}")
+
     def fit_size(self) -> int:
         if self.setting == "exact":
             return builtin_truths()[self.truth].n_atoms
         return self.fit_k
-
-    def sizes(self) -> tuple[int, ...]:
-        return log_size_grid(self.n_min, self.n_max, self.n_count)
 
 
 @dataclass(frozen=True)
@@ -143,6 +160,7 @@ class RateStudyResult:
 
     In the merged setting the over-sized fit is a free by-product, so its
     fast-rate-aware loss curve is reported alongside under raw_*.
+    `records` are the finished checkpoint rows in (n_index, rep) order.
     """
     rows: tuple[RateRow, ...]
     slope: float
@@ -151,6 +169,7 @@ class RateStudyResult:
     raw_rows: tuple[RateRow, ...] = ()
     raw_slope: float = math.nan
     raw_intercept: float = math.nan
+    records: tuple[tuple[str, ...], ...] = ()
 
 
 # Largest gate spread (see gate_spread) of a fit the rate study will score.
@@ -210,60 +229,67 @@ def _rate_replication(cfg: RateStudyConfig, n_index: int, n: int,
     return "ok", loss, raw_loss
 
 
-def _aggregate_rate(sizes, reps, results):
+def _curve(sizes, ok, j: int):
+    """Per-size mean and spread of value column j of the ok records, and
+    the log-log slope and intercept of the positive means (NaN with fewer
+    than 3 of them)."""
     rows = []
-    skipped = 0
-    for i, n in enumerate(sizes):
-        losses = [results[(i, r)][1] for r in range(reps)
-                  if results[(i, r)][0] == "ok"]
-        skipped += reps - len(losses)
+    for n, values in zip(sizes, ok):
+        losses = [v[j] for v in values]
         mean = float(np.mean(losses)) if losses else math.nan
         std = float(np.std(losses, ddof=1)) if len(losses) > 1 else 0.0
         rows.append(RateRow(n=n, mean_loss=mean, std_loss=std,
                             reps_used=len(losses)))
-    return tuple(rows), skipped
-
-
-def _curve_slope(rows: tuple[RateRow, ...]) -> tuple[float, float]:
     pts = [(row.n, row.mean_loss) for row in rows
            if row.reps_used > 0 and row.mean_loss > 0]
-    if len(pts) < 3:
-        return math.nan, math.nan
-    return slope_fit(pts)
+    slope = slope_fit(pts) if len(pts) >= 3 else (math.nan, math.nan)
+    return (tuple(rows), *slope)
 
 
-RATE_FIELDS = ("n_index", "n", "rep", "status", "loss", "raw_loss")
+KEY_FIELDS = ("n_index", "n", "rep", "status")
+RATE_VALUES = ("loss", "raw_loss")
 
 
-def _load_checkpoint(path, fields) -> tuple[dict, bool]:
-    """Completed rows keyed by (n_index, rep), plus a truncated-tail flag.
+def _load_checkpoint(path, fields, sizes, reps, cols) -> dict:
+    """Checkpoint records keyed by (n_index, rep).
 
-    A run killed mid-write leaves a partial final line; that replication is
-    simply recomputed, and the caller rewrites the file so the partial line
-    cannot end up stranded in the middle of later appends.
+    A run killed mid-write leaves a final line without its line terminator.
+    That line is torn: it is dropped and its replication recomputed. Every
+    other line must be a record of this grid whose status is ok or skip,
+    and an ok record's value columns `cols` must parse as numbers. Anything
+    else, or a file that cannot be read, is an InputError naming the path
+    and, where there is one, the line.
     """
-    done: dict[tuple[int, int], dict] = {}
-    if path is None:
-        return done, False
-    path = Path(path)
-    if not path.exists():
-        return done, False
-    with open(path, newline="") as fh:
-        raw = list(csv.reader(fh))
-    if not raw:
-        return done, False
-    if tuple(raw[0]) != tuple(fields):
-        raise InputError(f"checkpoint {path} has a different column layout")
-    truncated = False
-    for i, row in enumerate(raw[1:]):
-        if len(row) != len(fields):
-            if i == len(raw) - 2:
-                truncated = True
-                break
-            raise InputError(f"malformed checkpoint row {i + 2} in {path}")
-        rec = dict(zip(fields, row))
-        done[(int(rec["n_index"]), int(rec["rep"]))] = rec
-    return done, truncated
+    records: dict[tuple[int, int], tuple[str, ...]] = {}
+    try:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        return records
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _unreadable(path, exc) from exc
+    reader = csv.reader(io.StringIO(text[:text.rfind("\n") + 1], newline=""))
+    try:
+        header = next(reader, None)
+        if header is not None and tuple(header) != fields:
+            raise ValueError("the column layout differs")
+        for row in reader:
+            if len(row) != len(fields):
+                raise ValueError(f"{len(row)} fields, not {len(fields)}")
+            i, n, r = int(row[0]), int(row[1]), int(row[2])
+            if not (0 <= i < len(sizes) and 0 <= r < reps
+                    and n == sizes[i]):
+                raise ValueError("checkpoint does not match this "
+                                 "configuration's grid")
+            if row[3] not in ("ok", "skip"):
+                raise ValueError(f"status {row[3]!r} is not ok or skip")
+            if row[3] == "ok":
+                [float(row[j]) for j in cols]  # raises if one does not parse
+            records[(i, r)] = tuple(row)
+    except (csv.Error, ValueError) as exc:
+        raise InputError(
+            f"checkpoint {path} line {reader.line_num}: {exc}") from exc
+    return records
 
 
 def _write_checkpoint(path, fields, records: dict) -> None:
@@ -277,47 +303,11 @@ def _write_checkpoint(path, fields, records: dict) -> None:
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(fields)
-            for key in sorted(records):
-                w.writerow([records[key][f] for f in fields])
+            csv.writer(fh).writerows(
+                [fields, *(records[key] for key in sorted(records))])
         os.replace(tmp, path)
     except OSError as exc:
         raise _unwritable(path, exc) from exc
-
-
-class _CheckpointWriter:
-    """Append-only CSV of finished replications, flushed per row."""
-
-    def __init__(self, path, fields, rewrite: dict | None = None):
-        self.fields = fields
-        path = Path(path)
-        if rewrite is not None:
-            _write_checkpoint(path, fields, rewrite)
-        fresh = not path.exists() or path.stat().st_size == 0
-        try:
-            self.fh = open(path, "a", newline="")
-        except OSError as exc:
-            raise _unwritable(path, exc) from exc
-        self.writer = csv.writer(self.fh)
-        if fresh:
-            self.writer.writerow(fields)
-            self.fh.flush()
-
-    def write(self, rec: dict):
-        self.writer.writerow([rec[f] for f in self.fields])
-        self.fh.flush()
-
-    def close(self):
-        self.fh.close()
-
-
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
-
-
-def _parse(s: str) -> float | None:
-    return None if s == "" else float(s)
 
 
 def _run_jobs(jobs, worker: Callable, workers: int, on_done: Callable):
@@ -332,55 +322,65 @@ def _run_jobs(jobs, worker: Callable, workers: int, on_done: Callable):
             on_done(futures[fut], fut.result())
 
 
-def _run_grid(cfg, checkpoint, fields, replication: Callable,
-              decode: Callable, encode: Callable) -> dict:
-    """Run (or resume) a study's (size, rep) grid; results keyed by (n_index,
-    rep). ``decode``/``encode`` map a result from/to its checkpoint fields
-    after (n_index, n, rep, status). A finished run rewrites the checkpoint
-    in (n_index, rep) order, so its bytes do not depend on the worker count;
-    an interrupted one leaves its appended rows for the resume. More than
-    10% skipped replications abort the study with NumericError.
+def _run_grid(cfg, checkpoint, values, replication: Callable, reads=None):
+    """Run (or resume) a study's (size, rep) grid.
+
+    `replication(cfg, n_index, n, rep)` returns (status, *values), status
+    "ok" or "skip". Each result is encoded once as its checkpoint record
+    (see the module docstring) and kept in memory. The checkpoint is first
+    rewritten from the records it holds, which drops a torn line, and then
+    takes each new record as it finishes. A finished run rewrites it from
+    memory in (n_index, rep) order, so its bytes do not depend on the
+    worker count; an interrupted one leaves its appended rows for the
+    resume. More than 10% skipped replications abort the study with
+    NumericError.
+
+    Returns the sorted records, per size the ok records' `reads` columns
+    (default: all `values`) as floats, and the skip count.
     """
     sizes = cfg.sizes()
-    done, truncated = _load_checkpoint(checkpoint, fields)
-    results: dict[tuple[int, int], tuple] = {}
-    for (i, r), rec in done.items():
-        if i >= len(sizes) or r >= cfg.reps or int(rec["n"]) != sizes[i]:
-            raise InputError(
-                "checkpoint does not match this configuration's grid")
-        results[(i, r)] = decode(rec)
+    fields = KEY_FIELDS + tuple(values)
+    cols = [fields.index(name) for name in reads or values]
+    records = {}
+    fh = None
+    if checkpoint is not None:
+        records = _load_checkpoint(checkpoint, fields, sizes, cfg.reps, cols)
+        _write_checkpoint(checkpoint, fields, records)
+        try:
+            fh = open(checkpoint, "a", newline="")
+        except OSError as exc:
+            raise _unwritable(checkpoint, exc) from exc
+        writer = csv.writer(fh)
     jobs = [((i, r), (cfg, i, n, r))
             for i, n in enumerate(sizes) for r in range(cfg.reps)
-            if (i, r) not in results]
-
-    writer = None
-    if checkpoint is not None:
-        writer = _CheckpointWriter(
-            checkpoint, fields,
-            rewrite=done if truncated else None)
+            if (i, r) not in records]
 
     def on_done(key, out):
-        results[key] = out
-        if writer is not None:
-            writer.write({"n_index": key[0], "n": sizes[key[0]],
-                          "rep": key[1], "status": out[0], **encode(out)})
+        records[key] = (str(key[0]), str(sizes[key[0]]), str(key[1]), out[0],
+                        *("" if v is None else repr(v) for v in out[1:]))
+        if fh is not None:
+            writer.writerow(records[key])
+            fh.flush()
 
     try:
         _run_jobs(jobs, replication, resolve_workers(cfg.workers), on_done)
     finally:
-        if writer is not None:
-            writer.close()
+        if fh is not None:
+            fh.close()
     if checkpoint is not None:
         # rows were appended in finishing order, which depends on scheduling
-        _write_checkpoint(checkpoint, fields,
-                          _load_checkpoint(checkpoint, fields)[0])
+        _write_checkpoint(checkpoint, fields, records)
 
-    skipped = sum(out[0] != "ok" for out in results.values())
-    total = len(sizes) * cfg.reps
-    if skipped > 0.10 * total:
-        raise NumericError(
-            f"{skipped} of {total} replications failed; study aborted")
-    return results
+    done = sorted(records.items())
+    ok = [[] for _ in sizes]
+    for (i, _), rec in done:
+        if rec[3] == "ok":
+            ok[i].append(tuple(float(rec[j]) for j in cols))
+    skipped = len(done) - sum(map(len, ok))
+    if skipped > 0.10 * len(done):
+        raise NumericError(f"{skipped} of {len(done)} replications failed; "
+                           "study aborted")
+    return tuple(rec for _, rec in done), ok, skipped
 
 
 def run_rate_study(cfg: RateStudyConfig,
@@ -395,56 +395,36 @@ def run_rate_study(cfg: RateStudyConfig,
 
     The checkpoint is finalized as in `_run_grid`.
     """
-    sizes = cfg.sizes()
-    results = _run_grid(
-        cfg, checkpoint, RATE_FIELDS, _rate_replication,
-        decode=lambda rec: (rec["status"], _parse(rec["loss"]),
-                            _parse(rec["raw_loss"])),
-        encode=lambda out: {"loss": _fmt(out[1]), "raw_loss": _fmt(out[2])})
-    rows, skipped = _aggregate_rate(sizes, cfg.reps, results)
-    slope, intercept = _curve_slope(rows)
-    raw_rows: tuple[RateRow, ...] = ()
-    raw_slope = raw_intercept = math.nan
-    if cfg.setting == "merged":
-        raw_results = {k: (v[0], v[2], None) for k, v in results.items()}
-        raw_rows, _ = _aggregate_rate(sizes, cfg.reps, raw_results)
-        raw_slope, raw_intercept = _curve_slope(raw_rows)
-    return RateStudyResult(rows=rows, slope=slope, intercept=intercept,
-                           skipped=skipped, raw_rows=raw_rows,
-                           raw_slope=raw_slope, raw_intercept=raw_intercept)
+    merged = cfg.setting == "merged"
+    records, ok, skipped = _run_grid(
+        cfg, checkpoint, RATE_VALUES, _rate_replication,
+        reads=RATE_VALUES if merged else RATE_VALUES[:1])
+    rows, slope, intercept = _curve(cfg.sizes(), ok, 0)
+    raw = _curve(cfg.sizes(), ok, 1) if merged else ((), math.nan, math.nan)
+    return RateStudyResult(rows, slope, intercept, skipped, *raw,
+                           records=records)
 
 
 # ---------------------------------------------------------------------------
 # selection study
 
 @dataclass(frozen=True)
-class SelectionStudyConfig:
+class SelectionStudyConfig(_StudyConfig):
     """Selection-frequency study comparing the dendrogram criterion with
     penalized-likelihood sweeps on the same data.
 
     Per replication the sweep fits sizes 1..kmax (perturbed-truth start at
     or above the true size, k-means start below it, where the perturbation
     recipe is undefined); the dendrogram criterion reads the kmax fit only.
-    em.K, em.seed and em.init are ignored, as in the rate study.
     """
-    truth: str = "g0_2"
     n_min: int = 1_000
-    n_max: int = 10_000
     n_count: int = 4
-    reps: int = 10
     kmax: int = 4
     methods: tuple[str, ...] = METHODS
     contamination_eps: float = 0.0
     epsilon_n: float | None = None
-    em: FitConfig = field(default_factory=FitConfig)
-    seed: int = 0
-    workers: int | None = None
 
-    def __post_init__(self):
-        registry = builtin_truths()
-        if self.truth not in registry:
-            raise InputError(f"unknown truth {self.truth!r}")
-        k0 = registry[self.truth].n_atoms
+    def _check(self, k0: int):
         if self.kmax < max(2, k0):
             raise InputError(f"kmax must be >= max(2, {k0}), got {self.kmax}")
         if not self.methods:
@@ -454,20 +434,13 @@ class SelectionStudyConfig:
                 raise InputError(f"unknown selection method {m!r}")
         if len(set(self.methods)) != len(self.methods):
             raise InputError("duplicate selection method")
-        if self.reps < 1:
-            raise InputError(f"reps must be >= 1, got {self.reps}")
         if not 0.0 <= self.contamination_eps < 1.0:
             raise InputError("contamination_eps must lie in [0, 1)")
         if self.epsilon_n is not None and self.epsilon_n <= 0.0:
             raise InputError("epsilon_n must be > 0")
-        if self.n_min < 10 * self.kmax:
-            raise InputError(f"n_min must be >= 10*kmax = {10 * self.kmax}")
-        if self.workers is not None and self.workers < 1:
-            raise InputError("workers must be >= 1")
-        log_size_grid(self.n_min, self.n_max, self.n_count)
 
-    def sizes(self) -> tuple[int, ...]:
-        return log_size_grid(self.n_min, self.n_max, self.n_count)
+    def fit_size(self) -> int:
+        return self.kmax
 
 
 @dataclass(frozen=True)
@@ -481,9 +454,12 @@ class SelectionRow:
 
 @dataclass(frozen=True)
 class SelectionStudyResult:
+    """Per-size, per-method choice summaries; `records` as in the rate
+    study's result."""
     rows: tuple[SelectionRow, ...]
     true_k: int
     skipped: int
+    records: tuple[tuple[str, ...], ...] = ()
 
 
 def select_order(data: Dataset, kmax: int, methods: Sequence[str],
@@ -522,8 +498,9 @@ def select_order(data: Dataset, kmax: int, methods: Sequence[str],
 
 
 def _selection_replication(cfg: SelectionStudyConfig, n_index: int, n: int,
-                           rep: int) -> tuple[str, dict[str, int]]:
-    """Chosen size per method for one dataset; any EM failure skips the rep."""
+                           rep: int) -> tuple[str | int | None, ...]:
+    """(status, chosen size per method in cfg.methods order) for one
+    dataset; any EM failure skips the rep, with None per method."""
     truth = builtin_truths()[cfg.truth]
     data = sample(truth, GenConfig(
         n=n, seed=derive_seed(cfg.seed, n_index, rep, 0),
@@ -540,12 +517,8 @@ def _selection_replication(cfg: SelectionStudyConfig, n_index: int, n: int,
         reports = select_order(data, cfg.kmax, cfg.methods, cfg.em, init_for,
                                cfg.epsilon_n)
     except NumericError:
-        return "skip", {}
-    return "ok", {m: report.chosen for m, report in reports.items()}
-
-
-def selection_fields(methods) -> tuple[str, ...]:
-    return ("n_index", "n", "rep", "status") + tuple(methods)
+        return ("skip",) + (None,) * len(cfg.methods)
+    return ("ok", *(reports[m].chosen for m in cfg.methods))
 
 
 def run_selection_study(cfg: SelectionStudyConfig,
@@ -555,24 +528,13 @@ def run_selection_study(cfg: SelectionStudyConfig,
 
     The checkpoint is finalized as in `_run_grid`.
     """
-    sizes = cfg.sizes()
     k0 = builtin_truths()[cfg.truth].n_atoms
-    results = _run_grid(
-        cfg, checkpoint, selection_fields(cfg.methods),
-        _selection_replication,
-        decode=lambda rec: (rec["status"], {m: int(rec[m])
-                                            for m in cfg.methods
-                                            if rec[m] != ""}),
-        encode=lambda out: {m: str(out[1][m]) if m in out[1] else ""
-                            for m in cfg.methods})
+    records, ok, skipped = _run_grid(cfg, checkpoint, cfg.methods,
+                                     _selection_replication)
     rows = []
-    skipped = 0
-    for i, n in enumerate(sizes):
-        used = [results[(i, r)][1] for r in range(cfg.reps)
-                if results[(i, r)][0] == "ok"]
-        skipped += cfg.reps - len(used)
-        for m in cfg.methods:
-            picks = [p[m] for p in used]
+    for n, used in zip(cfg.sizes(), ok):
+        for j, m in enumerate(cfg.methods):
+            picks = [p[j] for p in used]
             correct = (float(np.mean([p == k0 for p in picks]))
                        if picks else math.nan)
             mean_chosen = float(np.mean(picks)) if picks else math.nan
@@ -580,7 +542,8 @@ def run_selection_study(cfg: SelectionStudyConfig,
                                      proportion_correct=correct,
                                      mean_chosen=mean_chosen,
                                      reps_used=len(picks)))
-    return SelectionStudyResult(rows=tuple(rows), true_k=k0, skipped=skipped)
+    return SelectionStudyResult(rows=tuple(rows), true_k=k0, skipped=skipped,
+                                records=records)
 
 
 # ---------------------------------------------------------------------------

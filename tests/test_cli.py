@@ -1,5 +1,6 @@
 """End-to-end command-line workflows, exit codes, and rerun determinism."""
 
+import csv
 import json
 
 import pytest
@@ -405,6 +406,81 @@ def test_select_study_method_subset(tmp_path):
     assert (tmp_path / "s.dsc.dat").exists()
     assert (tmp_path / "s.bic.dat").exists()
     assert not (tmp_path / "s.aic.dat").exists()
+
+
+SELECT_ARGS = ["select-study", "--truth", "g0_2", "--n-min", "300",
+               "--n-max", "300", "--n-count", "1", "--reps", "2",
+               "--kmax", "2", "--em-max-iter", "200", "--seed", "21"]
+
+
+@pytest.mark.parametrize("study", ["rate", "selection"])
+def test_study_rep_rows_are_the_records(tmp_path, monkeypatch, study):
+    import sgmoe.cli as cli
+    name = f"run_{study}_study"
+    real, results = getattr(cli, name), []
+
+    def spy(cfg, checkpoint):
+        results.append(real(cfg, checkpoint=checkpoint))
+        return results[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    argv = RATE_ARGS if study == "rate" else SELECT_ARGS
+    assert run_cli(argv + ["--out", str(tmp_path / "s")]) == 0
+    (result,) = results
+    with open(tmp_path / "s.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    width = len(result.records[0])
+    reps = table[1:1 + len(result.records)]
+    assert [tuple(row[1:width]) for row in reps] == \
+        [rec[1:] for rec in result.records]
+    assert all(row[0] == "rep" and set(row[width:]) == {""} for row in reps)
+    assert "rep" not in {row[0] for row in table[1 + len(reps):]}
+
+
+def test_select_study_identical_across_worker_counts(tmp_path, monkeypatch):
+    monkeypatch.delenv("SGMOE_THREADS", raising=False)
+    written = {}
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}"
+        out.mkdir()
+        assert run_cli(SELECT_ARGS + ["--workers", workers,
+                                      "--out", str(out / "s")]) == 0
+        written[workers] = {p.name: p.read_bytes() for p in out.iterdir()
+                            if p.suffix != ".json"}
+    assert {"s.checkpoint.csv", "s.csv", "s.dsc.dat"} <= set(written["1"])
+    assert written["1"] == written["2"]
+
+
+@pytest.mark.parametrize("case", ["directory", "undecodable", "bad-n-index",
+                                  "bad-selection-value", "bad-loss",
+                                  "empty-ok-loss", "unknown-status"])
+def test_malformed_checkpoint_exits_one(tmp_path, capsys, case):
+    header = b"n_index,n,rep,status,loss,raw_loss\r\n"
+    content = {
+        "undecodable": header + b"0,100,0,ok,0.5\xff,\r\n",
+        "bad-n-index": header + b"zz,100,0,ok,0.5,\r\n",
+        "bad-selection-value": b"n_index,n,rep,status,dsc\r\n0,100,0,ok,two\r\n",
+        "bad-loss": header + b"0,100,0,ok,abc,\r\n",
+        "empty-ok-loss": header + b"0,100,0,ok,,\r\n",
+        "unknown-status": header + b"0,100,0,maybe,,\r\n",
+    }
+    ckpt = tmp_path / "c.csv"
+    if case == "directory":
+        ckpt.mkdir()
+    else:
+        ckpt.write_bytes(content[case])
+    study = ["select-study", "--kmax", "2", "--methods", "dsc"] \
+        if case == "bad-selection-value" else ["rate-study"]
+    rc = run_cli(study + ["--truth", "g0_2", "--n-min", "100",
+                          "--n-max", "100", "--n-count", "1", "--reps", "1",
+                          "--workers", "1", "--checkpoint", str(ckpt),
+                          "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(ckpt) in err
+    assert "Traceback" not in err
+    if case not in ("directory", "undecodable"):
+        assert f"{ckpt} line 2" in err
 
 
 def test_preset_kind_mismatch(tmp_path, capsys):

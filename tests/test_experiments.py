@@ -229,6 +229,46 @@ class TestRateStudy:
         run_rate_study(cfg, checkpoint=part)
         assert part.read_bytes() == fresh.read_bytes()
 
+    @pytest.mark.parametrize("cut", ["mid-number", "empty-last-field"])
+    def test_torn_final_line_is_recomputed(self, tmp_path, cut):
+        # a final line without its terminator is torn, even when it still
+        # has every field: a resume recomputes it and matches a fresh run
+        cfg = RateStudyConfig(truth="g0_2", setting="merged", fit_k=3,
+                              n_min=400, n_max=800, n_count=2, reps=2,
+                              seed=6, workers=1,
+                              em=FitConfig(K=3, tol=1e-5, max_iter=200))
+        fresh = tmp_path / "fresh.csv"
+        res = run_rate_study(cfg, checkpoint=fresh)
+        body = fresh.read_bytes().rstrip(b"\r\n")
+        assert body.rsplit(b"\n", 1)[1].split(b",")[3] == b"ok"
+        part = tmp_path / "part.csv"
+        part.write_bytes(body[:-8] if cut == "mid-number"
+                         else body[:body.rfind(b",") + 1])
+        assert repr(run_rate_study(cfg, checkpoint=part)) == repr(res)
+        assert part.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("row", ["-1,100,0,ok,0.5,", "0,100,-1,ok,0.5,"])
+    def test_negative_grid_key_rejected(self, tmp_path, row):
+        # sizes[-1] is this grid's one size and -1 < reps: only a lower
+        # bound on the keys rejects these rows
+        ckpt = tmp_path / "c.csv"
+        ckpt.write_text("n_index,n,rep,status,loss,raw_loss\n" + row + "\n")
+        with pytest.raises(InputError, match="checkpoint does not match "
+                           "this configuration's grid"):
+            run_rate_study(zero_update_config(n_max=100, n_count=1),
+                           checkpoint=ckpt)
+
+    def test_records_are_the_checkpoint_rows(self, tmp_path):
+        cfg = tiny_rate_config()
+        ckpt = tmp_path / "c.csv"
+        res = run_rate_study(cfg, checkpoint=ckpt)
+        with open(ckpt, newline="") as fh:
+            rows = [tuple(row) for row in csv.reader(fh)]
+        assert rows[0] == ("n_index", "n", "rep", "status", "loss",
+                           "raw_loss")
+        assert res.records == tuple(rows[1:])
+        assert cached_rate_result(cfg).records == res.records
+
 
 class TestSkipAccounting:
     def test_isolated_failures_are_counted(self, monkeypatch):
@@ -373,6 +413,17 @@ class TestSelectionStudy:
         part.write_text("\n".join([lines[0]] + lines[:1:-1]) + "\n")
         run_selection_study(cfg, checkpoint=part)
         assert part.read_bytes() == fresh.read_bytes()
+
+    def test_records_are_the_checkpoint_rows(self, tmp_path):
+        cfg = self.small_config()
+        ckpt = tmp_path / "c.csv"
+        res = run_selection_study(cfg, checkpoint=ckpt)
+        with open(ckpt, newline="") as fh:
+            rows = [tuple(row) for row in csv.reader(fh)]
+        assert rows[0] == ("n_index", "n", "rep", "status", "dsc", "aic",
+                           "bic", "icl")
+        assert res.records == tuple(rows[1:])
+        assert run_selection_study(cfg).records == res.records
 
     def test_validation(self):
         with pytest.raises(InputError):
