@@ -41,13 +41,13 @@ from .serialize import (
     file_digest,
     load_dataset_csv,
     load_model_or_fit,
+    overwrite,
     save_dendrogram,
     save_fit,
     save_manifest,
     save_report,
     save_stamped,
     write_dataset_csv,
-    _unwritable,
 )
 
 
@@ -262,13 +262,9 @@ def _study_config(args):
 
 
 def _write_table(path, rows, **dialect) -> None:
-    """Write CSV rows (or, with a dialect, other tables); a path that cannot
-    be written is an input error, as in `serialize`."""
-    try:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh, **dialect).writerows(rows)
-    except OSError as exc:
-        raise _unwritable(path, exc) from exc
+    """Write CSV rows (or, with a dialect, other tables)."""
+    with overwrite(path, newline="") as fh:
+        csv.writer(fh, **dialect).writerows(rows)
 
 
 def _write_curve(path, points) -> None:

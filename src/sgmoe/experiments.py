@@ -33,7 +33,7 @@ from .metrics import vde, vdfra, vdo
 from .model import Dataset, MixingMeasure
 from .selection import (METHODS, SelectionReport, argmin_level,
                         criterion_scores, dsc_select)
-from .serialize import _unreadable, _unwritable
+from .serialize import _unreadable, _unwritable, overwrite
 
 LOSSES = {"vde": vde, "vdo": vdo, "vdfra": vdfra}
 SETTINGS = ("exact", "overfit", "merged")
@@ -301,10 +301,10 @@ def _write_checkpoint(path, fields, records: dict) -> None:
     """
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    with overwrite(tmp, newline="", name=path) as fh:
+        csv.writer(fh).writerows(
+            [fields, *(records[key] for key in sorted(records))])
     try:
-        with open(tmp, "w", newline="") as fh:
-            csv.writer(fh).writerows(
-                [fields, *(records[key] for key in sorted(records))])
         os.replace(tmp, path)
     except OSError as exc:
         raise _unwritable(path, exc) from exc

@@ -4,16 +4,23 @@ Every JSON document carries a "format" stamp "sgmoe/<kind>/v<major>"; the
 loaders refuse stamps whose kind or major version they do not understand.
 Floats are written with repr, so finite doubles survive a round trip
 bit-for-bit. Dataset CSVs have no stamp: their header is their schema.
+
+Every output file is opened by `overwrite`, which writes over an existing
+file in place and cuts it at the end of the new bytes rather than
+truncating it first.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
 import json
 import math
+import os
 import re
+import stat
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,12 +54,34 @@ def _unwritable(path, exc: OSError) -> InputError:
     return InputError(f"cannot write {path}: {exc.strerror or exc}")
 
 
-def _write_json(doc: dict, path) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+@contextlib.contextmanager
+def overwrite(path, newline=None, *, name=None):
+    """A text handle that writes `path` over its old bytes, in place.
+
+    The file is opened without O_TRUNC and cut at the final position once
+    the body has run: truncating a freshly written file first makes ext4
+    wait for its pending writeback, tens of ms even for a small file, on
+    every output of a rerun into the same paths. An existing file is
+    written through: symlinks are followed, hard links shared, mode bits
+    kept. A write cut short leaves the new prefix followed by the old
+    tail (a truncating open would leave the prefix alone); neither is a
+    valid file, and the manifest digests tell both from a finished one.
+    Only a regular file is cut: devices and pipes cannot be, nor need to.
+    An OSError is an InputError naming `name` (default `path`).
+    """
     try:
-        Path(path).write_text(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        with open(fd, "w", newline=newline) as fh:
+            yield fh
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
     except OSError as exc:
-        raise _unwritable(path, exc) from exc
+        raise _unwritable(path if name is None else name, exc) from exc
+
+
+def _write_json(doc: dict, path) -> None:
+    with overwrite(path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def _read_stamped(path) -> tuple[str, dict]:
@@ -148,14 +177,11 @@ def write_dataset_csv(data: Dataset, path) -> None:
     """
     table = np.column_stack((data.xs, data.ys))
     line = ",".join(["%r"] * table.shape[1]) + "\r\n"
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(dataset_header(data.dim)) + "\r\n")
-            for start in range(0, data.n, _CSV_CHUNK_ROWS):
-                rows = table[start:start + _CSV_CHUNK_ROWS]
-                fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
-    except OSError as exc:
-        raise _unwritable(path, exc) from exc
+    with overwrite(path, newline="") as fh:
+        fh.write(",".join(dataset_header(data.dim)) + "\r\n")
+        for start in range(0, data.n, _CSV_CHUNK_ROWS):
+            rows = table[start:start + _CSV_CHUNK_ROWS]
+            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
 
 
 def load_dataset_csv(path, y_last: bool = False) -> Dataset:

@@ -62,6 +62,50 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
         (tmp_path / "b.gen.json").read_bytes()
 
 
+def _run_chain(root):
+    """simulate -> fit -> dendrogram -> metrics into `root`."""
+    save_model(builtin_truths()["g0_2"], root / "truth.json")
+    for argv in (
+            ["simulate", "--truth", "g0_2", "--n", "300", "--seed", "4",
+             "--out", str(root / "data.csv")],
+            ["fit", "--data", str(root / "data.csv"), "--k", "3",
+             "--seed", "5", "--out", str(root / "fit.json")],
+            ["dendrogram", "--model", str(root / "fit.json"),
+             "--data", str(root / "data.csv"), "--out", str(root / "dendro")],
+            ["metrics", "--fitted", str(root / "fit.json"),
+             "--reference", str(root / "truth.json"),
+             "--out", str(root / "m.json")]):
+        assert run_cli(argv) == 0
+
+
+def _manifest_without_times_and_paths(path, root):
+    doc = json.loads(path.read_text().replace(str(root), "<root>"))
+    del doc["started"], doc["finished"]
+    return doc
+
+
+def test_chain_rerun_over_longer_files_is_byte_identical(tmp_path):
+    fresh, used = tmp_path / "fresh", tmp_path / "used"
+    fresh.mkdir()
+    used.mkdir()
+    _run_chain(fresh)
+    names = sorted(p.name for p in fresh.iterdir())
+    for name in names:
+        # junk 10 KB longer than what the chain will write there
+        size = (fresh / name).stat().st_size + 10_000
+        (used / name).write_bytes(b"\x00junk" * (size // 5 + 1))
+    _run_chain(used)
+    assert sorted(p.name for p in used.iterdir()) == names
+    for name in names:
+        if name.endswith(".manifest.json"):
+            a = _manifest_without_times_and_paths(fresh / name, fresh)
+            b = _manifest_without_times_and_paths(used / name, used)
+            assert a == b and a["outputs"], name
+        else:
+            assert (used / name).read_bytes() == \
+                (fresh / name).read_bytes(), name
+
+
 def test_fit_output(workdir, capsys):
     fit = load_fit(workdir / "fit.json")
     assert fit.converged

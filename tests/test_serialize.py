@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
+import re
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sgmoe.cli import run_cli
+from sgmoe.cli import _write_table, run_cli
 from sgmoe.dendrogram import build_path
 from sgmoe.errors import InputError
 from sgmoe.estimation import FitResult
@@ -26,6 +28,7 @@ from sgmoe.serialize import (
     load_model,
     load_model_or_fit,
     load_report,
+    overwrite,
     save_dendrogram,
     save_fit,
     save_manifest,
@@ -418,3 +421,73 @@ class TestManifest:
                                  "command": "x"}))
         with pytest.raises(InputError, match="missing field"):
             load_manifest(p)
+
+
+class TestOverwrite:
+    """Every output goes through `overwrite`: in place, then cut to size."""
+
+    @staticmethod
+    def _fresh_then_over_junk(tmp_path, write):
+        """Bytes `write` gives on a fresh path and over a longer file."""
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        write(fresh)
+        used.write_bytes(b"#" * (fresh.stat().st_size + 10_000))
+        write(used)
+        return fresh.read_bytes(), used.read_bytes()
+
+    def test_json_over_longer_file(self, tmp_path):
+        fresh, used = self._fresh_then_over_junk(
+            tmp_path, lambda p: save_model(g0_two_expert(), p))
+        assert used == fresh
+        assert json.loads(used)["format"] == "sgmoe/model/v1"
+
+    def test_dataset_csv_over_longer_file(self, tmp_path):
+        rng = np.random.default_rng(4)
+        data = Dataset(xs=rng.normal(size=(30, 1)), ys=rng.normal(size=30))
+        fresh, used = self._fresh_then_over_junk(
+            tmp_path, lambda p: write_dataset_csv(data, p))
+        assert used == fresh
+        assert np.array_equal(load_dataset_csv(tmp_path / "used").ys,
+                              data.ys)
+
+    def test_table_over_longer_file(self, tmp_path):
+        rows = [["level", "height"], [2, "0.5"], [1, ""]]
+        fresh, used = self._fresh_then_over_junk(
+            tmp_path, lambda p: _write_table(p, rows))
+        assert used == fresh == b"level,height\r\n2,0.5\r\n1,\r\n"
+
+    def test_symlink_writes_through(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_text("x" * 5000)
+        link.symlink_to(target)
+        save_model(g0_two_expert(), link)
+        save_model(g0_two_expert(), tmp_path / "plain.json")
+        assert link.is_symlink()
+        assert target.read_bytes() == (tmp_path / "plain.json").read_bytes()
+
+    def test_hard_link_shares_the_new_bytes(self, tmp_path):
+        out, other = tmp_path / "out.txt", tmp_path / "other.txt"
+        out.write_text("old old old")
+        os.link(out, other)
+        with overwrite(out) as fh:
+            fh.write("new")
+        assert other.read_text() == "new"
+        assert os.stat(out).st_ino == os.stat(other).st_ino
+
+    def test_mode_bits_kept(self, tmp_path):
+        out = tmp_path / "private.json"
+        out.write_text("x" * 5000)
+        out.chmod(0o600)
+        save_model(g0_two_expert(), out)
+        assert out.stat().st_mode & 0o777 == 0o600
+        assert load_model(out).n_atoms == 2
+
+    def test_device_is_written_not_cut(self):
+        save_model(g0_two_expert(), os.devnull)
+
+    def test_directory_is_an_input_error(self, tmp_path):
+        with pytest.raises(InputError, match=re.escape(f"cannot write {tmp_path}:")):
+            save_model(g0_two_expert(), tmp_path)
+        with pytest.raises(InputError, match="cannot write shown:"):
+            with overwrite(tmp_path, name="shown"):
+                pass
