@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import Dataset, ExpertAtom, MixingMeasure, log_gates_matrix
+from .model import (Dataset, ExpertAtom, MixingMeasure, log_gates_matrix,
+                    row_blocks)
 
 __all__ = [
     "GenConfig",
@@ -85,20 +86,28 @@ def sample_labeled(truth: MixingMeasure,
     """
     rng = np.random.default_rng(cfg.seed)
     n, d, k = cfg.n, truth.dim, truth.n_atoms
+    slopes, intercepts = truth.slopes(), truth.intercepts()
+    sds = np.sqrt(truth.sigmas())
 
     xs = rng.uniform(cfg.x_low, cfg.x_high, size=(n, d))
     contaminated = rng.random(n) < cfg.contamination_eps
-    gate_cdf = np.cumsum(np.exp(log_gates_matrix(truth, xs)), axis=1)
-    picks = np.sum(rng.random(n)[:, None] > gate_cdf, axis=1)
-    picks = np.minimum(picks, k - 1)   # guard the top edge against rounding
-    means = (np.sum(truth.slopes()[picks] * xs, axis=1)
-             + truth.intercepts()[picks])
-    normal_y = means + np.sqrt(truth.sigmas()[picks]) * rng.standard_normal(n)
-    laplace_y = rng.laplace(0.0, 1.0, size=n)
-
-    ys = np.where(contaminated, laplace_y, normal_y)
-    labels = np.where(contaminated, -1, picks)
-    return Dataset(xs=xs, ys=ys), labels
+    # one N-vector holds the expert uniforms, then the normal draws and
+    # the responses; the gate CDF is taken one block of rows at a time
+    ys = rng.random(n)
+    picks = np.empty(n, dtype=int)
+    for rows in row_blocks(n):
+        gate_cdf = np.cumsum(np.exp(log_gates_matrix(truth, xs[rows])),
+                             axis=1)
+        picks[rows] = np.sum(ys[rows, None] > gate_cdf, axis=1)
+    np.minimum(picks, k - 1, out=picks)   # guard the top edge against rounding
+    rng.standard_normal(out=ys)
+    for rows in row_blocks(n):
+        expert = picks[rows]
+        means = np.sum(slopes[expert] * xs[rows], axis=1) + intercepts[expert]
+        ys[rows] = means + sds[expert] * ys[rows]
+    np.copyto(ys, rng.laplace(0.0, 1.0, size=n), where=contaminated)
+    picks[contaminated] = -1
+    return Dataset(xs=xs, ys=ys), picks
 
 
 def sample(truth: MixingMeasure, cfg: GenConfig) -> Dataset:

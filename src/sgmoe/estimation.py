@@ -2,9 +2,12 @@
 
 The E-step takes responsibilities and the average log-likelihood from one
 pass over ``model.log_joint``, the kernel behind every likelihood here.
-Every pass over the data rows (E-step, gating objective, gradient and
-Hessian) works on blocks of ``model.ROW_BLOCK`` rows, so its temporaries
-stay cache-sized at any N; with one block it is the unblocked arithmetic.
+Every pass over the data rows (E-step, the experts' weighted sums, gating
+objective, gradient and Hessian, the k-means assignment sweep) works on
+blocks of ``model.ROW_BLOCK`` rows, so its temporaries stay cache-sized at
+any N.  Besides the data, a fit holds only its N x K responsibilities.
+With one block a pass is the unblocked arithmetic bit for bit; with more,
+its sums are added block by block, which may move a fit by rounding.
 The M-step solves the experts in closed form (weighted least squares,
 weighted residual variance) and improves the gating network with damped
 Newton steps on the multinomial-logistic objective, whose Hessian is two
@@ -129,7 +132,24 @@ class FitResult:
 
 def _design(xs: np.ndarray) -> np.ndarray:
     """The regression design (x, 1), shape (n, D+1)."""
-    return np.hstack([xs, np.ones((xs.shape[0], 1))])
+    z = np.empty((xs.shape[0], xs.shape[1] + 1))
+    z[:, :-1] = xs
+    z[:, -1] = 1.0
+    return z
+
+
+def _block_sums(terms, n: int) -> list:
+    """Termwise sums of ``terms(rows)`` over ``model.row_blocks(n)``.
+
+    The sums start from the first block's terms, so that with one block
+    they are that block's arithmetic bit for bit.
+    """
+    blocks = row_blocks(n)
+    totals = list(terms(blocks[0]))
+    for rows in blocks[1:]:
+        for i, term in enumerate(terms(rows)):
+            totals[i] += term
+    return totals
 
 
 def _box_project(gates: np.ndarray, box) -> np.ndarray:
@@ -190,14 +210,8 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     if resp.shape != (n, k):
         raise InputError("responsibility matrix shape mismatch")
     p = d + 1
-    blocks = row_blocks(n)
-    zs = [_design(xs[rows]) for rows in blocks]  # (B, D+1) each
-    obj0, grad, hess = _gating_terms(gates, resp[blocks[0]], zs[0])
-    for rows, z in zip(blocks[1:], zs[1:]):
-        obj, g, h = _gating_terms(gates, resp[rows], z)
-        obj0 += obj
-        grad += g
-        hess += h
+    obj0, grad, hess = _block_sums(
+        lambda rows: _gating_terms(gates, resp[rows], _design(xs[rows])), n)
     hess[np.diag_indices_from(hess)] += ridge
 
     try:
@@ -213,8 +227,8 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
         if box is not None:
             cand = _box_project(cand, box)
         obj = 0.0
-        for rows, z in zip(blocks, zs):
-            logits = z @ cand.T
+        for rows in row_blocks(n):
+            logits = _design(xs[rows]) @ cand.T
             obj += float(np.sum(resp[rows] * logits)
                          - np.sum(logsumexp_rows(logits)))
         if obj >= obj0:
@@ -236,6 +250,52 @@ def _gate_mstep(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
+# expert M-step
+
+def _expert_moments(z: np.ndarray, resp: np.ndarray,
+                    ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per expert, over one block of rows with (x, 1) design ``z``: the
+    responsibility mass, the weighted Gram matrix z^T W z and z^T W y."""
+    mass, gram, rhs = [], [], []
+    for w in resp.T:
+        zw = z * w[:, None]
+        mass.append(np.sum(w))
+        gram.append(z.T @ zw)
+        rhs.append(zw.T @ ys)
+    return np.array(mass), np.array(gram), np.array(rhs)
+
+
+def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
+                  sigma_floor: float, iteration: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Slopes, intercepts and variances of every expert: weighted least
+    squares, then the weighted residual variance, each one blocked pass
+    over the rows."""
+    n, d = xs.shape
+    mass, gram, rhs = _block_sums(
+        lambda rows: _expert_moments(_design(xs[rows]), resp[rows], ys[rows]),
+        n)
+    betas = np.empty_like(rhs)
+    for j, sw in enumerate(mass.tolist()):
+        if sw <= 0.0 or not math.isfinite(sw):
+            raise NumericError(f"expert {j} lost all responsibility mass",
+                               iteration=iteration)
+        try:
+            betas[j] = np.linalg.solve(gram[j], rhs[j])
+        except np.linalg.LinAlgError:
+            betas[j], *_ = np.linalg.lstsq(gram[j], rhs[j], rcond=None)
+
+    def residual_sums(rows):
+        z = _design(xs[rows])
+        return (np.array([np.sum(w * (ys[rows] - z @ beta) ** 2)
+                          for w, beta in zip(resp[rows].T, betas)]),)
+
+    ss, = _block_sums(residual_sums, n)
+    return (betas[:, :d].copy(), betas[:, d].copy(),
+            np.maximum(ss / mass, sigma_floor))
+
+
+# ---------------------------------------------------------------------------
 # EM core
 
 def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
@@ -253,7 +313,6 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     xs, ys = data.xs, data.ys
     n, d = xs.shape
     k = cfg.K
-    z = _design(xs)
 
     omega0 = init.omega0s()
     omega = init.omega1s()
@@ -289,26 +348,8 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     converged = False
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
-        # M-step, experts: weighted least squares and residual variance
-        for j in range(k):
-            w = resp[:, j]
-            sw = float(np.sum(w))
-            if sw <= 0.0 or not math.isfinite(sw):
-                raise NumericError(
-                    f"expert {j} lost all responsibility mass",
-                    iteration=iteration)
-            zw = z * w[:, None]
-            gram = z.T @ zw
-            rhs = zw.T @ ys
-            try:
-                beta = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                beta, *_ = np.linalg.lstsq(gram, rhs, rcond=None)
-            resid = ys - z @ beta
-            slopes[j] = beta[:d]
-            intercepts[j] = beta[d]
-            sigmas[j] = max(float(np.sum(w * resid ** 2) / sw),
-                            cfg.sigma_floor)
+        slopes, intercepts, sigmas = _expert_mstep(
+            xs, ys, resp, cfg.sigma_floor, iteration)
 
         # M-step, gates
         gates = np.hstack([omega, omega0[:, None]])
@@ -377,8 +418,7 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
     labels = np.zeros(n, dtype=int)
     for sweep in range(n_iter):
-        dist = np.sum((points[:, None, :] - centers[None, :, :]) ** 2, axis=2)
-        new_labels = np.argmin(dist, axis=1)
+        new_labels, far = _assign(points, centers)
         if sweep > 0 and np.array_equal(new_labels, labels):
             break
         labels = new_labels
@@ -388,10 +428,25 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
                 centers[j] = np.mean(points[mask], axis=0)
             else:
                 # re-seed an empty cluster at the farthest point
-                far = int(np.argmax(np.min(dist, axis=1)))
                 centers[j] = points[far]
                 labels[far] = j
     return labels
+
+
+def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, int]:
+    """Nearest-center labels of the points, and the first point farthest
+    from its nearest center; one pass over row blocks."""
+    labels = np.empty(points.shape[0], dtype=int)
+    far, far_d2 = 0, -np.inf
+    for rows in row_blocks(points.shape[0]):
+        dist = np.sum((points[rows, None, :] - centers[None, :, :]) ** 2,
+                      axis=2)
+        labels[rows] = np.argmin(dist, axis=1)
+        nearest = np.min(dist, axis=1)
+        i = int(np.argmax(nearest))
+        if nearest[i] > far_d2:
+            far, far_d2 = rows.start + i, nearest[i]
+    return labels, far
 
 
 def init_kmeans(data: Dataset, k: int, seed: int,

@@ -53,8 +53,12 @@ LOG_DENSITY_FLOOR = math.log(DENSITY_FLOOR)
 LOG_2PI = math.log(2.0 * math.pi)
 
 # Passes over the N data rows work on blocks of this many rows, so that a
-# pass holds O(ROW_BLOCK * K) temporaries whatever N is.  Every such pass
-# is exactly its unblocked arithmetic when N <= ROW_BLOCK.
+# pass holds O(ROW_BLOCK * K) temporaries whatever N is: the likelihood and
+# responsibilities here, EM's E-step, expert M-step and gating Newton sums,
+# the k-means assignment sweep and the sampler's gate draw.  The data, a
+# fit's N x K responsibilities and the sampler's N-vectors stay N-sized.
+# Every such pass is exactly its unblocked arithmetic when N <= ROW_BLOCK;
+# above it, sums taken block by block may move a fit by rounding.
 ROW_BLOCK = 16384
 
 

@@ -8,11 +8,30 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
+from sgmoe import model
 from sgmoe.datagen import GenConfig, builtin_truths, derive_seed, sample, sample_labeled
 from sgmoe.errors import InputError
-from sgmoe.model import conditional_density
+from sgmoe.model import Dataset, conditional_density, log_gates_matrix
 
 from helpers import make_measure
+
+
+def unblocked_sample_labeled(truth, cfg):
+    """The sampler as one pass over all rows: the reference for the
+    blocked one, which must give the same arrays bit for bit."""
+    rng = np.random.default_rng(cfg.seed)
+    n, d, k = cfg.n, truth.dim, truth.n_atoms
+    xs = rng.uniform(cfg.x_low, cfg.x_high, size=(n, d))
+    contaminated = rng.random(n) < cfg.contamination_eps
+    gate_cdf = np.cumsum(np.exp(log_gates_matrix(truth, xs)), axis=1)
+    picks = np.sum(rng.random(n)[:, None] > gate_cdf, axis=1)
+    picks = np.minimum(picks, k - 1)
+    means = (np.sum(truth.slopes()[picks] * xs, axis=1)
+             + truth.intercepts()[picks])
+    normal_y = means + np.sqrt(truth.sigmas()[picks]) * rng.standard_normal(n)
+    laplace_y = rng.laplace(0.0, 1.0, size=n)
+    return (Dataset(xs=xs, ys=np.where(contaminated, laplace_y, normal_y)),
+            np.where(contaminated, -1, picks))
 
 
 class TestGenConfig:
@@ -54,6 +73,22 @@ class TestSample:
         b = sample(g, cfg)
         np.testing.assert_array_equal(a.xs, b.xs)
         np.testing.assert_array_equal(a.ys, b.ys)
+
+    @pytest.mark.parametrize("block", [16, 64])
+    @pytest.mark.parametrize("eps", [0.0, 0.05])
+    @pytest.mark.parametrize("name", ["g0_2", "g0_3"])
+    def test_row_blocks_leave_draws_unchanged(self, monkeypatch, name, eps,
+                                              block):
+        g = builtin_truths()[name]
+        cfg = GenConfig(n=1000, seed=17, contamination_eps=eps)
+        want, want_labels = unblocked_sample_labeled(g, cfg)
+        for size in (None, block):
+            if size is not None:
+                monkeypatch.setattr(model, "ROW_BLOCK", size)
+            got, labels = sample_labeled(g, cfg)
+            np.testing.assert_array_equal(got.xs, want.xs)
+            np.testing.assert_array_equal(got.ys, want.ys)
+            np.testing.assert_array_equal(labels, want_labels)
 
     def test_contamination_fraction(self):
         g = builtin_truths()["g0_2"]

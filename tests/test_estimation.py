@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -362,6 +363,26 @@ class TestInitKmeans:
         b = init_kmeans(data, 4, seed=123)
         assert a.to_dict() == b.to_dict()
 
+    @pytest.mark.parametrize("block", [16, 64])
+    def test_labels_do_not_depend_on_row_block(self, monkeypatch, block):
+        g0 = builtin_truths()["g0_3"]
+        data = sample(g0, GenConfig(n=500, seed=3, contamination_eps=0.05))
+        # four distinct points and five clusters: one cluster empties and
+        # is re-seeded at the farthest point, first seen at row 180
+        points = np.repeat([2.0, 0.7, 0.3, -0.8], [40, 76, 64, 52])[:, None]
+
+        def run():
+            return (init_kmeans(data, 3, seed=2).to_dict(),
+                    estimation._kmeans_pp(points, 5,
+                                          np.random.default_rng(0)))
+
+        want_init, want_labels = run()
+        assert np.flatnonzero(want_labels == 4).tolist() == [180]
+        monkeypatch.setattr(model, "ROW_BLOCK", block)
+        got_init, got_labels = run()
+        assert got_init == want_init
+        np.testing.assert_array_equal(got_labels, want_labels)
+
     def test_too_few_points(self):
         rng = np.random.default_rng(53)
         data = random_dataset(rng, n=3, dim=1)
@@ -569,3 +590,26 @@ class TestRowBlocks:
         assert np.all(resp[dead] == 1.0 / 3.0)
         assert np.all(np.isfinite(resp))
         np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-12)
+
+
+class TestWorkingMemory:
+    """A pass over many row blocks holds block-sized temporaries, beside
+    the data and the N x K responsibilities."""
+
+    def test_em_fit_peak_above_responsibilities(self, monkeypatch):
+        monkeypatch.setattr(model, "ROW_BLOCK", 256)
+        g0 = builtin_truths()["g0_3"]
+        n, k = 40_000, 3
+        data = sample(g0, GenConfig(n=n, seed=1))
+        cfg = FitConfig(K=k, seed=0, max_iter=2)
+        init = init_perturbed(g0, k, 0.3, 0)
+        tracemalloc.start()
+        try:
+            fit = em_fit(data, cfg, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.iterations == 2
+        # float64: the responsibilities take n * k * 8 bytes; everything
+        # else must stay below one N-vector
+        assert peak - n * k * 8 < n * 8
