@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
@@ -77,6 +78,18 @@ def _write_manifest(command: str, config: dict, seed: int | None,
     save_manifest(manifest, path)
 
 
+def _refuse_overwrite(inputs: list, outputs: list) -> None:
+    """An InputError if an output (manifest and sidecars included) is the
+    same file as an input: by resolved path, or by os.path.samefile when
+    both exist (hard links)."""
+    for out in outputs:
+        for inp in inputs:
+            if Path(out).resolve() == Path(inp).resolve() or (
+                    os.path.exists(out) and os.path.exists(inp)
+                    and os.path.samefile(out, inp)):
+                raise InputError(f"output {out} would overwrite input {inp}")
+
+
 def _lookup_truth(name: str):
     registry = builtin_truths()
     if name not in registry:
@@ -132,32 +145,38 @@ def _fit_config(args, k: int) -> FitConfig:
 
 def _cmd_fit(args, argv):
     started = _now()
+    inputs = [Path(args.data)]
+    if args.reference is not None:
+        inputs.append(Path(args.reference))
+    out = Path(args.out)
+    manifest = out.with_suffix(".manifest.json")
+    _refuse_overwrite(inputs, [out, manifest])
     data = load_dataset_csv(args.data, y_last=args.y_last)
     cfg = _fit_config(args, args.k)
-    inputs = [Path(args.data)]
     reference = None
     if args.reference is not None:
         reference = load_model_or_fit(args.reference)
-        inputs.append(Path(args.reference))
     elif args.truth is not None:
         reference = _lookup_truth(args.truth)
     fit = em_fit(data, cfg, make_init(data, cfg, reference))
-    out = Path(args.out)
     save_fit(fit, out)
     _write_manifest("fit", asdict(cfg), args.seed, started, inputs, [out],
-                    argv, out.with_suffix(".manifest.json"))
+                    argv, manifest)
     print(f"converged={fit.converged} iterations={fit.iterations} "
           f"avg_loglik={fit.loglik_trace[-1]:.6f}")
 
 
 def _cmd_dendrogram(args, argv):
     started = _now()
-    model = load_model_or_fit(args.model)
-    data = load_dataset_csv(args.data, y_last=args.y_last)
-    dg = build_path(model)
+    inputs = [Path(args.model), Path(args.data)]
     base = Path(args.out)
     out_json = base.with_suffix(".json")
     out_csv = base.with_suffix(".csv")
+    manifest = base.with_suffix(".manifest.json")
+    _refuse_overwrite(inputs, [out_json, out_csv, manifest])
+    model = load_model_or_fit(args.model)
+    data = load_dataset_csv(args.data, y_last=args.y_last)
+    dg = build_path(model)
     save_dendrogram(dg, out_json)
     k_top = dg.levels[0].n_atoms
     rows = [[kappa, repr(dg.height_at(kappa)) if kappa >= 2 else "",
@@ -166,34 +185,32 @@ def _cmd_dendrogram(args, argv):
     _write_table(out_csv, [["level", "height", "avg_loglik"], *rows])
     _write_manifest("dendrogram", {"model": str(args.model),
                                    "data": str(args.data)},
-                    None, started, [Path(args.model), Path(args.data)],
-                    [out_json, out_csv], argv,
-                    base.with_suffix(".manifest.json"))
+                    None, started, inputs, [out_json, out_csv], argv,
+                    manifest)
     print(f"levels {k_top}..1, heights "
           + " ".join(f"{h:.4g}" for h in dg.heights))
 
 
 def _cmd_select(args, argv):
     started = _now()
+    methods = METHODS if args.method == "all" else (args.method,)
+    base = Path(args.out)
+    outputs = {m: base.with_suffix(f".{m}.json") for m in methods}
+    manifest = base.with_suffix(".manifest.json")
+    _refuse_overwrite([Path(args.data)], [*outputs.values(), manifest])
     data = load_dataset_csv(args.data, y_last=args.y_last)
     epsilon = _parse_epsilon(args.epsilon)
-    methods = METHODS if args.method == "all" else (args.method,)
     cfg = _fit_config(args, args.kmax)
     reports = select_order(data, args.kmax, methods, cfg,
                            lambda k: make_init(data, replace(cfg, K=k)),
                            epsilon)
-
-    base = Path(args.out)
-    outputs = []
     for m, rep in reports.items():
-        path = base.with_suffix(f".{m}.json")
-        save_report(rep, path)
-        outputs.append(path)
+        save_report(rep, outputs[m])
     _write_manifest("select", {**asdict(cfg), "kmax": args.kmax,
                                "methods": list(methods),
                                "epsilon": args.epsilon},
-                    args.seed, started, [Path(args.data)], outputs, argv,
-                    base.with_suffix(".manifest.json"))
+                    args.seed, started, [Path(args.data)],
+                    list(outputs.values()), argv, manifest)
     print(_selection_table(reports, args.kmax))
 
 
@@ -212,6 +229,11 @@ def _selection_table(reports: dict, kmax: int) -> str:
 
 def _cmd_metrics(args, argv):
     started = _now()
+    inputs = [Path(args.fitted), Path(args.reference)]
+    if args.out is not None:
+        out = Path(args.out)
+        manifest = out.with_suffix(".manifest.json")
+        _refuse_overwrite(inputs, [out, manifest])
     fitted = load_model_or_fit(args.fitted)
     reference = load_model_or_fit(args.reference)
     report = loss_report(fitted, reference)
@@ -219,13 +241,10 @@ def _cmd_metrics(args, argv):
                                         "t0", "t1")}
     print(json.dumps(doc, indent=2, sort_keys=True))
     if args.out is not None:
-        out = Path(args.out)
         save_stamped("metrics", doc, out)
         _write_manifest("metrics", {"fitted": str(args.fitted),
                                     "reference": str(args.reference)},
-                        None, started,
-                        [Path(args.fitted), Path(args.reference)], [out],
-                        argv, out.with_suffix(".manifest.json"))
+                        None, started, inputs, [out], argv, manifest)
 
 
 def _study_config(args):

@@ -289,13 +289,16 @@ def _parse_rows(chunk: list, first_line: int, width: int, path) -> np.ndarray:
 # low bytes follow their own recurrence l' = (l XOR b) * (P mod 256) mod 256;
 # as P is odd, bit k of l' is bit k of l, XOR bit k of b, XOR bit k of
 # ((l XOR b) mod 2^k) * (P mod 256). So bit k of every l_i is a prefix XOR
-# once bits 0..k-1 are known: eight vectorized passes per block, then one
-# wrapping uint64 dot product. Scalar arithmetic stays in python ints.
+# once bits 0..k-1 are known. The input is hashed one _FNV_CHUNK at a time:
+# eight vectorized bit passes per chunk give its low bytes, then one
+# wrapping uint64 dot product per _FNV_BLOCK (64 KiB) of it against the
+# power table. Scalar arithmetic stays in python ints.
 
 _FNV_OFFSET = 0xcbf29ce484222325
 _FNV_PRIME = 0x100000001b3
 _U64 = 1 << 64
 _FNV_BLOCK = 1 << 16
+_FNV_CHUNK = 1 << 18
 
 
 @functools.cache
@@ -311,32 +314,13 @@ def _fnv_powers() -> np.ndarray:
     return powers
 
 
-def _prefix_xor_bits(bits: np.ndarray, start: int) -> np.ndarray:
-    """Exclusive prefix XOR of a 0/1 uint8 array whose length is a multiple
-    of 64, seeded with `start`: out[i] = start ^ bits[0] ^ ... ^ bits[i-1]."""
-    c = np.packbits(bits, bitorder="little").view("<u8")
-    # prefix XOR inside each 64-bit word, then carry the words' parities
-    w = c.copy()
-    for s in (1, 2, 4, 8, 16, 32):
-        w ^= w << np.uint64(s)
-    parity = w >> np.uint64(63)
-    carry = np.bitwise_xor.accumulate(parity)
-    carry ^= parity
-    if start:
-        carry ^= np.uint64(1)
-    w ^= c
-    w ^= np.uint64(0) - carry
-    return np.unpackbits(w.view(np.uint8), bitorder="little")
-
-
-def _fnv1a64_block(h: int, block) -> int:
-    """FNV-1a state `h` after the bytes of `block` (at most _FNV_BLOCK)."""
-    n = len(block)
-    if n == 0:
-        return h
-    # padded to whole 64-bit words; padding only alters positions >= n
-    b = np.zeros(-(-n // 64) * 64, dtype=np.uint8)
-    b[:n] = np.frombuffer(block, dtype=np.uint8)
+def _fnv1a64_chunk(h: int, chunk) -> int:
+    """FNV-1a state `h` after the bytes of `chunk` (at most _FNV_CHUNK)."""
+    n = len(chunk)
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    if n % 64:
+        # padded to whole 64-bit words; padding only alters positions >= n
+        b = np.concatenate((b, np.zeros(-n % 64, dtype=np.uint8)))
     low = np.zeros_like(b)
     x = np.empty_like(b)
     for k in range(8):
@@ -347,33 +331,52 @@ def _fnv1a64_block(h: int, block) -> int:
         x *= np.uint8(_FNV_PRIME & 0xff)
         x ^= b
         x &= bit
-        low |= _prefix_xor_bits(x, (h >> k) & 1) << np.uint8(k)
-    low, b = low[:n], b[:n]
-    d = (low ^ b).astype(np.uint64)
-    d -= low
-    tail = int(np.dot(d, _fnv_powers()[_FNV_BLOCK - n:]))
-    return (h * pow(_FNV_PRIME, n, _U64) + tail) % _U64
+        # bit k of l_i is the exclusive prefix XOR of x, seeded with bit k
+        # of h: XOR inside each 64-bit word, then carry the words' parities
+        c = np.packbits(x, bitorder="little").view("<u8")
+        w = c.copy()
+        for s in (1, 2, 4, 8, 16, 32):
+            w ^= w << np.uint64(s)
+        parity = w >> np.uint64(63)
+        carry = np.bitwise_xor.accumulate(parity)
+        carry ^= parity
+        carry ^= np.uint64((h >> k) & 1)
+        w ^= c
+        w ^= np.uint64(0) - carry
+        plane = np.unpackbits(w.view(np.uint8), bitorder="little")
+        plane *= bit
+        low |= plane
+    powers = _fnv_powers()
+    d = np.empty(min(n, _FNV_BLOCK), dtype=np.uint64)
+    for start in range(0, n, _FNV_BLOCK):
+        m = min(n - start, _FNV_BLOCK)
+        lo, dm = low[start:start + m], d[:m]
+        np.bitwise_xor(lo, b[start:start + m], out=dm)
+        dm -= lo
+        tail = int(np.dot(dm, powers[_FNV_BLOCK - m:]))
+        h = (h * pow(_FNV_PRIME, m, _U64) + tail) % _U64
+    return h
 
 
 def fnv1a64(data: bytes) -> str:
     """64-bit FNV-1a hash as 16 hex digits."""
     h = _FNV_OFFSET
     view = memoryview(data)
-    for start in range(0, len(view), _FNV_BLOCK):
-        h = _fnv1a64_block(h, view[start:start + _FNV_BLOCK])
+    for start in range(0, len(view), _FNV_CHUNK):
+        h = _fnv1a64_chunk(h, view[start:start + _FNV_CHUNK])
     return f"{h:016x}"
 
 
 def file_digest(path) -> str:
-    """fnv1a64 of a file's bytes, read one block at a time."""
+    """fnv1a64 of a file's bytes, read one chunk at a time."""
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
     h = _FNV_OFFSET
     try:
         with open(path, "rb") as fh:
-            while block := fh.read(_FNV_BLOCK):
-                h = _fnv1a64_block(h, block)
+            while chunk := fh.read(_FNV_CHUNK):
+                h = _fnv1a64_chunk(h, chunk)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
     return f"{h:016x}"

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 
 import pytest
 
@@ -315,6 +316,48 @@ def test_directory_output_exits_one(workdir, tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {taken}:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["fit-out", "fit-manifest",
+                                  "dendrogram-out", "dendrogram-hard-link",
+                                  "select-report", "metrics-symlink"])
+def test_output_over_an_input_exits_one(workdir, tmp_path, capsys, case):
+    data, fit = tmp_path / "data.csv", tmp_path / "fit.json"
+    data.write_bytes((workdir / "data.csv").read_bytes())
+    fit.write_bytes((workdir / "fit.json").read_bytes())
+    if case == "fit-out":
+        argv, inp, out = ["fit", "--data", str(data), "--k", "1",
+                          "--out", str(data)], data, data
+    elif case == "fit-manifest":
+        inp = tmp_path / "f.manifest.json"
+        os.replace(data, inp)
+        out = inp
+        argv = ["fit", "--data", str(inp), "--k", "1",
+                "--out", str(tmp_path / "f.json")]
+    elif case == "dendrogram-out":
+        argv, inp, out = ["dendrogram", "--model", str(fit), "--data",
+                          str(data), "--out", str(tmp_path / "fit")], fit, fit
+    elif case == "dendrogram-hard-link":
+        inp, out = data, tmp_path / "d.csv"
+        os.link(data, out)
+        argv = ["dendrogram", "--model", str(fit), "--data", str(data),
+                "--out", str(tmp_path / "d")]
+    elif case == "select-report":
+        inp = out = tmp_path / "s.dsc.json"
+        os.replace(data, inp)
+        argv = ["select", "--data", str(inp), "--method", "dsc",
+                "--kmax", "2", "--out", str(tmp_path / "s")]
+    else:
+        inp, out = fit, tmp_path / "m.json"
+        out.symlink_to(fit)
+        argv = ["metrics", "--fitted", str(fit), "--reference", str(fit),
+                "--out", str(out)]
+    before = inp.read_bytes()
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: output {out} would overwrite input {inp}\n"
+    assert captured.out == ""
+    assert inp.read_bytes() == before
 
 
 def test_fit_accepts_trailing_blank_line(tmp_path, capsys):

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,3 +188,14 @@ class TestSelectionReport:
     def test_chosen_must_be_scored(self):
         with pytest.raises(InputError):
             SelectionReport(method="aic", per_level={1: 0.0}, chosen=2)
+
+
+def test_readme_library_example():
+    # one draw at N = 2e4, K = 4 (116 EM iterations): the README's example
+    # runs as printed, which is no evidence that the DSC recovers k0
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## Library\n\n```python\n(.*?)^```", readme,
+                      re.M | re.S).group(1)
+    scope = {}
+    exec(block, scope)
+    assert scope["report"].chosen == 2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +19,9 @@ from sgmoe.estimation import FitResult
 from sgmoe.model import Dataset
 from sgmoe.selection import SelectionReport
 from sgmoe.serialize import (
+    _FNV_CHUNK,
     RunManifest,
+    _fnv_powers,
     file_digest,
     fnv1a64,
     load_dataset_csv,
@@ -395,6 +398,42 @@ class TestDigests:
     @given(st.binary(max_size=300))
     def test_matches_byte_loop_on_short_inputs(self, data):
         assert fnv1a64(data) == fnv1a64_oracle(data)
+
+    @settings(max_examples=20, deadline=None)
+    @given(length=st.sampled_from([_FNV_CHUNK - 1, _FNV_CHUNK, _FNV_CHUNK + 1,
+                                   _FNV_CHUNK + 63, _FNV_CHUNK + 65,
+                                   2 * _FNV_CHUNK + 37]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           alphabet=st.sampled_from([1, 2, 3, 16]))
+    def test_matches_byte_loop_at_chunk_edges(self, length, seed, alphabet):
+        data = np.random.default_rng(seed).integers(
+            0, alphabet, size=length, dtype=np.uint8).tobytes()
+        assert fnv1a64(data) == fnv1a64_oracle(data)
+
+    def test_file_digest_across_chunk_reads(self, tmp_path):
+        # the last read holds 37 bytes, ending inside a 64-bit word
+        data = np.random.default_rng(5).integers(
+            0, 3, size=2 * _FNV_CHUNK + 37, dtype=np.uint8).tobytes()
+        p = tmp_path / "blob"
+        p.write_bytes(data)
+        assert file_digest(p) == fnv1a64(data) == fnv1a64_oracle(data)
+
+    def test_file_digest_memory_is_bounded(self, tmp_path):
+        _fnv_powers()   # built once per process, not part of a digest
+        rng = np.random.default_rng(6)
+        peaks = []
+        for chunks in (1, 16):
+            p = tmp_path / f"{chunks}.bin"
+            p.write_bytes(rng.integers(0, 256, size=chunks * _FNV_CHUNK,
+                                       dtype=np.uint8).tobytes())
+            tracemalloc.start()
+            try:
+                file_digest(p)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 100_000
+        assert peaks[1] < 2_500_000
 
     def test_simulated_dataset_digest(self, tmp_path):
         out = tmp_path / "d.csv"
