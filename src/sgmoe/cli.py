@@ -12,10 +12,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
-from dataclasses import asdict, replace
+from contextlib import contextmanager
+from dataclasses import asdict, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -62,32 +62,48 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _now() -> str:
-    return datetime.now(timezone.utc).isoformat()
+@contextmanager
+def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
+                outputs=(), reads=()):
+    """A command's declared files, checked before its body and recorded
+    after it.
 
-
-def _write_manifest(command: str, config: dict, seed: int | None,
-                    started: str, inputs: list, outputs: list,
-                    argv: tuple[str, ...], path) -> None:
-    manifest = RunManifest(
-        command=command, config=config, seed=seed, version=TOOL_VERSION,
-        started=started, finished=_now(),
-        inputs={str(p): file_digest(p) for p in inputs},
-        outputs={str(p): file_digest(p) for p in outputs},
-        argv=argv)
-    save_manifest(manifest, path)
-
-
-def _refuse_overwrite(inputs: list, outputs: list) -> None:
-    """An InputError if an output (manifest and sidecars included) is the
-    same file as an input: by resolved path, or by os.path.samefile when
-    both exist (hard links)."""
-    for out in outputs:
-        for inp in inputs:
-            if Path(out).resolve() == Path(inp).resolve() or (
-                    os.path.exists(out) and os.path.exists(inp)
+    Before the body, an InputError if any output, the manifest
+    <--out>.manifest.json included, is the same file as an input or a file
+    the command also reads (a study's checkpoint): by resolved path, or by
+    os.path.samefile when both exist (hard links). After the body, the
+    manifest with the digests of the inputs and outputs. Without --out
+    there is nothing to check or record.
+    """
+    if args.out is None:
+        yield
+        return
+    started = datetime.now(timezone.utc).isoformat()
+    inputs, outputs = [Path(p) for p in inputs], [Path(p) for p in outputs]
+    manifest = Path(args.out).with_suffix(".manifest.json")
+    for out in [*outputs, manifest]:
+        for inp in [*inputs, *map(Path, reads)]:
+            if out.resolve() == inp.resolve() or (
+                    out.exists() and inp.exists()
                     and os.path.samefile(out, inp)):
                 raise InputError(f"output {out} would overwrite input {inp}")
+    yield
+    save_manifest(RunManifest(
+        command=args.command, config=config, seed=seed, version=TOOL_VERSION,
+        started=started, finished=datetime.now(timezone.utc).isoformat(),
+        inputs={str(p): file_digest(p) for p in inputs},
+        outputs={str(p): file_digest(p) for p in outputs},
+        argv=argv), manifest)
+
+
+def _given(args, cls, prefix: str = "") -> dict:
+    """The fields of the dataclass `cls` that the command line sets: each
+    from the flag whose dest is `prefix` + the field's name. Those flags
+    default to None, so the dataclass (or a preset) holds every default."""
+    values = {f.name: getattr(args, prefix + f.name, None)
+              for f in fields(cls)}
+    return {name: value for name, value in values.items()
+            if value is not None}
 
 
 def _lookup_truth(name: str):
@@ -114,103 +130,77 @@ def _parse_epsilon(text: str) -> float | None:
 # subcommands
 
 def _cmd_simulate(args, argv):
-    started = _now()
     truth = _lookup_truth(args.truth)
-    gen = GenConfig(n=args.n, seed=args.seed, x_low=args.x_low,
-                    x_high=args.x_high, contamination_eps=args.eps)
-    data = sample(truth, gen)
+    gen = GenConfig(**_given(args, GenConfig))
+    config = {"truth": args.truth, **gen.to_dict()}
     out = Path(args.out)
-    write_dataset_csv(data, out)
     sidecar = out.with_suffix(".gen.json")
-    save_stamped("genconfig", {"truth": args.truth, **gen.to_dict()}, sidecar)
-    _write_manifest("simulate", {"truth": args.truth, **gen.to_dict()},
-                    args.seed, started, [], [out, sidecar], argv,
-                    out.with_suffix(".manifest.json"))
+    with _run_record(args, argv, config, gen.seed, outputs=[out, sidecar]):
+        data = sample(truth, gen)
+        write_dataset_csv(data, out)
+        save_stamped("genconfig", config, sidecar)
     print(f"wrote {data.n} rows (dim {data.dim}) to {out}")
 
 
 def _fit_config(args, k: int) -> FitConfig:
-    box = None
-    if args.gate_box is not None:
-        lo0, hi0, lo1, hi1 = args.gate_box
-        box = ((lo0, hi0), (lo1, hi1))
-    return FitConfig(K=k, tol=args.tol, max_iter=args.max_iter,
-                     init=args.init, init_scale=args.init_scale,
-                     init_gate_scale=args.init_gate_scale,
-                     newton_max_iter=args.newton_max_iter,
-                     newton_tol=args.newton_tol, ridge=args.ridge,
-                     sigma_floor=args.sigma_floor, seed=args.seed,
-                     gate_box=box)
+    given = _given(args, FitConfig)
+    if "gate_box" in given:
+        lo0, hi0, lo1, hi1 = given["gate_box"]
+        given["gate_box"] = ((lo0, hi0), (lo1, hi1))
+    return FitConfig(K=k, **given)
 
 
 def _cmd_fit(args, argv):
-    started = _now()
-    inputs = [Path(args.data)]
-    if args.reference is not None:
-        inputs.append(Path(args.reference))
-    out = Path(args.out)
-    manifest = out.with_suffix(".manifest.json")
-    _refuse_overwrite(inputs, [out, manifest])
-    data = load_dataset_csv(args.data, y_last=args.y_last)
     cfg = _fit_config(args, args.k)
-    reference = None
-    if args.reference is not None:
-        reference = load_model_or_fit(args.reference)
-    elif args.truth is not None:
-        reference = _lookup_truth(args.truth)
-    fit = em_fit(data, cfg, make_init(data, cfg, reference))
-    save_fit(fit, out)
-    _write_manifest("fit", asdict(cfg), args.seed, started, inputs, [out],
-                    argv, manifest)
+    inputs = [args.data] if args.reference is None else \
+        [args.data, args.reference]
+    with _run_record(args, argv, asdict(cfg), cfg.seed, inputs, [args.out]):
+        data = load_dataset_csv(args.data, y_last=args.y_last)
+        reference = None
+        if args.reference is not None:
+            reference = load_model_or_fit(args.reference)
+        elif args.truth is not None:
+            reference = _lookup_truth(args.truth)
+        fit = em_fit(data, cfg, make_init(data, cfg, reference))
+        save_fit(fit, Path(args.out))
     print(f"converged={fit.converged} iterations={fit.iterations} "
           f"avg_loglik={fit.loglik_trace[-1]:.6f}")
 
 
 def _cmd_dendrogram(args, argv):
-    started = _now()
-    inputs = [Path(args.model), Path(args.data)]
     base = Path(args.out)
-    out_json = base.with_suffix(".json")
-    out_csv = base.with_suffix(".csv")
-    manifest = base.with_suffix(".manifest.json")
-    _refuse_overwrite(inputs, [out_json, out_csv, manifest])
-    model = load_model_or_fit(args.model)
-    data = load_dataset_csv(args.data, y_last=args.y_last)
-    dg = build_path(model)
-    save_dendrogram(dg, out_json)
-    k_top = dg.levels[0].n_atoms
-    rows = [[kappa, repr(dg.height_at(kappa)) if kappa >= 2 else "",
-             repr(avg_log_likelihood(dg.level(kappa), data))]
-            for kappa in range(k_top, 0, -1)]
-    _write_table(out_csv, [["level", "height", "avg_loglik"], *rows])
-    _write_manifest("dendrogram", {"model": str(args.model),
-                                   "data": str(args.data)},
-                    None, started, inputs, [out_json, out_csv], argv,
-                    manifest)
+    out_json, out_csv = base.with_suffix(".json"), base.with_suffix(".csv")
+    with _run_record(args, argv, {"model": str(args.model),
+                                  "data": str(args.data)}, None,
+                     [args.model, args.data], [out_json, out_csv]):
+        model = load_model_or_fit(args.model)
+        data = load_dataset_csv(args.data, y_last=args.y_last)
+        dg = build_path(model)
+        save_dendrogram(dg, out_json)
+        k_top = dg.levels[0].n_atoms
+        rows = [[kappa, repr(dg.height_at(kappa)) if kappa >= 2 else "",
+                 repr(avg_log_likelihood(dg.level(kappa), data))]
+                for kappa in range(k_top, 0, -1)]
+        _write_table(out_csv, [["level", "height", "avg_loglik"], *rows])
     print(f"levels {k_top}..1, heights "
           + " ".join(f"{h:.4g}" for h in dg.heights))
 
 
 def _cmd_select(args, argv):
-    started = _now()
     methods = METHODS if args.method == "all" else (args.method,)
-    base = Path(args.out)
-    outputs = {m: base.with_suffix(f".{m}.json") for m in methods}
-    manifest = base.with_suffix(".manifest.json")
-    _refuse_overwrite([Path(args.data)], [*outputs.values(), manifest])
-    data = load_dataset_csv(args.data, y_last=args.y_last)
+    outputs = {m: Path(args.out).with_suffix(f".{m}.json") for m in methods}
     epsilon = _parse_epsilon(args.epsilon)
     cfg = _fit_config(args, args.kmax)
-    reports = select_order(data, args.kmax, methods, cfg,
-                           lambda k: make_init(data, replace(cfg, K=k)),
-                           epsilon)
-    for m, rep in reports.items():
-        save_report(rep, outputs[m])
-    _write_manifest("select", {**asdict(cfg), "kmax": args.kmax,
-                               "methods": list(methods),
-                               "epsilon": args.epsilon},
-                    args.seed, started, [Path(args.data)],
-                    list(outputs.values()), argv, manifest)
+    config = {**asdict(cfg), "kmax": args.kmax, "methods": list(methods),
+              "epsilon": args.epsilon}
+    with _run_record(args, argv, config, cfg.seed, [args.data],
+                     outputs.values()):
+        data = load_dataset_csv(args.data, y_last=args.y_last)
+        reports = select_order(data, args.kmax, methods, cfg,
+                               lambda k: make_init(data, replace(cfg, K=k)),
+                               epsilon)
+        for m, rep in reports.items():
+            save_report(rep, outputs[m])
     print(_selection_table(reports, args.kmax))
 
 
@@ -228,56 +218,32 @@ def _selection_table(reports: dict, kmax: int) -> str:
 
 
 def _cmd_metrics(args, argv):
-    started = _now()
-    inputs = [Path(args.fitted), Path(args.reference)]
-    if args.out is not None:
-        out = Path(args.out)
-        manifest = out.with_suffix(".manifest.json")
-        _refuse_overwrite(inputs, [out, manifest])
-    fitted = load_model_or_fit(args.fitted)
-    reference = load_model_or_fit(args.reference)
-    report = loss_report(fitted, reference)
-    doc = {key: report[key] for key in ("vde", "vdo", "vdfra", "cells",
-                                        "t0", "t1")}
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    if args.out is not None:
-        save_stamped("metrics", doc, out)
-        _write_manifest("metrics", {"fitted": str(args.fitted),
-                                    "reference": str(args.reference)},
-                        None, started, inputs, [out], argv, manifest)
+    with _run_record(args, argv, {"fitted": str(args.fitted),
+                                  "reference": str(args.reference)}, None,
+                     [args.fitted, args.reference], [args.out]):
+        fitted = load_model_or_fit(args.fitted)
+        reference = load_model_or_fit(args.reference)
+        report = loss_report(fitted, reference)
+        doc = {key: report[key] for key in ("vde", "vdo", "vdfra", "cells",
+                                            "t0", "t1")}
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        if args.out is not None:
+            save_stamped("metrics", doc, Path(args.out))
 
 
 def _study_config(args):
-    kind = "rate" if args.command == "rate-study" else "selection"
-    if args.preset is not None:
-        cfg = preset(args.preset)
-        want = RateStudyConfig if kind == "rate" else SelectionStudyConfig
-        if not isinstance(cfg, want):
-            raise InputError(
-                f"preset {args.preset!r} is not a {kind} study")
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
-        if args.workers is not None:
-            cfg = replace(cfg, workers=args.workers)
-        return cfg
-    em = FitConfig(tol=args.em_tol, max_iter=args.em_max_iter,
-                   init_scale=args.init_scale,
-                   init_gate_scale=args.init_gate_scale)
-    common = dict(truth=args.truth, em=em,
-                  seed=args.seed if args.seed is not None else 0,
-                  workers=args.workers)
-    # unset grid flags fall back to the study dataclass defaults
-    for name in ("n_min", "n_max", "n_count", "reps"):
-        value = getattr(args, name)
-        if value is not None:
-            common[name] = value
-    if kind == "rate":
-        return RateStudyConfig(setting=args.setting, fit_k=args.fit_k,
-                               loss=args.loss, **common)
-    return SelectionStudyConfig(
-        kmax=args.kmax, methods=tuple(args.methods.split(",")),
-        contamination_eps=args.eps, epsilon_n=_parse_epsilon(args.epsilon),
-        **common)
+    """The preset, or the study dataclass's defaults, with every given
+    flag applied over it."""
+    kind, cls = ("rate", RateStudyConfig) if args.command == "rate-study" \
+        else ("selection", SelectionStudyConfig)
+    cfg = cls() if args.preset is None else preset(args.preset)
+    if not isinstance(cfg, cls):
+        raise InputError(f"preset {args.preset!r} is not a {kind} study")
+    given = _given(args, cls)
+    if "epsilon_n" in given:
+        given["epsilon_n"] = _parse_epsilon(given["epsilon_n"])
+    return replace(cfg, em=replace(cfg.em, **_given(args, FitConfig, "em_")),
+                   **given)
 
 
 def _write_table(path, rows, **dialect) -> None:
@@ -292,9 +258,10 @@ def _write_curve(path, points) -> None:
                  delimiter=" ", lineterminator="\n")
 
 
-def _rate_outputs(result):
-    """Value and summary columns, summary rows (kind, n, cells), curves by
-    file suffix and the status line of a rate study."""
+def _rate_outputs(cfg, result):
+    """Value and summary columns, summary rows (kind, n, cells), the curves
+    (the loss, then the raw loss when merged) and the status line of a
+    rate study."""
     def agg(kind, rows):
         return [(kind, r.n, [repr(r.mean_loss), repr(r.std_loss),
                              r.reps_used, "", "", ""]) for r in rows]
@@ -305,12 +272,12 @@ def _rate_outputs(result):
     summary = agg("agg", result.rows) + agg("agg_raw", result.raw_rows)
     summary.append(("study", "", ["", "", "", repr(result.slope),
                                   repr(result.intercept), result.skipped]))
-    curves = {".dat": curve(result.rows)}
-    if result.raw_rows:
+    curves = [curve(result.rows)]
+    if cfg.setting == "merged":
         summary.append(("study_raw", "", [
             "", "", "", repr(result.raw_slope), repr(result.raw_intercept),
             result.skipped]))
-        curves[".raw.dat"] = curve(result.raw_rows)
+        curves.append(curve(result.raw_rows))
     status = (f"slope={result.slope:.4f} intercept={result.intercept:.4f} "
               f"skipped={result.skipped}")
     return (RATE_VALUES, ("mean_loss", "std_loss", "reps_used", "slope",
@@ -318,13 +285,12 @@ def _rate_outputs(result):
 
 
 def _selection_outputs(cfg, result):
-    """As `_rate_outputs`, for a selection study."""
+    """As `_rate_outputs`, for a selection study: one curve per method."""
     summary = [("agg", r.n, [r.method, repr(r.proportion_correct),
                              repr(r.mean_chosen), r.reps_used])
                for r in result.rows]
-    curves = {f".{m}.dat": [(r.n, r.proportion_correct) for r in result.rows
-                            if r.method == m and r.reps_used > 0]
-              for m in cfg.methods}
+    curves = [[(r.n, r.proportion_correct) for r in result.rows
+               if r.method == m and r.reps_used > 0] for m in cfg.methods]
     lines = [f"true size {result.true_k}, skipped {result.skipped}"]
     for row in result.rows:
         lines.append(f"N={row.n:<7} {row.method:<4} "
@@ -336,34 +302,33 @@ def _selection_outputs(cfg, result):
 
 def _cmd_study(args, argv):
     """rate-study and select-study: run the study, then write the results
-    CSV (one `rep` row per checkpoint record, then the summary rows), the
-    curves and the manifest, and print the status line."""
-    started = _now()
+    CSV (one `rep` row per checkpoint record, then the summary rows) and
+    the curves, and print the status line."""
     cfg = _study_config(args)
     base = Path(args.out)
     checkpoint = Path(args.checkpoint) if args.checkpoint else \
         base.with_suffix(".checkpoint.csv")
     if isinstance(cfg, RateStudyConfig):
-        result = run_rate_study(cfg, checkpoint=checkpoint)
-        report = _rate_outputs(result)
+        run, report = run_rate_study, _rate_outputs
+        suffixes = [".dat", ".raw.dat"] if cfg.setting == "merged" else \
+            [".dat"]
     else:
-        result = run_selection_study(cfg, checkpoint=checkpoint)
-        report = _selection_outputs(cfg, result)
-    values, columns, summary, curves, status = report
-
+        run, report = run_selection_study, _selection_outputs
+        suffixes = [f".{m}.dat" for m in cfg.methods]
     out_csv = base.with_suffix(".csv")
-    blank_values, blank_summary = [""] * len(values), [""] * len(columns)
-    _write_table(out_csv, [
-        ["record", "n", "rep", "status", *values, *columns],
-        *(["rep", *rec[1:], *blank_summary] for rec in result.records),
-        *([kind, n, "", "", *blank_values, *cells]
-          for kind, n, cells in summary)])
-    outputs = [out_csv]
-    for suffix, points in curves.items():
-        outputs.append(base.with_suffix(suffix))
-        _write_curve(outputs[-1], points)
-    _write_manifest(args.command, asdict(cfg), cfg.seed, started, [],
-                    outputs, argv, base.with_suffix(".manifest.json"))
+    curve_paths = [base.with_suffix(s) for s in suffixes]
+    with _run_record(args, argv, asdict(cfg), cfg.seed,
+                     outputs=[out_csv, *curve_paths], reads=[checkpoint]):
+        result = run(cfg, checkpoint=checkpoint)
+        values, columns, summary, curves, status = report(cfg, result)
+        blank_values, blank_summary = [""] * len(values), [""] * len(columns)
+        _write_table(out_csv, [
+            ["record", "n", "rep", "status", *values, *columns],
+            *(["rep", *rec[1:], *blank_summary] for rec in result.records),
+            *([kind, n, "", "", *blank_values, *cells]
+              for kind, n, cells in summary)])
+        for path, points in zip(curve_paths, curves, strict=True):
+            _write_curve(path, points)
     print(status)
 
 
@@ -371,18 +336,19 @@ def _cmd_study(args, argv):
 # parser
 
 def _add_fit_flags(p, init_choices=("kmeans", "perturbed_truth", "random")):
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--max-iter", type=int, default=2000)
-    p.add_argument("--init", choices=init_choices, default="kmeans")
-    p.add_argument("--init-scale", type=float, default=0.5)
-    p.add_argument("--init-gate-scale", type=float, default=None,
+    """Flags named after FitConfig fields; unset ones keep its defaults."""
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--init", choices=init_choices)
+    p.add_argument("--init-scale", type=float)
+    p.add_argument("--init-gate-scale", type=float,
                    help="perturbation scale for the gating block only "
                         "(default: --init-scale)")
-    p.add_argument("--newton-max-iter", type=int, default=25)
-    p.add_argument("--newton-tol", type=float, default=1e-8)
-    p.add_argument("--ridge", type=float, default=1e-8)
-    p.add_argument("--sigma-floor", type=float, default=1e-8)
-    p.add_argument("--gate-box", type=float, nargs=4, default=None,
+    p.add_argument("--newton-max-iter", type=int)
+    p.add_argument("--newton-tol", type=float)
+    p.add_argument("--ridge", type=float)
+    p.add_argument("--sigma-floor", type=float)
+    p.add_argument("--gate-box", type=float, nargs=4,
                    metavar=("LO0", "HI0", "LO1", "HI1"),
                    help="compact bounds on the gating bias (LO0..HI0) and "
                         "each gating slope coordinate (LO1..HI1), in the "
@@ -390,18 +356,23 @@ def _add_fit_flags(p, init_choices=("kmeans", "perturbed_truth", "random")):
 
 
 def _add_study_flags(p):
+    """Flags named after study-config fields, and em_<field> after the
+    FitConfig fields of its `em`; unset ones keep the preset's values,
+    or the dataclass defaults."""
     p.add_argument("--preset", choices=PRESET_NAMES)
-    p.add_argument("--truth", default="g0_2")
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--n-count", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--em-tol", type=float, default=1e-6)
-    p.add_argument("--em-max-iter", type=int, default=2000)
-    p.add_argument("--init-scale", type=float, default=0.5)
-    p.add_argument("--init-gate-scale", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--truth")
+    p.add_argument("--n-min", type=int)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--n-count", type=int)
+    p.add_argument("--reps", type=int)
+    p.add_argument("--em-tol", type=float)
+    p.add_argument("--em-max-iter", type=int)
+    p.add_argument("--init-scale", type=float, dest="em_init_scale",
+                   metavar="INIT_SCALE")
+    p.add_argument("--init-gate-scale", type=float,
+                   dest="em_init_gate_scale", metavar="INIT_GATE_SCALE")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--workers", type=int)
     p.add_argument("--checkpoint",
                    help="per-replication progress CSV "
                         "(default <out>.checkpoint.csv)")
@@ -420,11 +391,11 @@ def build_parser() -> _Parser:
     p.add_argument("--truth", required=True,
                    choices=sorted(builtin_truths()))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps", type=float, default=0.0,
-                   help="contamination fraction")
-    p.add_argument("--x-low", type=float, default=0.0)
-    p.add_argument("--x-high", type=float, default=1.0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--eps", type=float, dest="contamination_eps",
+                   metavar="EPS", help="contamination fraction")
+    p.add_argument("--x-low", type=float)
+    p.add_argument("--x-high", type=float)
     p.add_argument("--out", required=True, help="dataset CSV path")
     p.set_defaults(handler=_cmd_simulate)
 
@@ -433,7 +404,7 @@ def build_parser() -> _Parser:
     p.add_argument("--y-last", action="store_true",
                    help="accept any header; response is the last column")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--reference",
                    help="model/fit JSON used by perturbed_truth init")
     p.add_argument("--truth", choices=sorted(builtin_truths()),
@@ -459,7 +430,7 @@ def build_parser() -> _Parser:
     p.add_argument("--kmax", type=int, default=4)
     p.add_argument("--epsilon", default="logn",
                    help="dendrogram criterion weight: 'logn' or a number")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     _add_fit_flags(p, init_choices=("kmeans", "random"))
     p.add_argument("--out", required=True,
                    help="output base name; writes <out>.<method>.json")
@@ -475,21 +446,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rate-study",
                        help="loss-vs-N convergence study")
     _add_study_flags(p)
-    p.add_argument("--setting", choices=("exact", "overfit", "merged"),
-                   default="exact")
-    p.add_argument("--fit-k", type=int, default=4)
-    p.add_argument("--loss", choices=("vde", "vdo", "vdfra"), default="vde")
+    p.add_argument("--setting", choices=("exact", "overfit", "merged"))
+    p.add_argument("--fit-k", type=int)
+    p.add_argument("--loss", choices=("vde", "vdo", "vdfra"))
     p.set_defaults(handler=_cmd_study)
 
     p = sub.add_parser("select-study",
                        help="selection-frequency study")
     _add_study_flags(p)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--methods", default="dsc,aic,bic,icl",
+    p.add_argument("--kmax", type=int)
+    p.add_argument("--methods", type=lambda text: tuple(text.split(",")),
                    help="comma-separated subset of dsc,aic,bic,icl")
-    p.add_argument("--eps", type=float, default=0.0,
-                   help="contamination fraction")
-    p.add_argument("--epsilon", default="logn",
+    p.add_argument("--eps", type=float, dest="contamination_eps",
+                   metavar="EPS", help="contamination fraction")
+    p.add_argument("--epsilon", dest="epsilon_n", metavar="EPSILON",
                    help="dendrogram criterion weight: 'logn' or a number")
     p.set_defaults(handler=_cmd_study)
 

@@ -41,16 +41,7 @@ PRESET_NAMES = ("fig3a", "fig3b", "fig3c", "fig4", "fig5")
 
 
 def resolve_workers(configured: int | None = None) -> int:
-    """Worker count: SGMOE_THREADS env var wins, then config, then CPUs."""
-    env = os.environ.get("SGMOE_THREADS")
-    if env is not None:
-        try:
-            workers = int(env)
-        except ValueError:
-            raise InputError(f"SGMOE_THREADS must be an integer, got {env!r}")
-        if workers < 1:
-            raise InputError(f"SGMOE_THREADS must be >= 1, got {workers}")
-        return workers
+    """Worker count: the configured one, else one per CPU."""
     if configured is not None:
         return configured
     return os.cpu_count() or 1

@@ -59,9 +59,6 @@ class VoronoiPartition:
     cells: dict[int, tuple[int, ...]]
     tie_breaks: int
 
-    def multi_cells(self) -> list[int]:
-        return [k for k, members in self.cells.items() if len(members) >= 2]
-
 
 @dataclass(frozen=True)
 class TranslationOptimum:

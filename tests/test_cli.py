@@ -3,11 +3,14 @@
 import csv
 import json
 import os
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from sgmoe.cli import run_cli
 from sgmoe.datagen import builtin_truths
+from sgmoe.experiments import preset
 from sgmoe.serialize import (
     load_dataset_csv,
     load_dendrogram,
@@ -318,9 +321,17 @@ def test_directory_output_exits_one(workdir, tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+TINY_STUDY = ["--truth", "g0_2", "--n-min", "100", "--n-max", "100",
+              "--n-count", "1", "--reps", "2", "--em-max-iter", "50",
+              "--workers", "1"]
+
+
 @pytest.mark.parametrize("case", ["fit-out", "fit-manifest",
                                   "dendrogram-out", "dendrogram-hard-link",
-                                  "select-report", "metrics-symlink"])
+                                  "select-report", "metrics-symlink",
+                                  "study-csv", "study-curve",
+                                  "study-method-curve", "study-manifest",
+                                  "study-hard-link"])
 def test_output_over_an_input_exits_one(workdir, tmp_path, capsys, case):
     data, fit = tmp_path / "data.csv", tmp_path / "fit.json"
     data.write_bytes((workdir / "data.csv").read_bytes())
@@ -347,17 +358,73 @@ def test_output_over_an_input_exits_one(workdir, tmp_path, capsys, case):
         os.replace(data, inp)
         argv = ["select", "--data", str(inp), "--method", "dsc",
                 "--kmax", "2", "--out", str(tmp_path / "s")]
-    else:
+    elif case == "metrics-symlink":
         inp, out = fit, tmp_path / "m.json"
         out.symlink_to(fit)
         argv = ["metrics", "--fitted", str(fit), "--reference", str(fit),
                 "--out", str(out)]
+    else:
+        # a finished study's checkpoint, passed as --checkpoint to a study
+        # whose --out r would write over it
+        study = ["select-study", "--kmax", "2", "--methods", "dsc"] \
+            if case == "study-method-curve" else ["rate-study"]
+        inp = tmp_path / {"study-csv": "r.csv", "study-curve": "r.dat",
+                          "study-method-curve": "r.dsc.dat",
+                          "study-manifest": "r.manifest.json",
+                          "study-hard-link": "ck.csv"}[case]
+        argv = [*study, *TINY_STUDY, "--checkpoint", str(inp), "--out"]
+        assert run_cli([*argv, str(tmp_path / "first")]) == 0
+        capsys.readouterr()
+        out = inp
+        if case == "study-hard-link":
+            out = tmp_path / "r.csv"
+            os.link(inp, out)
+        argv.append(str(tmp_path / "r"))
     before = inp.read_bytes()
     assert run_cli(argv) == 1
     captured = capsys.readouterr()
     assert captured.err == f"error: output {out} would overwrite input {inp}\n"
     assert captured.out == ""
     assert inp.read_bytes() == before
+    if case.startswith("study-"):
+        # the checkpoint still resumes, into a free --out
+        assert run_cli([*argv[:-1], str(tmp_path / "free")]) == 0
+        assert inp.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["simulate", "fit", "dendrogram",
+                                     "select-all", "metrics-out",
+                                     "rate-study-merged", "select-study"])
+def test_declared_files_are_the_written_files(workdir, tmp_path, command):
+    out = tmp_path / "out"
+    out.mkdir()
+    data, fit = str(workdir / "data.csv"), str(workdir / "fit.json")
+    argv = {
+        "simulate": ["simulate", "--truth", "g0_2", "--n", "50",
+                     "--out", str(out / "d.csv")],
+        "fit": ["fit", "--data", data, "--k", "2", "--out",
+                str(out / "f.json")],
+        "dendrogram": ["dendrogram", "--model", fit, "--data", data,
+                       "--out", str(out / "d")],
+        "select-all": ["select", "--data", data, "--kmax", "2",
+                       "--method", "all", "--out", str(out / "s")],
+        "metrics-out": ["metrics", "--fitted", fit, "--reference", fit,
+                        "--out", str(out / "m.json")],
+        "rate-study-merged": ["rate-study", "--setting", "merged",
+                              "--fit-k", "3", "--truth", "g0_2",
+                              "--n-min", "400", "--n-max", "400",
+                              "--n-count", "1", "--reps", "2",
+                              "--em-max-iter", "200", "--seed", "6",
+                              "--out", str(out / "s")],
+        "select-study": SELECT_ARGS + ["--out", str(out / "s")],
+    }[command]
+    assert run_cli(argv) == 0
+    manifest = out / f"{Path(argv[-1]).stem}.manifest.json"
+    declared = {Path(p) for p in load_manifest(manifest).outputs}
+    declared.add(manifest)
+    if "study" in command:
+        declared.add(out / "s.checkpoint.csv")
+    assert set(out.iterdir()) == declared
 
 
 def test_fit_accepts_trailing_blank_line(tmp_path, capsys):
@@ -578,6 +645,35 @@ def test_preset_kind_mismatch(tmp_path, capsys):
     rc = run_cli(["select-study", "--preset", "fig3a",
                   "--out", str(tmp_path / "x")])
     assert rc == 1
+
+
+class _StudyCalled(Exception):
+    pass
+
+
+def test_flags_given_with_a_preset_override_it(tmp_path, monkeypatch):
+    import sgmoe.cli as cli
+    configs = []
+
+    def capture(cfg, checkpoint):
+        configs.append(cfg)
+        raise _StudyCalled   # the preset grids are far too big to run
+
+    monkeypatch.setattr(cli, "run_rate_study", capture)
+    monkeypatch.setattr(cli, "run_selection_study", capture)
+    for argv in (["rate-study", "--preset", "fig3a", "--reps", "2",
+                  "--n-min", "100", "--n-max", "300", "--n-count", "3",
+                  "--init-scale", "0.5"],
+                 ["select-study", "--preset", "fig4", "--kmax", "3",
+                  "--methods", "dsc", "--eps", "0.1", "--epsilon", "2"]):
+        with pytest.raises(_StudyCalled):
+            run_cli(argv + ["--out", str(tmp_path / "s")])
+    fig3a, fig4 = preset("fig3a"), preset("fig4")
+    assert configs == [
+        replace(fig3a, reps=2, n_min=100, n_max=300, n_count=3,
+                em=replace(fig3a.em, init_scale=0.5)),
+        replace(fig4, kmax=3, methods=("dsc",), contamination_eps=0.1,
+                epsilon_n=2.0)]
 
 
 def test_unknown_preset_rejected(tmp_path, capsys):

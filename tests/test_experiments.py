@@ -97,23 +97,11 @@ class TestGridAndSlope:
 
 
 class TestWorkerResolution:
-    def test_env_wins(self, monkeypatch):
-        monkeypatch.setenv("SGMOE_THREADS", "3")
-        assert resolve_workers(1) == 3
-
     def test_config_when_no_env(self):
         assert resolve_workers(2) == 2
 
     def test_default_at_least_one(self):
         assert resolve_workers() >= 1
-
-    def test_bad_env_rejected(self, monkeypatch):
-        monkeypatch.setenv("SGMOE_THREADS", "zero")
-        with pytest.raises(InputError):
-            resolve_workers()
-        monkeypatch.setenv("SGMOE_THREADS", "0")
-        with pytest.raises(InputError):
-            resolve_workers()
 
 
 class TestRateConfigValidation:

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import math
 import re
+import shlex
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sgmoe.cli import run_cli
 from sgmoe.datagen import GenConfig, builtin_truths, sample
 from sgmoe.dendrogram import Dendrogram, MergeRecord, build_path
 from sgmoe.errors import InputError
@@ -199,3 +201,24 @@ def test_readme_library_example():
     scope = {}
     exec(block, scope)
     assert scope["report"].chosen == 2
+
+
+def test_readme_command_line_block(tmp_path, monkeypatch):
+    # every line of the README's Command line block, as printed, in one
+    # directory; the studies are left out (full-size grids)
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = re.search(r"^## Command line\n.*?^```sh\n(.*?)^```", readme,
+                      re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in block.replace("\\\n", " ").splitlines():
+        if not line or line.startswith("#"):
+            continue
+        argv = shlex.split(line)
+        if argv[:2] == ["python", "-c"]:
+            exec(argv[2], {})
+        elif argv[1] not in ("rate-study", "select-study"):
+            assert argv[0] == "sgmoe"
+            assert run_cli(argv[1:]) == 0, line
+            ran.append(argv[1])
+    assert ran == ["simulate", "fit", "dendrogram", "select", "metrics"]
