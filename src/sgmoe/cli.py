@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from contextlib import contextmanager
@@ -48,6 +49,7 @@ from .serialize import (
     save_manifest,
     save_report,
     save_stamped,
+    table_path,
     write_dataset_csv,
 )
 
@@ -66,17 +68,19 @@ class _Parser(argparse.ArgumentParser):
 def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
                 outputs=(), reads=()):
     """A command's declared files, checked before its body and recorded
-    after it.
+    after it; the body gets the inputs' digests, by path.
 
     Before the body, an InputError if any output, the manifest
     <--out>.manifest.json included, is the same file as an input or a file
-    the command also reads (a study's checkpoint): by resolved path, or by
-    os.path.samefile when both exist (hard links). After the body, the
-    manifest with the digests of the inputs and outputs. Without --out
-    there is nothing to check or record.
+    the command also reads (a study's checkpoint, a dataset's binary
+    table): by resolved path, or by os.path.samefile when both exist (hard
+    links). Then each input is hashed once; the body may pass a digest on
+    (`_load_data`). After the body, the manifest with the digests of the
+    inputs and outputs. Without --out there is nothing to check or record,
+    and no digest.
     """
     if args.out is None:
-        yield
+        yield {}
         return
     started = datetime.now(timezone.utc).isoformat()
     inputs, outputs = [Path(p) for p in inputs], [Path(p) for p in outputs]
@@ -87,13 +91,21 @@ def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
                     out.exists() and inp.exists()
                     and os.path.samefile(out, inp)):
                 raise InputError(f"output {out} would overwrite input {inp}")
-    yield
+    digests = {p: file_digest(p) for p in inputs}
+    yield digests
     save_manifest(RunManifest(
         command=args.command, config=config, seed=seed, version=TOOL_VERSION,
         started=started, finished=datetime.now(timezone.utc).isoformat(),
-        inputs={str(p): file_digest(p) for p in inputs},
+        inputs={str(p): digest for p, digest in digests.items()},
         outputs={str(p): file_digest(p) for p in outputs},
         argv=argv), manifest)
+
+
+def _load_data(args, digests):
+    """The --data table, matched to its binary table by the digest that
+    `_run_record` took (the loader hashes it itself when there is none)."""
+    return load_dataset_csv(args.data, y_last=args.y_last,
+                            digest=digests.get(Path(args.data)))
 
 
 def _given(args, cls, prefix: str = "") -> dict:
@@ -121,8 +133,9 @@ def _parse_epsilon(text: str) -> float | None:
         value = float(text)
     except ValueError:
         raise InputError(f"--epsilon must be 'logn' or a number, got {text!r}")
-    if value <= 0:
-        raise InputError("--epsilon must be positive")
+    if not (math.isfinite(value) and value > 0):
+        raise InputError(
+            f"--epsilon must be finite and positive, got {text!r}")
     return value
 
 
@@ -135,7 +148,8 @@ def _cmd_simulate(args, argv):
     config = {"truth": args.truth, **gen.to_dict()}
     out = Path(args.out)
     sidecar = out.with_suffix(".gen.json")
-    with _run_record(args, argv, config, gen.seed, outputs=[out, sidecar]):
+    with _run_record(args, argv, config, gen.seed,
+                     outputs=[out, table_path(out), sidecar]):
         data = sample(truth, gen)
         write_dataset_csv(data, out)
         save_stamped("genconfig", config, sidecar)
@@ -154,8 +168,9 @@ def _cmd_fit(args, argv):
     cfg = _fit_config(args, args.k)
     inputs = [args.data] if args.reference is None else \
         [args.data, args.reference]
-    with _run_record(args, argv, asdict(cfg), cfg.seed, inputs, [args.out]):
-        data = load_dataset_csv(args.data, y_last=args.y_last)
+    with _run_record(args, argv, asdict(cfg), cfg.seed, inputs, [args.out],
+                     [table_path(args.data)]) as digests:
+        data = _load_data(args, digests)
         reference = None
         if args.reference is not None:
             reference = load_model_or_fit(args.reference)
@@ -172,9 +187,10 @@ def _cmd_dendrogram(args, argv):
     out_json, out_csv = base.with_suffix(".json"), base.with_suffix(".csv")
     with _run_record(args, argv, {"model": str(args.model),
                                   "data": str(args.data)}, None,
-                     [args.model, args.data], [out_json, out_csv]):
+                     [args.model, args.data], [out_json, out_csv],
+                     [table_path(args.data)]) as digests:
         model = load_model_or_fit(args.model)
-        data = load_dataset_csv(args.data, y_last=args.y_last)
+        data = _load_data(args, digests)
         dg = build_path(model)
         save_dendrogram(dg, out_json)
         k_top = dg.levels[0].n_atoms
@@ -194,8 +210,8 @@ def _cmd_select(args, argv):
     config = {**asdict(cfg), "kmax": args.kmax, "methods": list(methods),
               "epsilon": args.epsilon}
     with _run_record(args, argv, config, cfg.seed, [args.data],
-                     outputs.values()):
-        data = load_dataset_csv(args.data, y_last=args.y_last)
+                     outputs.values(), [table_path(args.data)]) as digests:
+        data = _load_data(args, digests)
         reports = select_order(data, args.kmax, methods, cfg,
                                lambda k: make_init(data, replace(cfg, K=k)),
                                epsilon)

@@ -76,21 +76,26 @@ class FitConfig:
     def __post_init__(self):
         if self.K < 1:
             raise InputError(f"K must be >= 1, got {self.K}")
-        if self.tol <= 0:
-            raise InputError("tol must be > 0")
         if self.max_iter < 0:
             # 0 means evaluate the initial model without any update
             raise InputError("max_iter must be >= 0")
-        if self.sigma_floor <= 0:
-            raise InputError("sigma_floor must be > 0")
-        if self.newton_max_iter < 1 or self.newton_tol <= 0:
-            raise InputError("newton settings must be positive")
-        if self.ridge < 0:
-            raise InputError("ridge must be >= 0")
+        if self.newton_max_iter < 1:
+            raise InputError("newton_max_iter must be >= 1")
+        # NaN fails every comparison, so each bound is stated as a pass
+        for name, positive in (("tol", True), ("sigma_floor", True),
+                               ("newton_tol", True), ("ridge", False),
+                               ("init_scale", False),
+                               ("init_gate_scale", False)):
+            value = getattr(self, name)
+            if value is None and name == "init_gate_scale":
+                continue
+            if not (math.isfinite(value)
+                    and (value > 0 if positive else value >= 0)):
+                raise InputError(f"{name} must be finite and "
+                                 f"{'> 0' if positive else '>= 0'}, "
+                                 f"got {value}")
         if self.init not in ("kmeans", "perturbed_truth", "random"):
             raise InputError(f"unknown init scheme {self.init!r}")
-        if self.init_gate_scale is not None and self.init_gate_scale < 0:
-            raise InputError("init_gate_scale must be >= 0")
         if self.gate_box is not None:
             box = tuple((float(lo), float(hi)) for lo, hi in self.gate_box)
             for lo, hi in box:

@@ -427,8 +427,10 @@ class SelectionStudyConfig(_StudyConfig):
             raise InputError("duplicate selection method")
         if not 0.0 <= self.contamination_eps < 1.0:
             raise InputError("contamination_eps must lie in [0, 1)")
-        if self.epsilon_n is not None and self.epsilon_n <= 0.0:
-            raise InputError("epsilon_n must be > 0")
+        if self.epsilon_n is not None and not (
+                math.isfinite(self.epsilon_n) and self.epsilon_n > 0.0):
+            raise InputError(
+                f"epsilon_n must be finite and > 0, got {self.epsilon_n}")
 
     def fit_size(self) -> int:
         return self.kmax

@@ -86,8 +86,8 @@ def dsc_select(dg: Dendrogram, data: Dataset,
         raise InputError("selection needs a dendrogram with at least 2 atoms")
     if epsilon_n is None:
         epsilon_n = math.log(data.n)
-    if not epsilon_n > 0:
-        raise InputError(f"epsilon_n must be > 0, got {epsilon_n}")
+    if not (math.isfinite(epsilon_n) and epsilon_n > 0):
+        raise InputError(f"epsilon_n must be finite and > 0, got {epsilon_n}")
     scores = {}
     for kappa in range(2, k_top + 1):
         ll = avg_log_likelihood(dg.level(kappa), data)

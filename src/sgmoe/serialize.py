@@ -4,6 +4,9 @@ Every JSON document carries a "format" stamp "sgmoe/<kind>/v<major>"; the
 loaders refuse stamps whose kind or major version they do not understand.
 Floats are written with repr, so finite doubles survive a round trip
 bit-for-bit. Dataset CSVs have no stamp: their header is their schema.
+Beside each dataset CSV it writes, `write_dataset_csv` leaves the same
+table in binary (`table_path`), keyed to the CSV's bytes, which
+`load_dataset_csv` reads instead of parsing the CSV while the key holds.
 
 Every output file is opened by `overwrite`, which writes over an existing
 file in place and cuts it at the end of the new bytes rather than
@@ -21,7 +24,9 @@ import math
 import os
 import re
 import stat
+import struct
 import warnings
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +44,10 @@ TOOL_VERSION = f"v{__version__}"
 
 _FORMAT_RE = re.compile(r"^sgmoe/([a-z_]+)/v(\d+)$")
 _CSV_CHUNK_ROWS = 4096
+# binary table: magic, the CSV's byte length and FNV-1a digest, rows,
+# columns and the payload's CRC-32, then the rows as little-endian float64
+_TABLE_HEADER = struct.Struct("<8s5Q")
+_TABLE_MAGIC = b"sgmoeF64"
 
 
 def format_tag(kind: str) -> str:
@@ -55,8 +64,9 @@ def _unwritable(path, exc: OSError) -> InputError:
 
 
 @contextlib.contextmanager
-def overwrite(path, newline=None, *, name=None):
-    """A text handle that writes `path` over its old bytes, in place.
+def overwrite(path, newline=None, *, name=None, binary=False):
+    """A text (or, with `binary`, bytes) handle that writes `path` over its
+    old bytes, in place.
 
     The file is opened without O_TRUNC and cut at the final position once
     the body has run: truncating a freshly written file first makes ext4
@@ -71,7 +81,7 @@ def overwrite(path, newline=None, *, name=None):
     """
     try:
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-        with open(fd, "w", newline=newline) as fh:
+        with open(fd, "wb" if binary else "w", newline=newline) as fh:
             yield fh
             if stat.S_ISREG(os.fstat(fd).st_mode):
                 fh.truncate()
@@ -169,11 +179,19 @@ def dataset_header(dim: int) -> list[str]:
     return [f"x{i + 1}" for i in range(dim)] + ["y"]
 
 
+def table_path(path) -> Path:
+    """The binary table beside the dataset CSV `path`: its name with a
+    suffix appended, so it can equal no file named by replacing a suffix."""
+    return Path(f"{path}.f64")
+
+
 def write_dataset_csv(data: Dataset, path) -> None:
     """Header x1..xD,y; values via repr (17 significant digits).
 
     The bytes are those of `csv.writer`'s default dialect: comma-separated,
     CRLF line ends, nothing quoted (no float repr holds a comma or quote).
+    Then `table_path(path)` gets the same table in binary, keyed to the
+    CSV's length and FNV-1a digest and checked by a CRC-32 of its payload.
     """
     table = np.column_stack((data.xs, data.ys))
     line = ",".join(["%r"] * table.shape[1]) + "\r\n"
@@ -182,9 +200,17 @@ def write_dataset_csv(data: Dataset, path) -> None:
         for start in range(0, data.n, _CSV_CHUNK_ROWS):
             rows = table[start:start + _CSV_CHUNK_ROWS]
             fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+    payload = np.ascontiguousarray(table, dtype="<f8")
+    header = _TABLE_HEADER.pack(_TABLE_MAGIC, os.path.getsize(path),
+                                int(file_digest(path), 16), *payload.shape,
+                                zlib.crc32(payload))
+    with overwrite(table_path(path), binary=True) as fh:
+        fh.write(header)
+        fh.write(payload)
 
 
-def load_dataset_csv(path, y_last: bool = False) -> Dataset:
+def load_dataset_csv(path, y_last: bool = False, *,
+                     digest: str | None = None) -> Dataset:
     """Read a dataset table; the response is the final column.
 
     By default the header must be exactly x1..xD,y. With y_last=True any
@@ -192,10 +218,14 @@ def load_dataset_csv(path, y_last: bool = False) -> Dataset:
     as the response. Blank lines are skipped. Errors carry 1-based file
     line numbers; the header is line 1.
 
-    The body goes through numpy's C reader first. Where that does not give
-    a non-empty, finite table of the header's width, a `csv.reader` scan
-    reads it again; it accepts everything `float` does (`1_0`, quoted
-    fields) and names the first bad line.
+    Once the header has passed, the binary table beside the CSV
+    (`table_path`) is returned when it is whole and keyed to this CSV:
+    `digest` is the CSV's `file_digest` if the caller has it, else the
+    CSV is hashed here. The table is never written or required: in every
+    other case the body is parsed. It goes through numpy's C reader first.
+    Where that does not give a non-empty, finite table of the header's
+    width, a `csv.reader` scan reads it again; it accepts everything
+    `float` does (`1_0`, quoted fields) and names the first bad line.
     """
     path = Path(path)
     if not path.exists():
@@ -203,7 +233,10 @@ def load_dataset_csv(path, y_last: bool = False) -> Dataset:
     try:
         with open(path, newline="") as fh:
             width = _read_header(csv.reader(fh), path, y_last)
-            table = _load_body(fh, width)
+            table = _read_table(path, os.fstat(fh.fileno()).st_size, width,
+                                digest)
+            if table is None:
+                table = _load_body(fh, width)
             if table is None:
                 fh.seek(0)
                 reader = csv.reader(fh)
@@ -212,6 +245,33 @@ def load_dataset_csv(path, y_last: bool = False) -> Dataset:
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
     return Dataset(xs=table[:, :-1], ys=table[:, -1])
+
+
+def _read_table(path, size: int, width: int,
+                digest: str | None) -> np.ndarray | None:
+    """The binary table beside the CSV `path` (`size` bytes), or None
+    unless its header names this CSV's length and digest and `width`
+    columns, its length fits the header and its payload's CRC-32 holds.
+    A cut-short overwrite (new prefix, old tail) fails the CRC."""
+    try:
+        with open(table_path(path), "rb") as fh:
+            head = fh.read(_TABLE_HEADER.size)
+            if len(head) != _TABLE_HEADER.size:
+                return None
+            magic, csv_size, csv_fnv, rows, cols, crc = \
+                _TABLE_HEADER.unpack(head)
+            count = rows * cols
+            if (magic, csv_size, cols) != (_TABLE_MAGIC, size, width) or \
+                    os.fstat(fh.fileno()).st_size != len(head) + 8 * count:
+                return None
+            if int(digest or file_digest(path), 16) != csv_fnv:
+                return None
+            table = np.fromfile(fh, dtype="<f8", count=count)
+    except (OSError, InputError):
+        return None
+    if len(table) != count or zlib.crc32(table) != crc:
+        return None
+    return table.reshape(rows, cols)
 
 
 def _read_header(reader, path, y_last: bool) -> int:

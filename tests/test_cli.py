@@ -64,6 +64,8 @@ def test_simulate_rerun_is_byte_identical(tmp_path):
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
     assert (tmp_path / "a.gen.json").read_bytes() == \
         (tmp_path / "b.gen.json").read_bytes()
+    assert (tmp_path / "a.csv.f64").read_bytes() == \
+        (tmp_path / "b.csv.f64").read_bytes()
 
 
 def _run_chain(root):
@@ -196,6 +198,37 @@ def test_select_bad_epsilon(workdir, tmp_path, capsys):
     assert "--epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("epsilon", ["0", "inf", "nan"])
+def test_select_non_finite_epsilon(workdir, tmp_path, capsys, epsilon):
+    rc = run_cli(["select", "--data", str(workdir / "data.csv"),
+                  "--epsilon", epsilon, "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "--epsilon must be finite and positive" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_select_study_non_finite_epsilon(tmp_path, capsys, epsilon):
+    rc = run_cli([*SELECT_ARGS, "--epsilon", epsilon,
+                  "--out", str(tmp_path / "s")])
+    assert rc == 1
+    assert "--epsilon must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--tol", "--sigma-floor", "--ridge",
+                                  "--newton-tol", "--init-scale",
+                                  "--init-gate-scale"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fit_non_finite_setting_exits_one(workdir, tmp_path, capsys, flag,
+                                          value):
+    rc = run_cli(["fit", "--data", str(workdir / "data.csv"), "--k", "2",
+                  flag, value, "--out", str(tmp_path / "f.json")])
+    assert rc == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_metrics_stdout_contract(workdir, tmp_path, capsys):
     rc = run_cli(["metrics", "--fitted", str(workdir / "fit.json"),
                   "--reference", str(workdir / "fit.json")])
@@ -235,6 +268,20 @@ def test_unknown_flag_exits_one(capsys):
                   "--bogus"])
     assert rc == 1
     assert "usage" in capsys.readouterr().err
+
+
+def test_fit_without_the_binary_table_writes_the_same_bytes(tmp_path):
+    _run_chain(tmp_path)
+    table = tmp_path / "data.csv.f64"
+    assert table.exists()
+    table.unlink()
+    argv = ["fit", "--data", str(tmp_path / "data.csv"), "--k", "3",
+            "--seed", "5", "--out", str(tmp_path / "fit2.json")]
+    assert run_cli(argv) == 0
+    assert (tmp_path / "fit2.json").read_bytes() == \
+        (tmp_path / "fit.json").read_bytes()
+    assert load_manifest(tmp_path / "fit2.manifest.json").inputs == \
+        load_manifest(tmp_path / "fit.manifest.json").inputs
 
 
 def test_unknown_subcommand_exits_one(capsys):
@@ -326,7 +373,7 @@ TINY_STUDY = ["--truth", "g0_2", "--n-min", "100", "--n-max", "100",
               "--workers", "1"]
 
 
-@pytest.mark.parametrize("case", ["fit-out", "fit-manifest",
+@pytest.mark.parametrize("case", ["fit-out", "fit-manifest", "fit-table",
                                   "dendrogram-out", "dendrogram-hard-link",
                                   "select-report", "metrics-symlink",
                                   "study-csv", "study-curve",
@@ -345,6 +392,11 @@ def test_output_over_an_input_exits_one(workdir, tmp_path, capsys, case):
         out = inp
         argv = ["fit", "--data", str(inp), "--k", "1",
                 "--out", str(tmp_path / "f.json")]
+    elif case == "fit-table":
+        # the binary table beside --data, which the loader would read
+        inp = out = tmp_path / "data.csv.f64"
+        inp.write_bytes((workdir / "data.csv.f64").read_bytes())
+        argv = ["fit", "--data", str(data), "--k", "1", "--out", str(out)]
     elif case == "dendrogram-out":
         argv, inp, out = ["dendrogram", "--model", str(fit), "--data",
                           str(data), "--out", str(tmp_path / "fit")], fit, fit

@@ -55,6 +55,18 @@ class TestFitConfig:
         with pytest.raises(InputError):
             FitConfig(**bad)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["tol", "sigma_floor", "newton_tol",
+                                      "ridge", "init_scale",
+                                      "init_gate_scale"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(InputError, match=f"{name} must be finite"):
+            FitConfig(**{name: value})
+
+    def test_negative_init_scale_rejected(self):
+        with pytest.raises(InputError, match="init_scale"):
+            FitConfig(init_scale=-0.5)
+
     def test_zero_iterations_allowed(self):
         # max_iter=0 means score the starting model without updating it
         assert FitConfig(max_iter=0).max_iter == 0

@@ -422,8 +422,9 @@ class TestSelectionStudy:
             self.small_config(kmax=1)
         with pytest.raises(InputError):
             self.small_config(contamination_eps=1.0)
-        with pytest.raises(InputError):
-            self.small_config(epsilon_n=0.0)
+        for epsilon in (0.0, math.inf, math.nan):
+            with pytest.raises(InputError, match="epsilon_n must be"):
+                self.small_config(epsilon_n=epsilon)
         with pytest.raises(InputError):
             self.small_config(n_min=10, n_max=500)
 

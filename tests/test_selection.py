@@ -123,6 +123,12 @@ class TestDscSelect:
         with pytest.raises(InputError):
             dsc_select(dg, toy_data(), epsilon_n=0.0)
 
+    @pytest.mark.parametrize("epsilon", [math.inf, math.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        dg = build_path(g0_two_expert())
+        with pytest.raises(InputError, match="epsilon_n must be finite"):
+            dsc_select(dg, toy_data(), epsilon_n=epsilon)
+
     def test_pipeline_recovers_two_experts(self):
         # over-fit K=4 on clean two-expert data, then select on the path
         g0 = builtin_truths()["g0_2"]

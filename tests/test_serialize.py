@@ -20,6 +20,7 @@ from sgmoe.model import Dataset
 from sgmoe.selection import SelectionReport
 from sgmoe.serialize import (
     _FNV_CHUNK,
+    _TABLE_HEADER,
     RunManifest,
     _fnv_powers,
     file_digest,
@@ -37,6 +38,7 @@ from sgmoe.serialize import (
     save_manifest,
     save_model,
     save_report,
+    table_path,
     write_dataset_csv,
 )
 
@@ -268,6 +270,143 @@ class TestDatasetCsv:
             load_model(tmp_path)
         with pytest.raises(InputError, match="cannot read"):
             file_digest(tmp_path)
+
+
+def _parsed(path, **kw):
+    """`load_dataset_csv` of `path` with no binary table beside it."""
+    table, kept = table_path(path), None
+    if table.exists():
+        kept = table.read_bytes()
+        table.unlink()
+    try:
+        return load_dataset_csv(path, **kw)
+    finally:
+        if kept is not None:
+            table.write_bytes(kept)
+
+
+def _same(a: Dataset, b: Dataset) -> bool:
+    return (a.xs.shape == b.xs.shape and a.xs.tobytes() == b.xs.tobytes()
+            and a.ys.tobytes() == b.ys.tobytes())
+
+
+_AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+            -1.7976931348623157e308, 2.2250738585072014e-308, 0.1 + 0.2]
+
+
+@st.composite
+def _datasets(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 40))
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                      st.sampled_from(_AWKWARD))
+    xs = draw(st.lists(value, min_size=n * dim, max_size=n * dim))
+    ys = draw(st.lists(value, min_size=n, max_size=n))
+    return Dataset(xs=np.reshape(xs, (n, dim)), ys=np.array(ys))
+
+
+class TestDatasetTable:
+    """The binary table `write_dataset_csv` leaves beside a dataset CSV:
+    read instead of the CSV only while it is whole and keyed to it."""
+
+    @given(data=_datasets())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_the_parse(self, tmp_path_factory, data):
+        p = tmp_path_factory.getbasetemp() / "table.csv"
+        write_dataset_csv(data, p)
+        through_table = load_dataset_csv(p)
+        parsed = _parsed(p)
+        assert _same(through_table, parsed) and _same(parsed, data)
+        assert _same(load_dataset_csv(p, digest=file_digest(p)), parsed)
+        assert _same(load_dataset_csv(p, y_last=True), parsed)
+
+    def test_table_is_what_is_read(self, tmp_path, monkeypatch):
+        data = Dataset(xs=np.array([[-0.0, 5e-324, 1.7976931348623157e308]]),
+                       ys=np.array([0.1 + 0.2]))
+        p = tmp_path / "d.csv"
+        write_dataset_csv(data, p)
+        monkeypatch.setattr("sgmoe.serialize._load_body",
+                            lambda *a: pytest.fail("the CSV was parsed"))
+        assert _same(load_dataset_csv(p, digest=file_digest(p)), data)
+
+    @pytest.mark.parametrize("truth", ["g0_2", "g0_3"])
+    def test_simulated_table_is_the_parse(self, tmp_path, truth):
+        p = tmp_path / "d.csv"
+        assert run_cli(["simulate", "--truth", truth, "--n", "5000",
+                        "--seed", "3", "--out", str(p)]) == 0
+        assert table_path(p) == tmp_path / "d.csv.f64"
+        assert _same(load_dataset_csv(p), _parsed(p))
+
+    @staticmethod
+    def _spoil(case, p, tmp_path):
+        """Damage the table of `p` (or the CSV itself) as `case` says."""
+        table = table_path(p)
+        raw = bytearray(table.read_bytes())
+        size = _TABLE_HEADER.size
+        if case == "csv-digit":
+            text = p.read_bytes()
+            at = text.index(b"1", text.index(b"\n"))
+            p.write_bytes(text[:at] + b"2" + text[at + 1:])
+        elif case == "truncated":
+            table.write_bytes(raw[:-8])
+        elif case == "payload-byte":
+            raw[size + 17] ^= 0x01
+            table.write_bytes(raw)
+        elif case == "torn":
+            # a newer table of the same shape, cut short after its header
+            other = tmp_path / "other.csv"
+            rng = np.random.default_rng(1)
+            write_dataset_csv(Dataset(xs=rng.normal(size=(40, 1)),
+                                      ys=rng.normal(size=40)), other)
+            table.write_bytes(table_path(other).read_bytes()[:size]
+                              + raw[size:])
+        elif case == "wrong-width":
+            # one column of twice the rows: same length, same checksum
+            magic, n_bytes, fnv, rows, cols, crc = _TABLE_HEADER.unpack(
+                raw[:size])
+            raw[:size] = _TABLE_HEADER.pack(magic, n_bytes, fnv, rows * cols,
+                                            1, crc)
+            table.write_bytes(raw)
+        elif case == "other-dataset":
+            other = tmp_path / "other.csv"
+            write_dataset_csv(Dataset(xs=np.ones((40, 1)), ys=np.ones(40)),
+                              other)
+            table.write_bytes(table_path(other).read_bytes())
+        elif case == "junk":
+            table.write_bytes(np.random.default_rng(2).bytes(len(raw)))
+        elif case == "empty":
+            table.write_bytes(b"")
+        elif case == "directory":
+            table.unlink()
+            table.mkdir()
+
+    @pytest.mark.parametrize("digest", [False, True])
+    @pytest.mark.parametrize("case", ["csv-digit", "truncated",
+                                      "payload-byte", "torn", "wrong-width",
+                                      "other-dataset", "junk", "empty",
+                                      "directory"])
+    def test_untrusted_table_falls_back_to_the_parse(self, tmp_path, case,
+                                                     digest):
+        rng = np.random.default_rng(0)
+        data = Dataset(xs=rng.normal(size=(40, 1)), ys=rng.normal(size=40))
+        p = tmp_path / "d.csv"
+        write_dataset_csv(data, p)
+        self._spoil(case, p, tmp_path)
+        got = load_dataset_csv(p, digest=file_digest(p) if digest else None)
+        if case == "directory":
+            table_path(p).rmdir()
+        want = _parsed(p)
+        assert _same(got, want)
+        assert _same(want, data) != (case == "csv-digit")
+
+    def test_table_leaves_header_errors_alone(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_dataset_csv(Dataset(xs=np.ones((3, 1)), ys=np.ones(3)), p)
+        text = p.read_bytes()
+        p.write_bytes(b"a1" + text[2:])   # same length, another header
+        with pytest.raises(InputError, match="line 1"):
+            load_dataset_csv(p)
+        assert load_dataset_csv(p, y_last=True).n == 3
 
 
 # dataset bodies for the reader differential test: mostly well-formed rows,
