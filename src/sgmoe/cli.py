@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -30,6 +31,7 @@ from .experiments import (
     RateStudyConfig,
     SelectionStudyConfig,
     preset,
+    record_path,
     run_rate_study,
     run_selection_study,
     select_order,
@@ -64,40 +66,66 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
+def _beside(base, suffix: str) -> Path:
+    """The file named `base` with `suffix` appended: a dotted tail of
+    `base` stays part of the name (`--out fig3b_s0.5`)."""
+    return Path(f"{base}{suffix}")
+
+
+def _identities(path: Path) -> list:
+    """What makes two paths one file: the resolved path and, when the file
+    exists, its device and inode (hard links)."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return [path.resolve()]
+    return [path.resolve(), (st.st_dev, st.st_ino)]
+
+
 @contextmanager
 def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
-                outputs=(), reads=()):
+                outputs=(), reads=(), *, base: bool = False):
     """A command's declared files, checked before its body and recorded
     after it; the body gets the inputs' digests, by path.
 
-    Before the body, an InputError if any output, the manifest
-    <--out>.manifest.json included, is the same file as an input or a file
-    the command also reads (a study's checkpoint, a dataset's binary
-    table): by resolved path, or by os.path.samefile when both exist (hard
-    links). Then each input is hashed once; the body may pass a digest on
-    (`_load_data`). After the body, the manifest with the digests of the
-    inputs and outputs. Without --out there is nothing to check or record,
-    and no digest.
+    The manifest is --out with its suffix replaced by .manifest.json, or,
+    with `base` (--out names a base, not a file), with it appended. Before
+    the body, an InputError if any output, the manifest included, is the
+    same file (`_identities`) as an input, a file the command also reads
+    (a study's checkpoint, a dataset's binary table) or another output.
+    Then each input is hashed once; the body may pass a digest on
+    (`_load_data`), and may add the digests of outputs it hashed as it
+    wrote them, which are then not read back. After the body, the
+    manifest with the digests of the inputs and outputs. Without --out
+    there is nothing to check or record, and no digest.
     """
     if args.out is None:
         yield {}
         return
     started = datetime.now(timezone.utc).isoformat()
     inputs, outputs = [Path(p) for p in inputs], [Path(p) for p in outputs]
-    manifest = Path(args.out).with_suffix(".manifest.json")
+    manifest = _beside(args.out, ".manifest.json") if base else \
+        Path(args.out).with_suffix(".manifest.json")
+    taken = {}   # identity -> (the file it names, whether an output)
+    for path in [*inputs, *map(Path, reads)]:
+        for key in _identities(path):
+            taken.setdefault(key, (path, False))
     for out in [*outputs, manifest]:
-        for inp in [*inputs, *map(Path, reads)]:
-            if out.resolve() == inp.resolve() or (
-                    out.exists() and inp.exists()
-                    and os.path.samefile(out, inp)):
-                raise InputError(f"output {out} would overwrite input {inp}")
+        keys = _identities(out)
+        for key in keys:
+            if key in taken:
+                other, is_output = taken[key]
+                raise InputError(
+                    f"outputs {other} and {out} are one file" if is_output
+                    else f"output {out} would overwrite input {other}")
+        taken.update((key, (out, True)) for key in keys)
     digests = {p: file_digest(p) for p in inputs}
     yield digests
     save_manifest(RunManifest(
         command=args.command, config=config, seed=seed, version=TOOL_VERSION,
         started=started, finished=datetime.now(timezone.utc).isoformat(),
-        inputs={str(p): digest for p, digest in digests.items()},
-        outputs={str(p): file_digest(p) for p in outputs},
+        inputs={str(p): digests[p] for p in inputs},
+        outputs={str(p): digests.get(p) or file_digest(p) for p in outputs},
         argv=argv), manifest)
 
 
@@ -149,10 +177,10 @@ def _cmd_simulate(args, argv):
     out = Path(args.out)
     sidecar = out.with_suffix(".gen.json")
     with _run_record(args, argv, config, gen.seed,
-                     outputs=[out, table_path(out), sidecar]):
+                     outputs=[out, table_path(out), sidecar]) as digests:
         data = sample(truth, gen)
-        write_dataset_csv(data, out)
-        save_stamped("genconfig", config, sidecar)
+        digests.update(write_dataset_csv(data, out))
+        digests[sidecar] = save_stamped("genconfig", config, sidecar)
     print(f"wrote {data.n} rows (dim {data.dim}) to {out}")
 
 
@@ -183,12 +211,11 @@ def _cmd_fit(args, argv):
 
 
 def _cmd_dendrogram(args, argv):
-    base = Path(args.out)
-    out_json, out_csv = base.with_suffix(".json"), base.with_suffix(".csv")
+    out_json, out_csv = _beside(args.out, ".json"), _beside(args.out, ".csv")
     with _run_record(args, argv, {"model": str(args.model),
                                   "data": str(args.data)}, None,
                      [args.model, args.data], [out_json, out_csv],
-                     [table_path(args.data)]) as digests:
+                     [table_path(args.data)], base=True) as digests:
         model = load_model_or_fit(args.model)
         data = _load_data(args, digests)
         dg = build_path(model)
@@ -204,13 +231,14 @@ def _cmd_dendrogram(args, argv):
 
 def _cmd_select(args, argv):
     methods = METHODS if args.method == "all" else (args.method,)
-    outputs = {m: Path(args.out).with_suffix(f".{m}.json") for m in methods}
+    outputs = {m: _beside(args.out, f".{m}.json") for m in methods}
     epsilon = _parse_epsilon(args.epsilon)
     cfg = _fit_config(args, args.kmax)
     config = {**asdict(cfg), "kmax": args.kmax, "methods": list(methods),
               "epsilon": args.epsilon}
     with _run_record(args, argv, config, cfg.seed, [args.data],
-                     outputs.values(), [table_path(args.data)]) as digests:
+                     outputs.values(), [table_path(args.data)],
+                     base=True) as digests:
         data = _load_data(args, digests)
         reports = select_order(data, args.kmax, methods, cfg,
                                lambda k: make_init(data, replace(cfg, K=k)),
@@ -236,7 +264,7 @@ def _selection_table(reports: dict, kmax: int) -> str:
 def _cmd_metrics(args, argv):
     with _run_record(args, argv, {"fitted": str(args.fitted),
                                   "reference": str(args.reference)}, None,
-                     [args.fitted, args.reference], [args.out]):
+                     [args.fitted, args.reference], [args.out]) as digests:
         fitted = load_model_or_fit(args.fitted)
         reference = load_model_or_fit(args.reference)
         report = loss_report(fitted, reference)
@@ -244,7 +272,8 @@ def _cmd_metrics(args, argv):
                                             "t0", "t1")}
         print(json.dumps(doc, indent=2, sort_keys=True))
         if args.out is not None:
-            save_stamped("metrics", doc, Path(args.out))
+            digests[Path(args.out)] = save_stamped("metrics", doc,
+                                                   Path(args.out))
 
 
 def _study_config(args):
@@ -321,9 +350,8 @@ def _cmd_study(args, argv):
     CSV (one `rep` row per checkpoint record, then the summary rows) and
     the curves, and print the status line."""
     cfg = _study_config(args)
-    base = Path(args.out)
     checkpoint = Path(args.checkpoint) if args.checkpoint else \
-        base.with_suffix(".checkpoint.csv")
+        _beside(args.out, ".checkpoint.csv")
     if isinstance(cfg, RateStudyConfig):
         run, report = run_rate_study, _rate_outputs
         suffixes = [".dat", ".raw.dat"] if cfg.setting == "merged" else \
@@ -331,10 +359,11 @@ def _cmd_study(args, argv):
     else:
         run, report = run_selection_study, _selection_outputs
         suffixes = [f".{m}.dat" for m in cfg.methods]
-    out_csv = base.with_suffix(".csv")
-    curve_paths = [base.with_suffix(s) for s in suffixes]
+    out_csv = _beside(args.out, ".csv")
+    curve_paths = [_beside(args.out, s) for s in suffixes]
     with _run_record(args, argv, asdict(cfg), cfg.seed,
-                     outputs=[out_csv, *curve_paths], reads=[checkpoint]):
+                     outputs=[out_csv, *curve_paths, record_path(checkpoint)],
+                     reads=[checkpoint], base=True):
         result = run(cfg, checkpoint=checkpoint)
         values, columns, summary, curves, status = report(cfg, result)
         blank_values, blank_summary = [""] * len(values), [""] * len(columns)
@@ -482,12 +511,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """One parser per process: parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -105,9 +105,10 @@ def sample_labeled(truth: MixingMeasure,
         expert = picks[rows]
         means = np.sum(slopes[expert] * xs[rows], axis=1) + intercepts[expert]
         ys[rows] = means + sds[expert] * ys[rows]
-    np.copyto(ys, rng.laplace(0.0, 1.0, size=n), where=contaminated)
-    picks[contaminated] = -1
-    return Dataset(xs=xs, ys=ys), picks
+    if contaminated.any():   # the last draw: skipping it moves nothing
+        np.copyto(ys, rng.laplace(0.0, 1.0, size=n), where=contaminated)
+        picks[contaminated] = -1
+    return Dataset._adopt(xs, ys), picks
 
 
 def sample(truth: MixingMeasure, cfg: GenConfig) -> Dataset:

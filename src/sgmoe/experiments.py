@@ -9,17 +9,20 @@ Completed records persist to an optional checkpoint CSV and are skipped on
 resume; a final line without its line terminator was torn by a kill and is
 recomputed. A finished run leaves the checkpoint sorted by key, and
 aggregation is a deterministic reduce over sorted keys. Worker scheduling
-therefore cannot change any output byte.
+therefore cannot change any output byte. Beside the checkpoint,
+`record_path` holds the config that wrote it, and a resume under another
+config is refused, so one study's records never finish another's.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor, as_completed
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -30,10 +33,11 @@ from .dendrogram import build_path
 from .errors import InputError, NumericError
 from .estimation import FitConfig, em_fit, init_kmeans, init_perturbed
 from .metrics import vde, vdfra, vdo
-from .model import Dataset, MixingMeasure
+from .model import Dataset, MixingMeasure, row_blocks
 from .selection import (METHODS, SelectionReport, argmin_level,
                         criterion_scores, dsc_select)
-from .serialize import _unreadable, _unwritable, overwrite
+from .serialize import (_read_json, _unreadable, _unwritable, _write_json,
+                        format_tag, overwrite)
 
 LOSSES = {"vde": vde, "vdo": vdo, "vdfra": vdfra}
 SETTINGS = ("exact", "overfit", "merged")
@@ -176,10 +180,21 @@ def gate_spread(model, xs: np.ndarray) -> float:
     The largest swing, over the covariates `xs`, of the log-ratio between
     two atoms' gates. Intercepts cancel, so R is unchanged by a common
     gating translation (t0, t1) and by relabelling the atoms.
+
+    Taken over `row_blocks`: each block's (rows, K, K) differences of the
+    gate slopes' scores update a running max and min per pair. Max and min
+    are exact, so R is the same float for any blocking.
     """
-    z = xs @ np.array([atom.omega1 for atom in model.atoms]).T  # (n, K)
-    diffs = z[:, :, None] - z[:, None, :]
-    return float(np.max(np.ptp(diffs, axis=0)))
+    slopes = np.array([atom.omega1 for atom in model.atoms]).T  # (d, K)
+    pairs = (slopes.shape[1],) * 2
+    hi, lo = np.full(pairs, -np.inf), np.full(pairs, np.inf)
+    for rows in row_blocks(xs.shape[0]):
+        z = xs[rows] @ slopes
+        diffs = z[:, :, None] - z[:, None, :]
+        np.maximum(hi, diffs.max(axis=0), out=hi)
+        np.minimum(lo, diffs.min(axis=0), out=lo)
+        del z, diffs   # else they live on while the next block's are made
+    return float(np.max(hi - lo))
 
 
 def _rate_replication(cfg: RateStudyConfig, n_index: int, n: int,
@@ -301,6 +316,46 @@ def _write_checkpoint(path, fields, records: dict) -> None:
         raise _unwritable(path, exc) from exc
 
 
+def record_path(checkpoint) -> Path:
+    """The config record beside a study checkpoint: its name with
+    .config.json appended."""
+    return Path(f"{checkpoint}.config.json")
+
+
+def _config_record(cfg) -> dict:
+    """The study's kind and config as flat JSON values, the em fields as
+    "em.<field>"; `workers` is left out, as it changes no record."""
+    flat = {"study": type(cfg).__name__}
+    for name, value in asdict(cfg).items():
+        if isinstance(value, dict):
+            flat.update({f"{name}.{key}": v for key, v in value.items()})
+        elif name != "workers":
+            flat[name] = value
+    return json.loads(json.dumps(flat))
+
+
+def _check_record(checkpoint, cfg) -> dict:
+    """The config record of `cfg`, after checking it against the record of
+    an existing checkpoint: an InputError names the first field that
+    differs. A checkpoint without a record (hand-made, or written before
+    records were kept) is taken as this config's; a record without its
+    checkpoint is stale and is replaced."""
+    ours = _config_record(cfg)
+    path = record_path(checkpoint)
+    if not (os.path.exists(checkpoint) and os.path.exists(path)):
+        return ours
+    theirs = _read_json(path, "study_config")
+    theirs.pop("format")
+    for key in dict.fromkeys([*ours, *theirs]):
+        if key not in ours or key not in theirs or ours[key] != theirs[key]:
+            there, here = (json.dumps(doc[key]) if key in doc else "absent"
+                           for doc in (theirs, ours))
+            raise InputError(
+                f"checkpoint {checkpoint} was written with another config: "
+                f"{key} is {there} there, {here} here")
+    return ours
+
+
 def _run_jobs(jobs, worker: Callable, workers: int, on_done: Callable):
     """Execute (key, args) jobs inline or on a process pool."""
     if workers <= 1 or len(jobs) <= 1:
@@ -323,7 +378,9 @@ def _run_grid(cfg, checkpoint, values, replication: Callable, reads=None):
     takes each new record as it finishes. A finished run rewrites it from
     memory in (n_index, rep) order, so its bytes do not depend on the
     worker count; an interrupted one leaves its appended rows for the
-    resume. More than 10% skipped replications abort the study with
+    resume. The config record (`record_path`) is checked before the
+    checkpoint is read (`_check_record`) and written after it is
+    rewritten. More than 10% skipped replications abort the study with
     NumericError.
 
     Returns the sorted records, per size the ok records' `reads` columns
@@ -335,8 +392,11 @@ def _run_grid(cfg, checkpoint, values, replication: Callable, reads=None):
     records = {}
     fh = None
     if checkpoint is not None:
+        record = _check_record(checkpoint, cfg)
         records = _load_checkpoint(checkpoint, fields, sizes, cfg.reps, cols)
         _write_checkpoint(checkpoint, fields, records)
+        _write_json({"format": format_tag("study_config"), **record},
+                    record_path(checkpoint))
         try:
             fh = open(checkpoint, "a", newline="")
         except OSError as exc:

@@ -233,8 +233,19 @@ class Dataset:
     ys: np.ndarray  # (n,)
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
+        self._freeze(self.xs, self.ys, copy=True)
+
+    @classmethod
+    def _adopt(cls, xs: np.ndarray, ys: np.ndarray) -> "Dataset":
+        """A Dataset over float arrays that nothing else holds: checked
+        like any other, then made read-only in place rather than copied."""
+        data = object.__new__(cls)
+        data._freeze(xs, ys, copy=False)
+        return data
+
+    def _freeze(self, xs, ys, copy: bool) -> None:
+        xs = np.asarray(xs, dtype=float)
+        ys = np.asarray(ys, dtype=float)
         if xs.ndim != 2:
             raise InputError(f"xs must be 2-d (n, dim), got shape {xs.shape}")
         if ys.ndim != 1:
@@ -248,8 +259,8 @@ class Dataset:
             raise InputError("covariate dimension must be >= 1")
         if not np.all(np.isfinite(xs)) or not np.all(np.isfinite(ys)):
             raise InputError("dataset contains non-finite values")
-        xs = xs.copy()
-        ys = ys.copy()
+        if copy:
+            xs, ys = xs.copy(), ys.copy()
         xs.setflags(write=False)
         ys.setflags(write=False)
         object.__setattr__(self, "xs", xs)

@@ -6,7 +6,8 @@ Floats are written with repr, so finite doubles survive a round trip
 bit-for-bit. Dataset CSVs have no stamp: their header is their schema.
 Beside each dataset CSV it writes, `write_dataset_csv` leaves the same
 table in binary (`table_path`), keyed to the CSV's bytes, which
-`load_dataset_csv` reads instead of parsing the CSV while the key holds.
+`load_dataset_csv` reads instead of parsing the CSV while the key holds;
+it digests both files from the bytes it writes.
 
 Every output file is opened by `overwrite`, which writes over an existing
 file in place and cuts it at the end of the new bytes rather than
@@ -89,9 +90,12 @@ def overwrite(path, newline=None, *, name=None, binary=False):
         raise _unwritable(path if name is None else name, exc) from exc
 
 
-def _write_json(doc: dict, path) -> None:
-    with overwrite(path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def _write_json(doc: dict, path) -> bytes:
+    """Write `doc`; returns the bytes written."""
+    data = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    with overwrite(path, binary=True) as fh:
+        fh.write(data)
+    return data
 
 
 def _read_stamped(path) -> tuple[str, dict]:
@@ -124,9 +128,11 @@ def _read_json(path, kind: str) -> dict:
     return doc
 
 
-def save_stamped(kind: str, payload: dict, path) -> None:
-    """Write an arbitrary payload dict under a format stamp."""
-    _write_json({"format": format_tag(kind), **payload}, path)
+def save_stamped(kind: str, payload: dict, path) -> str:
+    """Write an arbitrary payload dict under a format stamp; returns the
+    written file's digest."""
+    return fnv1a64(_write_json({"format": format_tag(kind), **payload},
+                               path))
 
 
 def save_model(model: MixingMeasure, path) -> None:
@@ -185,28 +191,41 @@ def table_path(path) -> Path:
     return Path(f"{path}.f64")
 
 
-def write_dataset_csv(data: Dataset, path) -> None:
+def write_dataset_csv(data: Dataset, path) -> dict[Path, str]:
     """Header x1..xD,y; values via repr (17 significant digits).
 
     The bytes are those of `csv.writer`'s default dialect: comma-separated,
     CRLF line ends, nothing quoted (no float repr holds a comma or quote).
     Then `table_path(path)` gets the same table in binary, keyed to the
     CSV's length and FNV-1a digest and checked by a CRC-32 of its payload.
+    Both files are hashed from the bytes as they are written, and their
+    `file_digest` values are returned by path, so nothing is read back.
     """
     table = np.column_stack((data.xs, data.ys))
     line = ",".join(["%r"] * table.shape[1]) + "\r\n"
-    with overwrite(path, newline="") as fh:
-        fh.write(",".join(dataset_header(data.dim)) + "\r\n")
+    csv_hash = _Fnv1a()
+    with overwrite(path, binary=True) as fh:
+        def write(text):
+            chunk = text.encode("ascii")
+            fh.write(chunk)
+            csv_hash.update(chunk)
+
+        write(",".join(dataset_header(data.dim)) + "\r\n")
         for start in range(0, data.n, _CSV_CHUNK_ROWS):
             rows = table[start:start + _CSV_CHUNK_ROWS]
-            fh.write((line * len(rows)) % tuple(rows.ravel().tolist()))
+            write((line * len(rows)) % tuple(rows.ravel().tolist()))
+    csv_digest = csv_hash.hexdigest()
     payload = np.ascontiguousarray(table, dtype="<f8")
-    header = _TABLE_HEADER.pack(_TABLE_MAGIC, os.path.getsize(path),
-                                int(file_digest(path), 16), *payload.shape,
+    header = _TABLE_HEADER.pack(_TABLE_MAGIC, csv_hash.length,
+                                int(csv_digest, 16), *payload.shape,
                                 zlib.crc32(payload))
+    table_hash = _Fnv1a()
     with overwrite(table_path(path), binary=True) as fh:
-        fh.write(header)
-        fh.write(payload)
+        for part in (header, payload):
+            fh.write(part)
+            table_hash.update(part)
+    return {Path(path): csv_digest,
+            table_path(path): table_hash.hexdigest()}
 
 
 def load_dataset_csv(path, y_last: bool = False, *,
@@ -418,13 +437,43 @@ def _fnv1a64_chunk(h: int, chunk) -> int:
     return h
 
 
+class _Fnv1a:
+    """Running FNV-1a state over bytes fed in pieces of any size; the
+    pieces are hashed in whole _FNV_CHUNKs, as `file_digest` reads them.
+    `length` counts the bytes fed."""
+
+    def __init__(self):
+        self._h = _FNV_OFFSET
+        self._pending = b""
+        self.length = 0
+
+    def update(self, data) -> None:
+        view = memoryview(data).cast("B")
+        self.length += len(view)
+        if self._pending:
+            take = _FNV_CHUNK - len(self._pending)
+            self._pending += bytes(view[:take])
+            view = view[take:]
+            if len(self._pending) < _FNV_CHUNK:
+                return
+            self._h = _fnv1a64_chunk(self._h, self._pending)
+        whole = len(view) - len(view) % _FNV_CHUNK
+        for start in range(0, whole, _FNV_CHUNK):
+            self._h = _fnv1a64_chunk(self._h, view[start:start + _FNV_CHUNK])
+        self._pending = bytes(view[whole:])
+
+    def hexdigest(self) -> str:
+        h = self._h
+        if self._pending:
+            h = _fnv1a64_chunk(h, self._pending)
+        return f"{h:016x}"
+
+
 def fnv1a64(data: bytes) -> str:
     """64-bit FNV-1a hash as 16 hex digits."""
-    h = _FNV_OFFSET
-    view = memoryview(data)
-    for start in range(0, len(view), _FNV_CHUNK):
-        h = _fnv1a64_chunk(h, view[start:start + _FNV_CHUNK])
-    return f"{h:016x}"
+    h = _Fnv1a()
+    h.update(data)
+    return h.hexdigest()
 
 
 def file_digest(path) -> str:
@@ -432,14 +481,14 @@ def file_digest(path) -> str:
     path = Path(path)
     if not path.exists():
         raise InputError(f"no such file: {path}")
-    h = _FNV_OFFSET
+    h = _Fnv1a()
     try:
         with open(path, "rb") as fh:
             while chunk := fh.read(_FNV_CHUNK):
-                h = _fnv1a64_chunk(h, chunk)
+                h.update(chunk)
     except OSError as exc:
         raise _unreadable(path, exc) from exc
-    return f"{h:016x}"
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)

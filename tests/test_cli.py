@@ -3,15 +3,18 @@
 import csv
 import json
 import os
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
 
+from sgmoe import cli
 from sgmoe.cli import run_cli
 from sgmoe.datagen import builtin_truths
-from sgmoe.experiments import preset
+from sgmoe.estimation import FitConfig
+from sgmoe.experiments import preset, record_path
 from sgmoe.serialize import (
+    file_digest,
     load_dataset_csv,
     load_dendrogram,
     load_fit,
@@ -20,6 +23,7 @@ from sgmoe.serialize import (
     save_fit,
     save_model,
     save_stamped,
+    table_path,
 )
 
 from helpers import separated_fit
@@ -733,3 +737,116 @@ def test_unknown_preset_rejected(tmp_path, capsys):
                   "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "usage" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n, seed, csv_size", [
+    (6670, 24, 262143), (6674, 9, 262144), (6673, 46, 262145),
+    (20000, 0, None)])
+def test_simulate_digests_what_it_writes(tmp_path, monkeypatch, n, seed,
+                                         csv_size):
+    # the CSV ends one byte short of, at and one byte past a whole 256 KiB
+    # digest chunk; at N = 20000 the table spans two chunks too
+    monkeypatch.setattr(cli, "file_digest",
+                        lambda path: pytest.fail(f"{path} was read back"))
+    out = tmp_path / "d.csv"
+    assert run_cli(["simulate", "--truth", "g0_2", "--n", str(n),
+                    "--seed", str(seed), "--out", str(out)]) == 0
+    if csv_size is not None:
+        assert out.stat().st_size == csv_size
+    outputs = load_manifest(tmp_path / "d.manifest.json").outputs
+    assert set(outputs) == {str(out), str(table_path(out)),
+                            str(tmp_path / "d.gen.json")}
+    for path, digest in outputs.items():
+        assert digest == file_digest(path)
+    # the table is keyed to the written CSV: an edit at the same length
+    # is parsed, not matched to the table
+    before = load_dataset_csv(out)
+    text = out.read_bytes()
+    at = text.index(b"1", text.index(b"\n"))
+    out.write_bytes(text[:at] + b"2" + text[at + 1:])
+    edited = load_dataset_csv(out)
+    table_path(out).unlink()
+    parsed = load_dataset_csv(out)
+    assert edited.ys.tobytes() == parsed.ys.tobytes()
+    assert edited.xs.tobytes() == parsed.xs.tobytes()
+    assert (edited.xs.tobytes(), edited.ys.tobytes()) != \
+        (before.xs.tobytes(), before.ys.tobytes())
+
+
+def test_simulate_refuses_outputs_that_are_one_file(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    out.write_bytes(b"old")
+    os.link(out, table_path(out))
+    assert run_cli(["simulate", "--truth", "g0_2", "--n", "50",
+                    "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: outputs {out} and {table_path(out)} are one file\n")
+    assert out.read_bytes() == b"old"
+
+
+def test_calls_in_one_process_record_their_own_flags(workdir, tmp_path):
+    data = str(workdir / "data.csv")
+    assert cli._parser() is cli._parser()
+    assert run_cli(["fit", "--data", data, "--k", "2", "--max-iter", "7",
+                    "--tol", "1e-3", "--init", "random",
+                    "--out", str(tmp_path / "a.json")]) == 0
+    assert run_cli(["fit", "--data", data, "--k", "1",
+                    "--out", str(tmp_path / "b.json")]) == 0
+    first = load_manifest(tmp_path / "a.manifest.json").config
+    second = load_manifest(tmp_path / "b.manifest.json").config
+    assert (first["K"], first["max_iter"], first["tol"], first["init"]) == \
+        (2, 7, 1e-3, "random")
+    assert second == json.loads(json.dumps(asdict(FitConfig(K=1))))
+
+
+TINY_SELECT = ["select-study", "--truth", "g0_2", "--n-min", "300",
+               "--n-max", "300", "--n-count", "1", "--reps", "1",
+               "--kmax", "2", "--methods", "dsc", "--em-max-iter", "50",
+               "--workers", "1"]
+
+
+@pytest.mark.parametrize("command", ["dendrogram", "select", "rate-study",
+                                     "select-study"])
+def test_dotted_out_base_keeps_its_tail(workdir, tmp_path, command):
+    data, fit = str(workdir / "data.csv"), str(workdir / "fit.json")
+    argv = {
+        "dendrogram": ["dendrogram", "--model", fit, "--data", data],
+        "select": ["select", "--data", data, "--kmax", "2",
+                   "--method", "all"],
+        "rate-study": ["rate-study", *TINY_STUDY],
+        "select-study": TINY_SELECT,
+    }[command]
+    written = []
+    for name in ("a", "a.5"):
+        before = set(tmp_path.iterdir())
+        assert run_cli(argv + ["--out", str(tmp_path / name)]) == 0
+        written.append({p.name for p in set(tmp_path.iterdir()) - before})
+    plain, dotted = written
+    assert "a.manifest.json" in plain
+    assert dotted == {"a.5" + name[1:] for name in plain}
+
+
+@pytest.mark.parametrize("study, flags, field", [
+    ("rate", ["--seed", "1"], "seed"),
+    ("rate", ["--init-scale", "0.25"], "em.init_scale"),
+    ("rate", ["--em-tol", "1e-4"], "em.tol"),
+    ("selection", ["--eps", "0.05"], "contamination_eps")])
+def test_resume_under_another_config_exits_one(tmp_path, capsys, study,
+                                               flags, field):
+    ckpt = tmp_path / "ck.csv"
+    argv = [*(["rate-study", *TINY_STUDY] if study == "rate"
+              else TINY_SELECT), "--checkpoint", str(ckpt)]
+    assert run_cli(argv + ["--out", str(tmp_path / "a")]) == 0
+    before = ckpt.read_bytes(), record_path(ckpt).read_bytes()
+    capsys.readouterr()
+    assert run_cli(argv + flags + ["--out", str(tmp_path / "b")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {ckpt} was written with "
+                          f"another config: {field} is ")
+    assert (ckpt.read_bytes(), record_path(ckpt).read_bytes()) == before
+    assert not (tmp_path / "b.csv").exists()
+    # the worker count is not part of the record
+    assert run_cli(argv + ["--workers", "2",
+                           "--out", str(tmp_path / "c")]) == 0
+    assert (tmp_path / "c.csv").read_bytes() == \
+        (tmp_path / "a.csv").read_bytes()

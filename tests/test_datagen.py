@@ -12,6 +12,7 @@ from sgmoe import model
 from sgmoe.datagen import GenConfig, builtin_truths, derive_seed, sample, sample_labeled
 from sgmoe.errors import InputError
 from sgmoe.model import Dataset, conditional_density, log_gates_matrix
+from sgmoe.serialize import fnv1a64
 
 from helpers import make_measure
 
@@ -44,7 +45,35 @@ class TestGenConfig:
             GenConfig(**bad)
 
 
+# FNV-1a of xs, ys and the labels (as little-endian int64) of datasets
+# drawn while the sampler still drew the Laplace responses of clean data and
+# copied its arrays into the Dataset
+PINNED_SAMPLES = [
+    ("g0_2", 0, 0.0, 20000, "a989c64eeee7ba0a"),
+    ("g0_2", 0, 0.05, 20000, "d6cf6cacf4b80457"),
+    ("g0_2", 7, 0.0, 20000, "fbadb18089511a01"),
+    ("g0_2", 7, 0.3, 20000, "4fcd13f5c55b8062"),
+    ("g0_2", 1, 0.05, 100, "31bd26c9401e3804"),
+    ("g0_3", 1, 0.0, 100, "bf9b7196e9da0684"),
+    ("g0_3", 1, 0.3, 20000, "2a91e2cd277f8327"),
+    ("g0_3", 7, 0.05, 100, "3bf484d8043d6bb9"),
+]
+
+
 class TestSample:
+    @pytest.mark.parametrize("name, seed, eps, n, digest", PINNED_SAMPLES)
+    def test_pinned_datasets(self, name, seed, eps, n, digest):
+        data, labels = sample_labeled(builtin_truths()[name], GenConfig(
+            n=n, seed=seed, contamination_eps=eps))
+        assert fnv1a64(data.xs.tobytes() + data.ys.tobytes()
+                       + labels.astype("<i8").tobytes()) == digest
+
+    def test_sample_hands_over_its_arrays(self, monkeypatch):
+        monkeypatch.setattr(Dataset, "__post_init__",
+                            lambda self: pytest.fail("the arrays were copied"))
+        data = sample(builtin_truths()["g0_2"], GenConfig(n=50))
+        assert not (data.xs.flags.writeable or data.ys.flags.writeable)
+
     def test_standard_normal_moments(self):
         g = make_measure([(0.0, (0.0,), (0.0,), 0.0, 1.0)])
         data = sample(g, GenConfig(n=100_000, seed=12))

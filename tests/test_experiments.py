@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import tracemalloc
 from functools import lru_cache
 
 import numpy as np
@@ -21,12 +22,15 @@ from sgmoe.experiments import (
     gate_spread,
     log_size_grid,
     preset,
+    record_path,
     resolve_workers,
     run_rate_study,
     run_selection_study,
     slope_fit,
 )
-from sgmoe.model import ExpertAtom, MixingMeasure, translate
+from sgmoe.model import ROW_BLOCK, ExpertAtom, MixingMeasure, translate
+
+from helpers import random_measure
 
 
 @pytest.fixture(autouse=True)
@@ -200,6 +204,31 @@ class TestRateStudy:
             run_rate_study(tiny_rate_config(n_min=120, n_max=480),
                            checkpoint=ckpt)
 
+    def test_checkpoint_records_its_config(self, tmp_path):
+        cfg = tiny_rate_config()
+        ckpt = tmp_path / "c.csv"
+        res = run_rate_study(cfg, checkpoint=ckpt)
+        record = record_path(ckpt)
+        assert record == tmp_path / "c.csv.config.json"
+        for changed, field in ((tiny_rate_config(seed=12), "seed"),
+                               (tiny_rate_config(em=FitConfig(
+                                   K=2, tol=1e-4, max_iter=300)), "em.tol"),
+                               (tiny_rate_config(reps=3), "reps")):
+            with pytest.raises(InputError, match=f"another config: {field} "):
+                run_rate_study(changed, checkpoint=ckpt)
+        # a checkpoint without a record is taken as this config's
+        record.unlink()
+        assert repr(run_rate_study(tiny_rate_config(workers=2),
+                                   checkpoint=ckpt)) == repr(res)
+        with pytest.raises(InputError, match="another config: seed "):
+            run_rate_study(tiny_rate_config(seed=12), checkpoint=ckpt)
+        # a record without its checkpoint is stale
+        ckpt.unlink()
+        run_rate_study(tiny_rate_config(seed=12), checkpoint=ckpt)
+        with pytest.raises(InputError, match="another config: seed is 12 "
+                           "there, 11 here"):
+            run_rate_study(cfg, checkpoint=ckpt)
+
     def test_process_pool_matches_inline(self):
         cfg = zero_update_config(workers=2)
         assert repr(run_rate_study(cfg)) == \
@@ -351,6 +380,34 @@ class TestSeparationRule:
             relabelled = MixingMeasure(atoms=perm, dim=truth.dim)
             assert gate_spread(relabelled, xs) == base
         assert gate_spread(self.SEPARATED, xs) > MAX_GATE_SPREAD
+
+    @staticmethod
+    def cube_spread(model, xs):
+        """R from the (N, K, K) cube of pairwise score differences."""
+        z = xs @ np.array([atom.omega1 for atom in model.atoms]).T
+        return float(np.max(np.ptp(z[:, :, None] - z[:, None, :], axis=0)))
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_spread_is_the_cube_formula(self, dim, seed):
+        rng = np.random.default_rng(seed)
+        model = random_measure(rng, int(rng.integers(2, 6)), dim, scale=20.0)
+        for n in (1, 7, ROW_BLOCK, 2 * ROW_BLOCK + 123):
+            xs = rng.uniform(-1.0, 2.0, size=(n, dim))
+            assert gate_spread(model, xs) == self.cube_spread(model, xs)
+
+    def test_spread_memory_does_not_grow_with_n(self):
+        xs = np.random.default_rng(1).uniform(size=(100_000, 1))
+        model = random_measure(np.random.default_rng(2), 4, 1)
+        tracemalloc.start()
+        try:
+            gate_spread(model, xs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about one block's (ROW_BLOCK, K, K) cube, not the 12.8 MB
+        # (N, K, K) one
+        assert peak < 1.5 * ROW_BLOCK * 4 * 4 * 8
 
 
 class TestSelectionStudy:

@@ -77,6 +77,13 @@ class TestValidation:
         with pytest.raises(InputError):
             Dataset(xs=np.array([[np.nan]]), ys=np.array([0.0]))
 
+    def test_dataset_copies_what_it_is_given(self):
+        xs, ys = np.zeros((3, 1)), np.ones(3)
+        data = Dataset(xs=xs, ys=ys)
+        xs[0, 0] = ys[0] = 5.0
+        assert data.xs[0, 0] == 0.0 and data.ys[0] == 1.0
+        assert xs.flags.writeable and not data.xs.flags.writeable
+
     def test_covariate_shape_checked(self):
         g = g0_two_expert()
         with pytest.raises(InputError):

@@ -22,6 +22,7 @@ from sgmoe.serialize import (
     _FNV_CHUNK,
     _TABLE_HEADER,
     RunManifest,
+    _Fnv1a,
     _fnv_powers,
     file_digest,
     fnv1a64,
@@ -313,7 +314,9 @@ class TestDatasetTable:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_is_the_parse(self, tmp_path_factory, data):
         p = tmp_path_factory.getbasetemp() / "table.csv"
-        write_dataset_csv(data, p)
+        digests = write_dataset_csv(data, p)
+        assert digests == {p: file_digest(p),
+                           table_path(p): file_digest(table_path(p))}
         through_table = load_dataset_csv(p)
         parsed = _parsed(p)
         assert _same(through_table, parsed) and _same(parsed, data)
@@ -548,6 +551,28 @@ class TestDigests:
         data = np.random.default_rng(seed).integers(
             0, alphabet, size=length, dtype=np.uint8).tobytes()
         assert fnv1a64(data) == fnv1a64_oracle(data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(length=st.sampled_from([0, 5, _FNV_CHUNK - 1, _FNV_CHUNK,
+                                   2 * _FNV_CHUNK + 37]),
+           cuts=st.lists(st.integers(0, 2 * _FNV_CHUNK + 37), max_size=6),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_pieces_of_any_size_give_the_digest(self, length, cuts, seed):
+        data = np.random.default_rng(seed).integers(
+            0, 4, size=length, dtype=np.uint8).tobytes()
+        h = _Fnv1a()
+        bounds = sorted({0, length, *(c for c in cuts if c < length)})
+        for start, end in zip(bounds, bounds[1:]):
+            h.update(data[start:end])
+        assert h.hexdigest() == fnv1a64(data)
+        assert h.length == length
+
+    def test_array_pieces_hash_their_bytes(self):
+        table = np.random.default_rng(3).normal(size=(20000, 2))
+        h = _Fnv1a()
+        h.update(b"head")
+        h.update(table)
+        assert h.hexdigest() == fnv1a64(b"head" + table.tobytes())
 
     def test_file_digest_across_chunk_reads(self, tmp_path):
         # the last read holds 37 bytes, ending inside a 64-bit word
