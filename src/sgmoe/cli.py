@@ -66,9 +66,13 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.format_usage()}{self.prog}: error: {message}")
 
 
-def _beside(base, suffix: str) -> Path:
-    """The file named `base` with `suffix` appended: a dotted tail of
-    `base` stays part of the name (`--out fig3b_s0.5`)."""
+def _beside(base, suffix: str, own: str | None = None) -> Path:
+    """The file named `base` with `suffix` appended, or put in place of
+    its suffix when that is `own` (the command's file type): any other
+    dotted tail stays part of the name (`--out fig3b_s0.5`)."""
+    base = Path(base)
+    if base.suffix == own:
+        return base.with_suffix(suffix)
     return Path(f"{base}{suffix}")
 
 
@@ -84,28 +88,27 @@ def _identities(path: Path) -> list:
 
 @contextmanager
 def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
-                outputs=(), reads=(), *, base: bool = False):
+                outputs=(), reads=(), *, own: str | None = None):
     """A command's declared files, checked before its body and recorded
     after it; the body gets the inputs' digests, by path.
 
-    The manifest is --out with its suffix replaced by .manifest.json, or,
-    with `base` (--out names a base, not a file), with it appended. Before
-    the body, an InputError if any output, the manifest included, is the
-    same file (`_identities`) as an input, a file the command also reads
-    (a study's checkpoint, a dataset's binary table) or another output.
-    Then each input is hashed once; the body may pass a digest on
-    (`_load_data`), and may add the digests of outputs it hashed as it
-    wrote them, which are then not read back. After the body, the
-    manifest with the digests of the inputs and outputs. Without --out
-    there is nothing to check or record, and no digest.
+    The manifest is --out with .manifest.json in place of its suffix when
+    that is `own`, the type of file --out names, else appended to it.
+    Before the body, an InputError if any output, the manifest included,
+    is the same file (`_identities`) as an input, a file the command also
+    reads (a study's checkpoint, a dataset's binary table) or another
+    output. Then each input but --data is hashed once; `_load_data` adds
+    the digest of --data. The body may add the digests of outputs it
+    hashed as it wrote them, which are then not read back. After the
+    body, the manifest with the digests of the inputs and outputs.
+    Without --out there is nothing to check or record, and no digest.
     """
     if args.out is None:
         yield {}
         return
     started = datetime.now(timezone.utc).isoformat()
     inputs, outputs = [Path(p) for p in inputs], [Path(p) for p in outputs]
-    manifest = _beside(args.out, ".manifest.json") if base else \
-        Path(args.out).with_suffix(".manifest.json")
+    manifest = _beside(args.out, ".manifest.json", own)
     taken = {}   # identity -> (the file it names, whether an output)
     for path in [*inputs, *map(Path, reads)]:
         for key in _identities(path):
@@ -119,7 +122,8 @@ def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
                     f"outputs {other} and {out} are one file" if is_output
                     else f"output {out} would overwrite input {other}")
         taken.update((key, (out, True)) for key in keys)
-    digests = {p: file_digest(p) for p in inputs}
+    data = Path(args.data) if "data" in args else None
+    digests = {p: file_digest(p) for p in inputs if p != data}
     yield digests
     save_manifest(RunManifest(
         command=args.command, config=config, seed=seed, version=TOOL_VERSION,
@@ -130,10 +134,14 @@ def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
 
 
 def _load_data(args, digests):
-    """The --data table, matched to its binary table by the digest that
-    `_run_record` took (the loader hashes it itself when there is none)."""
-    return load_dataset_csv(args.data, y_last=args.y_last,
-                            digest=digests.get(Path(args.data)))
+    """The --data table; its digest goes into `digests`: the one its
+    binary table holds when the loader uses that table, else the CSV's
+    `file_digest`."""
+    path = Path(args.data)
+    data = load_dataset_csv(path, y_last=args.y_last, digests=digests)
+    if path not in digests:
+        digests[path] = file_digest(path)
+    return data
 
 
 def _given(args, cls, prefix: str = "") -> dict:
@@ -175,9 +183,10 @@ def _cmd_simulate(args, argv):
     gen = GenConfig(**_given(args, GenConfig))
     config = {"truth": args.truth, **gen.to_dict()}
     out = Path(args.out)
-    sidecar = out.with_suffix(".gen.json")
+    sidecar = _beside(out, ".gen.json", ".csv")
     with _run_record(args, argv, config, gen.seed,
-                     outputs=[out, table_path(out), sidecar]) as digests:
+                     outputs=[out, table_path(out), sidecar],
+                     own=".csv") as digests:
         data = sample(truth, gen)
         digests.update(write_dataset_csv(data, out))
         digests[sidecar] = save_stamped("genconfig", config, sidecar)
@@ -197,7 +206,7 @@ def _cmd_fit(args, argv):
     inputs = [args.data] if args.reference is None else \
         [args.data, args.reference]
     with _run_record(args, argv, asdict(cfg), cfg.seed, inputs, [args.out],
-                     [table_path(args.data)]) as digests:
+                     [table_path(args.data)], own=".json") as digests:
         data = _load_data(args, digests)
         reference = None
         if args.reference is not None:
@@ -215,7 +224,7 @@ def _cmd_dendrogram(args, argv):
     with _run_record(args, argv, {"model": str(args.model),
                                   "data": str(args.data)}, None,
                      [args.model, args.data], [out_json, out_csv],
-                     [table_path(args.data)], base=True) as digests:
+                     [table_path(args.data)]) as digests:
         model = load_model_or_fit(args.model)
         data = _load_data(args, digests)
         dg = build_path(model)
@@ -237,8 +246,8 @@ def _cmd_select(args, argv):
     config = {**asdict(cfg), "kmax": args.kmax, "methods": list(methods),
               "epsilon": args.epsilon}
     with _run_record(args, argv, config, cfg.seed, [args.data],
-                     outputs.values(), [table_path(args.data)],
-                     base=True) as digests:
+                     outputs.values(),
+                     [table_path(args.data)]) as digests:
         data = _load_data(args, digests)
         reports = select_order(data, args.kmax, methods, cfg,
                                lambda k: make_init(data, replace(cfg, K=k)),
@@ -264,7 +273,8 @@ def _selection_table(reports: dict, kmax: int) -> str:
 def _cmd_metrics(args, argv):
     with _run_record(args, argv, {"fitted": str(args.fitted),
                                   "reference": str(args.reference)}, None,
-                     [args.fitted, args.reference], [args.out]) as digests:
+                     [args.fitted, args.reference], [args.out],
+                     own=".json") as digests:
         fitted = load_model_or_fit(args.fitted)
         reference = load_model_or_fit(args.reference)
         report = loss_report(fitted, reference)
@@ -363,7 +373,7 @@ def _cmd_study(args, argv):
     curve_paths = [_beside(args.out, s) for s in suffixes]
     with _run_record(args, argv, asdict(cfg), cfg.seed,
                      outputs=[out_csv, *curve_paths, record_path(checkpoint)],
-                     reads=[checkpoint], base=True):
+                     reads=[checkpoint]):
         result = run(cfg, checkpoint=checkpoint)
         values, columns, summary, curves, status = report(cfg, result)
         blank_values, blank_summary = [""] * len(values), [""] * len(columns)

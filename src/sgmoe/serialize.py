@@ -5,9 +5,9 @@ loaders refuse stamps whose kind or major version they do not understand.
 Floats are written with repr, so finite doubles survive a round trip
 bit-for-bit. Dataset CSVs have no stamp: their header is their schema.
 Beside each dataset CSV it writes, `write_dataset_csv` leaves the same
-table in binary (`table_path`), keyed to the CSV's bytes, which
-`load_dataset_csv` reads instead of parsing the CSV while the key holds;
-it digests both files from the bytes it writes.
+table in binary (`table_path`), keyed to the CSV's SHA-256 and holding its
+FNV-1a digest, which `load_dataset_csv` reads instead of parsing the CSV
+while the key holds; it digests both files from the bytes it writes.
 
 Every output file is opened by `overwrite`, which writes over an existing
 file in place and cuts it at the end of the new bytes rather than
@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
+import hashlib
 import itertools
 import json
 import math
@@ -45,10 +46,14 @@ TOOL_VERSION = f"v{__version__}"
 
 _FORMAT_RE = re.compile(r"^sgmoe/([a-z_]+)/v(\d+)$")
 _CSV_CHUNK_ROWS = 4096
-# binary table: magic, the CSV's byte length and FNV-1a digest, rows,
-# columns and the payload's CRC-32, then the rows as little-endian float64
-_TABLE_HEADER = struct.Struct("<8s5Q")
-_TABLE_MAGIC = b"sgmoeF64"
+# binary table: magic, the CSV's byte length, SHA-256 (the key) and FNV-1a
+# digest, rows, columns and a CRC-32 of this header (CRC field zeroed) and
+# the payload; then xs (rows x columns-1, row-major) and ys as little-endian
+# float64. A first-version table (magic sgmoeF64, rows interleaved) is
+# never read.
+_TABLE_HEADER = struct.Struct("<8sQ32s4Q")
+_TABLE_MAGIC = b"sgmoeT02"
+_SHA_CHUNK = 1 << 20
 
 
 def format_tag(kind: str) -> str:
@@ -197,39 +202,51 @@ def write_dataset_csv(data: Dataset, path) -> dict[Path, str]:
     The bytes are those of `csv.writer`'s default dialect: comma-separated,
     CRLF line ends, nothing quoted (no float repr holds a comma or quote).
     Then `table_path(path)` gets the same table in binary, keyed to the
-    CSV's length and FNV-1a digest and checked by a CRC-32 of its payload.
-    Both files are hashed from the bytes as they are written, and their
-    `file_digest` values are returned by path, so nothing is read back.
+    CSV's length and SHA-256, holding its FNV-1a digest and checked by a
+    CRC-32. Both files are hashed from the bytes as they are written, and
+    their `file_digest` values are returned by path, so nothing is read
+    back.
     """
     table = np.column_stack((data.xs, data.ys))
     line = ",".join(["%r"] * table.shape[1]) + "\r\n"
-    csv_hash = _Fnv1a()
+    csv_fnv, csv_sha = _Fnv1a(), hashlib.sha256()
     with overwrite(path, binary=True) as fh:
         def write(text):
             chunk = text.encode("ascii")
             fh.write(chunk)
-            csv_hash.update(chunk)
+            csv_fnv.update(chunk)
+            csv_sha.update(chunk)
 
         write(",".join(dataset_header(data.dim)) + "\r\n")
         for start in range(0, data.n, _CSV_CHUNK_ROWS):
             rows = table[start:start + _CSV_CHUNK_ROWS]
             write((line * len(rows)) % tuple(rows.ravel().tolist()))
-    csv_digest = csv_hash.hexdigest()
-    payload = np.ascontiguousarray(table, dtype="<f8")
-    header = _TABLE_HEADER.pack(_TABLE_MAGIC, csv_hash.length,
-                                int(csv_digest, 16), *payload.shape,
-                                zlib.crc32(payload))
+    csv_digest = csv_fnv.hexdigest()
+    xs = np.ascontiguousarray(data.xs, dtype="<f8")
+    ys = np.ascontiguousarray(data.ys, dtype="<f8")
+    key = (_TABLE_MAGIC, csv_fnv.length, csv_sha.digest(),
+           int(csv_digest, 16), data.n, data.dim + 1)
+    header = _TABLE_HEADER.pack(*key, _table_crc(key, xs, ys))
     table_hash = _Fnv1a()
     with overwrite(table_path(path), binary=True) as fh:
-        for part in (header, payload):
+        for part in (header, xs, ys):
             fh.write(part)
             table_hash.update(part)
     return {Path(path): csv_digest,
             table_path(path): table_hash.hexdigest()}
 
 
+def _table_crc(key, *payload) -> int:
+    """CRC-32 of a table header whose fields are `key` and whose CRC is 0,
+    then of the payload's parts."""
+    crc = zlib.crc32(_TABLE_HEADER.pack(*key, 0))
+    for part in payload:
+        crc = zlib.crc32(part, crc)
+    return crc
+
+
 def load_dataset_csv(path, y_last: bool = False, *,
-                     digest: str | None = None) -> Dataset:
+                     digests: dict | None = None) -> Dataset:
     """Read a dataset table; the response is the final column.
 
     By default the header must be exactly x1..xD,y. With y_last=True any
@@ -238,13 +255,14 @@ def load_dataset_csv(path, y_last: bool = False, *,
     line numbers; the header is line 1.
 
     Once the header has passed, the binary table beside the CSV
-    (`table_path`) is returned when it is whole and keyed to this CSV:
-    `digest` is the CSV's `file_digest` if the caller has it, else the
-    CSV is hashed here. The table is never written or required: in every
-    other case the body is parsed. It goes through numpy's C reader first.
-    Where that does not give a non-empty, finite table of the header's
-    width, a `csv.reader` scan reads it again; it accepts everything
-    `float` does (`1_0`, quoted fields) and names the first bad line.
+    (`table_path`) is returned, without a copy, when it is whole and keyed
+    to this CSV; then the CSV's FNV-1a digest that the table holds is put
+    in `digests`, if given, under `Path(path)`. The table is never written
+    or required: in every other case the body is parsed and `digests` is
+    left alone. It goes through numpy's C reader first. Where that does
+    not give a non-empty, finite table of the header's width, a
+    `csv.reader` scan reads it again; it accepts everything `float` does
+    (`1_0`, quoted fields) and names the first bad line.
     """
     path = Path(path)
     if not path.exists():
@@ -252,10 +270,13 @@ def load_dataset_csv(path, y_last: bool = False, *,
     try:
         with open(path, newline="") as fh:
             width = _read_header(csv.reader(fh), path, y_last)
-            table = _read_table(path, os.fstat(fh.fileno()).st_size, width,
-                                digest)
-            if table is None:
-                table = _load_body(fh, width)
+            found = _read_table(path, os.fstat(fh.fileno()).st_size, width)
+            if found is not None:
+                xs, ys, digest = found
+                if digests is not None:
+                    digests[path] = digest
+                return Dataset._adopt(xs, ys)
+            table = _load_body(fh, width)
             if table is None:
                 fh.seek(0)
                 reader = csv.reader(fh)
@@ -266,31 +287,42 @@ def load_dataset_csv(path, y_last: bool = False, *,
     return Dataset(xs=table[:, :-1], ys=table[:, -1])
 
 
-def _read_table(path, size: int, width: int,
-                digest: str | None) -> np.ndarray | None:
-    """The binary table beside the CSV `path` (`size` bytes), or None
-    unless its header names this CSV's length and digest and `width`
-    columns, its length fits the header and its payload's CRC-32 holds.
-    A cut-short overwrite (new prefix, old tail) fails the CRC."""
+def _read_table(path, size: int, width: int):
+    """xs, ys and the CSV's FNV-1a digest from the binary table beside the
+    CSV `path` (`size` bytes), or None unless its header is this version's,
+    names this CSV's length and `width` columns, its length fits the
+    header, the CSV's SHA-256 equals its key and its CRC-32 holds. A
+    cut-short overwrite (new prefix, old tail) fails the CRC."""
     try:
         with open(table_path(path), "rb") as fh:
             head = fh.read(_TABLE_HEADER.size)
             if len(head) != _TABLE_HEADER.size:
                 return None
-            magic, csv_size, csv_fnv, rows, cols, crc = \
-                _TABLE_HEADER.unpack(head)
+            *key, crc = _TABLE_HEADER.unpack(head)
+            magic, csv_size, csv_sha, csv_fnv, rows, cols = key
             count = rows * cols
             if (magic, csv_size, cols) != (_TABLE_MAGIC, size, width) or \
                     os.fstat(fh.fileno()).st_size != len(head) + 8 * count:
                 return None
-            if int(digest or file_digest(path), 16) != csv_fnv:
+            if _sha256(path) != csv_sha:
                 return None
-            table = np.fromfile(fh, dtype="<f8", count=count)
-    except (OSError, InputError):
+            payload = np.fromfile(fh, dtype="<f8", count=count)
+    except OSError:
         return None
-    if len(table) != count or zlib.crc32(table) != crc:
+    if len(payload) != count or _table_crc(key, payload) != crc:
         return None
-    return table.reshape(rows, cols)
+    split = rows * (cols - 1)
+    return (payload[:split].reshape(rows, cols - 1), payload[split:],
+            f"{csv_fnv:016x}")
+
+
+def _sha256(path) -> bytes:
+    """SHA-256 of a file's bytes."""
+    h = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(_SHA_CHUNK):
+            h.update(chunk)
+    return h.digest()
 
 
 def _read_header(reader, path, y_last: bool) -> int:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import struct
+import zlib
 
 import numpy as np
 from scipy.optimize import minimize
@@ -522,3 +524,17 @@ def csv_reader_dataset(path, y_last: bool = False) -> Dataset:
         raise InputError(f"{path} has a header but no data rows")
     table = np.array(rows)
     return Dataset(xs=table[:, :-1], ys=table[:, -1])
+
+
+def v1_table(path) -> bytes:
+    """The first-version binary table of the dataset CSV `path`: magic
+    sgmoeF64, the CSV's byte length and FNV-1a digest, rows, columns and
+    the payload's CRC-32, then the rows interleaved as little-endian
+    float64."""
+    with open(path, "rb") as fh:
+        text = fh.read()
+    data = csv_reader_dataset(path)
+    rows = np.column_stack((data.xs, data.ys)).astype("<f8")
+    return struct.pack("<8s5Q", b"sgmoeF64", len(text),
+                       int(fnv1a64(text), 16), *rows.shape,
+                       zlib.crc32(rows)) + rows.tobytes()

@@ -26,7 +26,7 @@ from sgmoe.serialize import (
     table_path,
 )
 
-from helpers import separated_fit
+from helpers import separated_fit, v1_table
 
 
 @pytest.fixture(scope="module")
@@ -824,6 +824,67 @@ def test_dotted_out_base_keeps_its_tail(workdir, tmp_path, command):
     plain, dotted = written
     assert "a.manifest.json" in plain
     assert dotted == {"a.5" + name[1:] for name in plain}
+
+
+@pytest.mark.parametrize("command, own", [("simulate", ".csv"),
+                                          ("fit", ".json"),
+                                          ("metrics", ".json")])
+def test_file_out_replaces_only_its_own_suffix(workdir, tmp_path, command,
+                                               own):
+    data, fit = str(workdir / "data.csv"), str(workdir / "fit.json")
+    argv = {
+        "simulate": ["simulate", "--truth", "g0_2", "--n", "50"],
+        "fit": ["fit", "--data", data, "--k", "1"],
+        "metrics": ["metrics", "--fitted", fit, "--reference", fit],
+    }[command]
+    for name in ("a.5", "a.6", f"a{own}"):
+        assert run_cli(argv + ["--out", str(tmp_path / name)]) == 0
+    # one manifest per run, each naming only its own output
+    for name, manifest in [("a.5", "a.5"), ("a.6", "a.6"), (f"a{own}", "a")]:
+        outputs = load_manifest(tmp_path / f"{manifest}.manifest.json").outputs
+        assert str(tmp_path / name) in outputs
+        if command == "simulate":
+            assert str(tmp_path / f"{manifest}.gen.json") in outputs
+    assert len(list(tmp_path.glob("*.manifest.json"))) == 3
+
+
+@pytest.mark.parametrize("table", ["kept", "removed", "csv-edited",
+                                   "fnv-field", "v1"])
+@pytest.mark.parametrize("command", ["fit", "dendrogram", "select"])
+def test_data_digest_is_the_file_digest(workdir, tmp_path, monkeypatch,
+                                        command, table):
+    data = tmp_path / "data.csv"
+    assert run_cli(["simulate", "--truth", "g0_2", "--n", "300", "--seed",
+                    "2", "--out", str(data)]) == 0
+    if table == "removed":
+        table_path(data).unlink()
+    elif table == "csv-edited":
+        # an edit of the same length: the table's key no longer holds
+        text = data.read_bytes()
+        at = text.index(b"1", text.index(b"\n"))
+        data.write_bytes(text[:at] + b"2" + text[at + 1:])
+    elif table == "fnv-field":
+        raw = bytearray(table_path(data).read_bytes())
+        raw[48] ^= 0x01   # the stored FNV-1a digest; the CRC catches it
+        table_path(data).write_bytes(raw)
+    elif table == "v1":
+        table_path(data).write_bytes(v1_table(data))
+    argv = {
+        "fit": ["fit", "--data", str(data), "--k", "2", "--seed", "1",
+                "--out", str(tmp_path / "f.json")],
+        "dendrogram": ["dendrogram", "--model", str(workdir / "fit.json"),
+                       "--data", str(data), "--out", str(tmp_path / "f")],
+        "select": ["select", "--data", str(data), "--kmax", "2",
+                   "--method", "bic", "--out", str(tmp_path / "f")],
+    }[command]
+    hashed = []
+    monkeypatch.setattr(cli, "file_digest", lambda path: hashed.append(
+        Path(path)) or file_digest(path))
+    assert run_cli(argv) == 0
+    inputs = load_manifest(tmp_path / "f.manifest.json").inputs
+    assert inputs[str(data)] == file_digest(data)
+    # the CSV is FNV-hashed only when its table is not used
+    assert (data in hashed) == (table != "kept")
 
 
 @pytest.mark.parametrize("study, flags, field", [

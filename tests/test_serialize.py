@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
 import tracemalloc
+import zlib
 import warnings
 
 import numpy as np
@@ -50,6 +52,7 @@ from helpers import (
     g0_three_expert,
     g0_two_expert,
     random_measure,
+    v1_table,
 )
 
 
@@ -320,7 +323,9 @@ class TestDatasetTable:
         through_table = load_dataset_csv(p)
         parsed = _parsed(p)
         assert _same(through_table, parsed) and _same(parsed, data)
-        assert _same(load_dataset_csv(p, digest=file_digest(p)), parsed)
+        held = {}
+        assert _same(load_dataset_csv(p, digests=held), parsed)
+        assert held == {p: file_digest(p)}
         assert _same(load_dataset_csv(p, y_last=True), parsed)
 
     def test_table_is_what_is_read(self, tmp_path, monkeypatch):
@@ -328,9 +333,36 @@ class TestDatasetTable:
                        ys=np.array([0.1 + 0.2]))
         p = tmp_path / "d.csv"
         write_dataset_csv(data, p)
+        want = {p: file_digest(p)}
         monkeypatch.setattr("sgmoe.serialize._load_body",
                             lambda *a: pytest.fail("the CSV was parsed"))
-        assert _same(load_dataset_csv(p, digest=file_digest(p)), data)
+        monkeypatch.setattr("sgmoe.serialize._Fnv1a",
+                            lambda: pytest.fail("the CSV was FNV-hashed"))
+        held = {}
+        got = load_dataset_csv(p, digests=held)
+        assert _same(got, data) and held == want
+        # xs and ys are the table's payload, adopted as read, not copied
+        assert got.xs.base is not None and got.xs.base is got.ys.base
+        assert got.xs.flags.c_contiguous and not got.xs.flags.writeable
+
+    def test_header_layout(self, tmp_path):
+        rng = np.random.default_rng(3)
+        data = Dataset(xs=rng.normal(size=(7, 2)), ys=rng.normal(size=7))
+        p = tmp_path / "d.csv"
+        write_dataset_csv(data, p)
+        raw = table_path(p).read_bytes()
+        size = _TABLE_HEADER.size
+        magic, n_bytes, sha, fnv, rows, cols, crc = _TABLE_HEADER.unpack(
+            raw[:size])
+        assert (magic, n_bytes, rows, cols) == \
+            (b"sgmoeT02", p.stat().st_size, 7, 3)
+        assert sha == hashlib.sha256(p.read_bytes()).digest()
+        assert f"{fnv:016x}" == file_digest(p)
+        # columnar payload: xs row-major, then ys
+        assert raw[size:] == data.xs.astype("<f8").tobytes() + \
+            data.ys.astype("<f8").tobytes()
+        zeroed = _TABLE_HEADER.pack(magic, n_bytes, sha, fnv, rows, cols, 0)
+        assert crc == zlib.crc32(raw[size:], zlib.crc32(zeroed))
 
     @pytest.mark.parametrize("truth", ["g0_2", "g0_3"])
     def test_simulated_table_is_the_parse(self, tmp_path, truth):
@@ -364,12 +396,20 @@ class TestDatasetTable:
             table.write_bytes(table_path(other).read_bytes()[:size]
                               + raw[size:])
         elif case == "wrong-width":
-            # one column of twice the rows: same length, same checksum
-            magic, n_bytes, fnv, rows, cols, crc = _TABLE_HEADER.unpack(
+            # one column of twice the rows: same length, same CRC field
+            magic, n_bytes, sha, fnv, rows, cols, crc = _TABLE_HEADER.unpack(
                 raw[:size])
-            raw[:size] = _TABLE_HEADER.pack(magic, n_bytes, fnv, rows * cols,
-                                            1, crc)
+            raw[:size] = _TABLE_HEADER.pack(magic, n_bytes, sha, fnv,
+                                            rows * cols, 1, crc)
             table.write_bytes(raw)
+        elif case == "fnv-field":
+            # the stored FNV-1a digest, which a run would record as the
+            # CSV's, off by one bit: the key still holds, the CRC does not
+            at = _TABLE_HEADER.size - 32
+            raw[at] ^= 0x01
+            table.write_bytes(raw)
+        elif case == "v1":
+            table.write_bytes(v1_table(p))
         elif case == "other-dataset":
             other = tmp_path / "other.csv"
             write_dataset_csv(Dataset(xs=np.ones((40, 1)), ys=np.ones(40)),
@@ -387,15 +427,19 @@ class TestDatasetTable:
     @pytest.mark.parametrize("case", ["csv-digit", "truncated",
                                       "payload-byte", "torn", "wrong-width",
                                       "other-dataset", "junk", "empty",
-                                      "directory"])
+                                      "directory", "fnv-field", "v1"])
     def test_untrusted_table_falls_back_to_the_parse(self, tmp_path, case,
                                                      digest):
+        # `digest`: whether the caller asks for the CSV's digest, which an
+        # unused table must not give
         rng = np.random.default_rng(0)
         data = Dataset(xs=rng.normal(size=(40, 1)), ys=rng.normal(size=40))
         p = tmp_path / "d.csv"
         write_dataset_csv(data, p)
         self._spoil(case, p, tmp_path)
-        got = load_dataset_csv(p, digest=file_digest(p) if digest else None)
+        held = {} if digest else None
+        got = load_dataset_csv(p, digests=held)
+        assert held in ({}, None)
         if case == "directory":
             table_path(p).rmdir()
         want = _parsed(p)
