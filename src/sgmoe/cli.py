@@ -193,16 +193,8 @@ def _cmd_simulate(args, argv):
     print(f"wrote {data.n} rows (dim {data.dim}) to {out}")
 
 
-def _fit_config(args, k: int) -> FitConfig:
-    given = _given(args, FitConfig)
-    if "gate_box" in given:
-        lo0, hi0, lo1, hi1 = given["gate_box"]
-        given["gate_box"] = ((lo0, hi0), (lo1, hi1))
-    return FitConfig(K=k, **given)
-
-
 def _cmd_fit(args, argv):
-    cfg = _fit_config(args, args.k)
+    cfg = FitConfig(K=args.k, **_given(args, FitConfig))
     inputs = [args.data] if args.reference is None else \
         [args.data, args.reference]
     with _run_record(args, argv, asdict(cfg), cfg.seed, inputs, [args.out],
@@ -242,7 +234,7 @@ def _cmd_select(args, argv):
     methods = METHODS if args.method == "all" else (args.method,)
     outputs = {m: _beside(args.out, f".{m}.json") for m in methods}
     epsilon = _parse_epsilon(args.epsilon)
-    cfg = _fit_config(args, args.kmax)
+    cfg = FitConfig(K=args.kmax, **_given(args, FitConfig))
     config = {**asdict(cfg), "kmax": args.kmax, "methods": list(methods),
               "epsilon": args.epsilon}
     with _run_record(args, argv, config, cfg.seed, [args.data],
@@ -403,11 +395,6 @@ def _add_fit_flags(p, init_choices=("kmeans", "perturbed_truth", "random")):
     p.add_argument("--newton-tol", type=float)
     p.add_argument("--ridge", type=float)
     p.add_argument("--sigma-floor", type=float)
-    p.add_argument("--gate-box", type=float, nargs=4,
-                   metavar=("LO0", "HI0", "LO1", "HI1"),
-                   help="compact bounds on the gating bias (LO0..HI0) and "
-                        "each gating slope coordinate (LO1..HI1), in the "
-                        "baseline gauge; both intervals must contain 0")
 
 
 def _add_study_flags(p):

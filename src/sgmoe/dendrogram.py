@@ -51,16 +51,12 @@ class Dendrogram:
 
     levels: tuple[MixingMeasure, ...]   # levels[0] has K atoms, levels[-1] has 1
     merges: tuple[MergeRecord, ...]     # length K-1
-    heights: tuple[float, ...]          # heights of the merges, same order
 
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         object.__setattr__(self, "merges", tuple(self.merges))
-        object.__setattr__(self, "heights", tuple(float(h) for h in self.heights))
         if len(self.levels) != len(self.merges) + 1:
             raise InputError("levels must be one longer than merges")
-        if len(self.heights) != len(self.merges):
-            raise InputError("heights must match merges")
         top = self.levels[0].n_atoms
         for i, lvl in enumerate(self.levels):
             if lvl.n_atoms != top - i:
@@ -68,6 +64,11 @@ class Dendrogram:
                     f"level {i} has {lvl.n_atoms} atoms, expected {top - i}")
         if any(h < 0 for h in self.heights):
             raise InputError("heights must be nonnegative")
+
+    @property
+    def heights(self) -> tuple[float, ...]:
+        """The merges' heights, in merge order."""
+        return tuple(m.height for m in self.merges)
 
     @property
     def n_levels(self) -> int:
@@ -85,7 +86,7 @@ class Dendrogram:
         k_top = self.levels[0].n_atoms
         if not 2 <= kappa <= k_top:
             raise InputError(f"no merge height at level {kappa}")
-        return self.heights[k_top - kappa]
+        return self.merges[k_top - kappa].height
 
     def to_dict(self) -> dict:
         return {
@@ -96,6 +97,8 @@ class Dendrogram:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dendrogram":
+        """The dendrogram of a `to_dict` record; an InputError when its
+        top-level heights are not its merges' heights."""
         try:
             levels = tuple(MixingMeasure.from_dict(g) for g in d["levels"])
             merges = []
@@ -105,10 +108,14 @@ class Dendrogram:
                     level=int(rec["level"]), pair=(int(i), int(j)),
                     height=float(rec["height"]),
                     merged_atom=lvl.atoms[min(int(i), int(j))]))
-            return cls(levels=levels, merges=tuple(merges),
-                       heights=tuple(d["heights"]))
+            dg = cls(levels=levels, merges=tuple(merges))
+            heights = tuple(float(h) for h in d["heights"])
         except KeyError as exc:
             raise InputError(f"dendrogram record missing field {exc}") from exc
+        if heights != dg.heights:
+            raise InputError(f"dendrogram heights {list(heights)} are not "
+                             f"its merge heights {list(dg.heights)}")
+        return dg
 
 
 def dissimilarity(atom_i: ExpertAtom, atom_j: ExpertAtom) -> float:
@@ -196,5 +203,4 @@ def build_path(measure: MixingMeasure) -> Dendrogram:
         current, record = merge_step(current)
         levels.append(current)
         merges.append(record)
-    return Dendrogram(levels=tuple(levels), merges=tuple(merges),
-                      heights=tuple(m.height for m in merges))
+    return Dendrogram(levels=tuple(levels), merges=tuple(merges))

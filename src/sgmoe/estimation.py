@@ -67,10 +67,6 @@ class FitConfig:
     newton_tol: float = 1e-8
     ridge: float = 1e-8           # gating Hessian regularizer
     sigma_floor: float = 1e-8
-    # optional compact constraint on the gating parameters, stated in the
-    # baseline gauge (last atom at zero): ((lo0, hi0), (lo1, hi1)) bounds
-    # omega0 and each omega1 coordinate.  None fits unconstrained.
-    gate_box: tuple[tuple[float, float], tuple[float, float]] | None = None
     seed: int = 0
 
     def __post_init__(self):
@@ -96,14 +92,6 @@ class FitConfig:
                                  f"got {value}")
         if self.init not in ("kmeans", "perturbed_truth", "random"):
             raise InputError(f"unknown init scheme {self.init!r}")
-        if self.gate_box is not None:
-            box = tuple((float(lo), float(hi)) for lo, hi in self.gate_box)
-            for lo, hi in box:
-                # the baseline atom sits at zero, so zero must be feasible
-                if not (lo <= 0.0 <= hi) or lo >= hi:
-                    raise InputError(
-                        f"gate_box intervals must contain 0, got {box}")
-            object.__setattr__(self, "gate_box", box)
 
 
 @dataclass(frozen=True)
@@ -157,20 +145,6 @@ def _block_sums(terms, n: int) -> list:
     return totals
 
 
-def _box_project(gates: np.ndarray, box) -> np.ndarray:
-    """Bring gates into the compact box, stated in the baseline gauge.
-
-    Subtracting the last row is a softmax gauge shift and leaves every
-    gate value unchanged; only the clipping can move the model.
-    """
-    (lo0, hi0), (lo1, hi1) = box
-    g = gates - gates[-1]
-    out = np.empty_like(g)
-    out[:, :-1] = np.clip(g[:, :-1], lo1, hi1)
-    out[:, -1] = np.clip(g[:, -1], lo0, hi0)
-    return out
-
-
 def _gating_terms(gates: np.ndarray, resp: np.ndarray,
                   z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective, gradient and Hessian (without the ridge) of the gating
@@ -196,8 +170,7 @@ def _gating_terms(gates: np.ndarray, resp: np.ndarray,
 
 
 def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
-                       ridge: float = 1e-8,
-                       box=None) -> tuple[np.ndarray, float]:
+                       ridge: float = 1e-8) -> tuple[np.ndarray, float]:
     """One damped Newton update of the gating parameters.
 
     ``gates`` is (K, D+1): row k holds (omega1_k, omega0_k).  Returns the
@@ -205,10 +178,8 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     decreases (step halving, up to 20 halvings, falls back to no move).
     The softmax translation direction is flat, so the Hessian needs the
     ridge to be solvable; the update then stays in a fixed gauge section.
-    When ``box`` is given, each candidate is projected into the compact
-    gate region before the acceptance test, so iterates stay feasible
-    and the objective still never decreases.  Objective, gradient and
-    Hessian are sums over row blocks (``model.row_blocks``).
+    Objective, gradient and Hessian are sums over row blocks
+    (``model.row_blocks``).
     """
     n, d = xs.shape
     k = gates.shape[0]
@@ -229,8 +200,6 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     scale = 1.0
     for _ in range(20):
         cand = gates + scale * step
-        if box is not None:
-            cand = _box_project(cand, box)
         obj = 0.0
         for rows in row_blocks(n):
             logits = _design(xs[rows]) @ cand.T
@@ -246,8 +215,7 @@ def _gate_mstep(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
                 cfg: FitConfig) -> np.ndarray:
     obj = None
     for _ in range(cfg.newton_max_iter):
-        gates, new_obj = gating_newton_step(gates, resp, xs, ridge=cfg.ridge,
-                                            box=cfg.gate_box)
+        gates, new_obj = gating_newton_step(gates, resp, xs, ridge=cfg.ridge)
         if obj is not None and new_obj - obj < cfg.newton_tol:
             break
         obj = new_obj
@@ -324,13 +292,6 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     slopes = init.slopes()
     intercepts = init.intercepts()
     sigmas = np.maximum(init.sigmas(), cfg.sigma_floor)
-    if cfg.gate_box is not None:
-        # the fit starts from the projected model; the trace is then
-        # monotone over what the algorithm actually iterates
-        start = _box_project(np.hstack([omega, omega0[:, None]]),
-                             cfg.gate_box)
-        omega = start[:, :d].copy()
-        omega0 = start[:, d].copy()
 
     resp = np.empty((n, k))
 

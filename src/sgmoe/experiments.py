@@ -337,9 +337,11 @@ def _config_record(cfg) -> dict:
 def _check_record(checkpoint, cfg) -> dict:
     """The config record of `cfg`, after checking it against the record of
     an existing checkpoint: an InputError names the first field that
-    differs. A checkpoint without a record (hand-made, or written before
-    records were kept) is taken as this config's; a record without its
-    checkpoint is stale and is replaced."""
+    differs. A field one record lacks counts as null there, so a record
+    that holds a field this version no longer has, as null, still matches.
+    A checkpoint without a record (hand-made, or written before records
+    were kept) is taken as this config's; a record without its checkpoint
+    is stale and is replaced."""
     ours = _config_record(cfg)
     path = record_path(checkpoint)
     if not (os.path.exists(checkpoint) and os.path.exists(path)):
@@ -347,7 +349,7 @@ def _check_record(checkpoint, cfg) -> dict:
     theirs = _read_json(path, "study_config")
     theirs.pop("format")
     for key in dict.fromkeys([*ours, *theirs]):
-        if key not in ours or key not in theirs or ours[key] != theirs[key]:
+        if ours.get(key) != theirs.get(key):
             there, here = (json.dumps(doc[key]) if key in doc else "absent"
                            for doc in (theirs, ours))
             raise InputError(

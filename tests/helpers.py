@@ -22,7 +22,6 @@ from sgmoe.errors import InputError
 from sgmoe.estimation import (
     FitConfig,
     FitResult,
-    _box_project,
     em_fit,
     init_perturbed,
 )
@@ -127,19 +126,11 @@ def naive_gating_hessian(pi: np.ndarray, z: np.ndarray) -> np.ndarray:
     return hess
 
 
-def naive_gating_newton_step(gates, resp, xs, ridge=1e-8, box=None):
+def naive_gating_newton_step(gates, resp, xs, ridge=1e-8):
     """Damped Newton step on the gating objective from textbook parts:
     scipy's logsumexp and the einsum Hessian above; returns (gates, obj)."""
     n = xs.shape[0]
     z = np.hstack([xs, np.ones((n, 1))])
-
-    def project(g):
-        if box is None:
-            return g
-        (lo0, hi0), (lo1, hi1) = box
-        g = g - g[-1]
-        return np.hstack([np.clip(g[:, :-1], lo1, hi1),
-                          np.clip(g[:, -1:], lo0, hi0)])
 
     def objective(g):
         logits = z @ g.T
@@ -151,7 +142,7 @@ def naive_gating_newton_step(gates, resp, xs, ridge=1e-8, box=None):
     step = np.linalg.solve(hess, ((resp - pi).T @ z).reshape(-1))
     obj0 = objective(gates)
     for i in range(20):
-        cand = project(gates + 0.5 ** i * step.reshape(gates.shape))
+        cand = gates + 0.5 ** i * step.reshape(gates.shape)
         obj = objective(cand)
         if obj >= obj0:
             return cand, obj
@@ -163,7 +154,7 @@ def naive_gating_newton_step(gates, resp, xs, ridge=1e-8, box=None):
 # passes over all N rows, with the library's formulas; at N <= ROW_BLOCK the
 # library must reproduce these bit for bit
 
-def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8, box=None):
+def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8):
     """One damped gating Newton step over all rows at once; returns a dict
     of the start objective obj0, gradient grad, Hessian hess (ridge
     included), step, the number of halvings taken (None when no candidate
@@ -189,8 +180,6 @@ def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8, box=None):
     scale = 1.0
     for halvings in range(20):
         cand = gates + scale * step
-        if box is not None:
-            cand = _box_project(cand, box)
         logits = z @ cand.T
         obj = float(np.sum(resp * logits) - np.sum(logsumexp_rows(logits)))
         if obj >= obj0:
@@ -217,10 +206,6 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
     omega0, omega = init.omega0s(), init.omega1s()
     slopes, intercepts = init.slopes(), init.intercepts()
     sigmas = np.maximum(init.sigmas(), cfg.sigma_floor)
-    if cfg.gate_box is not None:
-        start = _box_project(np.hstack([omega, omega0[:, None]]),
-                             cfg.gate_box)
-        omega, omega0 = start[:, :d].copy(), start[:, d].copy()
     resp, avg_ll = unblocked_estep(omega, omega0, slopes, intercepts, sigmas,
                                    xs, ys)
     trace = [avg_ll]
@@ -240,8 +225,7 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
         obj = None
         for _ in range(cfg.newton_max_iter):
             step = unblocked_gating_newton_step(gates, resp, xs,
-                                                ridge=cfg.ridge,
-                                                box=cfg.gate_box)
+                                                ridge=cfg.ridge)
             gates, new_obj = step["gates"], step["obj"]
             if obj is not None and new_obj - obj < cfg.newton_tol:
                 break

@@ -1,18 +1,24 @@
 """End-to-end command-line workflows, exit codes, and rerun determinism."""
 
+import argparse
 import csv
 import json
 import os
-from dataclasses import asdict, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
 from sgmoe import cli
 from sgmoe.cli import run_cli
-from sgmoe.datagen import builtin_truths
+from sgmoe.datagen import GenConfig, builtin_truths
 from sgmoe.estimation import FitConfig
-from sgmoe.experiments import preset, record_path
+from sgmoe.experiments import (
+    RateStudyConfig,
+    SelectionStudyConfig,
+    preset,
+    record_path,
+)
 from sgmoe.serialize import (
     file_digest,
     load_dataset_csv,
@@ -737,6 +743,36 @@ def test_unknown_preset_rejected(tmp_path, capsys):
                   "--out", str(tmp_path / "x")])
     assert rc == 1
     assert "usage" in capsys.readouterr().err
+
+
+# per command: the dataclass whose fields its flags set, whether FitConfig
+# fields come as em_<field>, and the flags that set no config field
+_CONFIG_FLAGS = {
+    "simulate": (GenConfig, False, {"truth", "out"}),
+    "fit": (FitConfig, False, {"data", "out", "y_last", "k", "reference",
+                               "truth"}),
+    "select": (FitConfig, False, {"data", "out", "y_last", "kmax", "method",
+                                  "epsilon"}),
+    "rate-study": (RateStudyConfig, True, {"preset", "checkpoint", "out"}),
+    "select-study": (SelectionStudyConfig, True,
+                     {"preset", "checkpoint", "out"}),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_CONFIG_FLAGS))
+def test_every_flag_sets_a_config_field(command):
+    # `_given` reads a flag by its field's name, so a flag whose field is
+    # gone would parse and do nothing
+    cls, em, own = _CONFIG_FLAGS[command]
+    names = {f.name for f in fields(cls)}
+    if em:
+        names |= {f"em_{f.name}" for f in fields(FitConfig)}
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    dests = {a.dest for a in sub.choices[command]._actions
+             if not isinstance(a, argparse._HelpAction)}
+    assert dests - names - own == set()
+    assert own - dests == set()
 
 
 @pytest.mark.parametrize("n, seed, csv_size", [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
 import math
 import tracemalloc
 from functools import lru_cache
@@ -227,6 +228,30 @@ class TestRateStudy:
         run_rate_study(tiny_rate_config(seed=12), checkpoint=ckpt)
         with pytest.raises(InputError, match="another config: seed is 12 "
                            "there, 11 here"):
+            run_rate_study(cfg, checkpoint=ckpt)
+
+    def test_record_with_retired_null_field_resumes(self, tmp_path):
+        # a record of an older version holds a since-removed FitConfig
+        # field as null; null there and absent here is the same setting
+        cfg = tiny_rate_config()
+        ckpt = tmp_path / "c.csv"
+        res = run_rate_study(cfg, checkpoint=ckpt)
+        record = record_path(ckpt)
+        doc = json.loads(record.read_text())
+        record.write_text(json.dumps({**doc, "em.retired": None}))
+        assert repr(run_rate_study(cfg, checkpoint=ckpt)) == repr(res)
+        assert "em.retired" not in json.loads(record.read_text())
+
+    def test_record_with_retired_set_field_rejected(self, tmp_path):
+        cfg = tiny_rate_config()
+        ckpt = tmp_path / "c.csv"
+        run_rate_study(cfg, checkpoint=ckpt)
+        record = record_path(ckpt)
+        doc = json.loads(record.read_text())
+        record.write_text(json.dumps({**doc,
+                                      "em.retired": [[-4, 4], [-8, 8]]}))
+        with pytest.raises(InputError, match=r"another config: em\.retired "
+                           r"is \[\[-4, 4\], \[-8, 8\]\] there, absent here"):
             run_rate_study(cfg, checkpoint=ckpt)
 
     def test_process_pool_matches_inline(self):

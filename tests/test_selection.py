@@ -41,11 +41,10 @@ def constant_density_dendrogram(heights):
         w = math.log(1.0 / kappa)
         levels.append(make_measure([(w, *atom[1:])] * kappa))
     merges = tuple(
-        MergeRecord(level=k - i, pair=(0, 1), height=h,
+        MergeRecord(level=k - i, pair=(0, 1), height=float(h),
                     merged_atom=levels[i + 1].atoms[0])
         for i, h in enumerate(heights))
-    return Dendrogram(levels=tuple(levels), merges=merges,
-                      heights=tuple(heights))
+    return Dendrogram(levels=tuple(levels), merges=merges)
 
 
 def toy_data(seed=0, n=50):

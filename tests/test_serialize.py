@@ -105,6 +105,16 @@ class TestStampedJson:
         assert [m.pair for m in back.merges] == [m.pair for m in dg.merges]
         assert measures_equal(back.level(1), dg.level(1))
 
+    def test_dendrogram_heights_must_be_the_merge_heights(self, tmp_path):
+        dg = build_path(g0_three_expert())
+        p = tmp_path / "d.json"
+        save_dendrogram(dg, p)
+        doc = json.loads(p.read_text())
+        doc["heights"] = [1e6, 0.0]
+        p.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="not its merge heights"):
+            load_dendrogram(p)
+
     def test_report_round_trip(self, tmp_path):
         rep = SelectionReport(method="dsc", per_level={2: -1.5, 3: 0.25},
                               chosen=2, epsilon_n=9.2)
