@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MergeRecord:
     """One merge: at ``level`` atoms, the pair ``pair`` was replaced at height ``height``."""
 
@@ -45,7 +45,7 @@ class MergeRecord:
                 "height": self.height}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dendrogram:
     """Aggregation path: models at every level K, K-1, ..., 1 plus merge records."""
 
@@ -98,20 +98,37 @@ class Dendrogram:
     @classmethod
     def from_dict(cls, d: dict) -> "Dendrogram":
         """The dendrogram of a `to_dict` record; an InputError when its
-        top-level heights are not its merges' heights."""
+        top-level heights are not its merges' heights, or a merge's level
+        or pair is not one of its position: the m-th merge is at the level
+        with K - m atoms and joins two of them, i < j."""
         try:
             levels = tuple(MixingMeasure.from_dict(g) for g in d["levels"])
+            if len(d["merges"]) != len(levels) - 1:
+                raise InputError(f"{len(levels)} levels need "
+                                 f"{len(levels) - 1} merges, got "
+                                 f"{len(d['merges'])}")
             merges = []
-            for rec, lvl in zip(d["merges"], levels[1:]):
-                i, j = rec["pair"]
+            for m, (rec, parent, lvl) in enumerate(
+                    zip(d["merges"], levels, levels[1:])):
+                i, j = (int(v) for v in rec["pair"])
+                k = parent.n_atoms
+                if int(rec["level"]) != k:
+                    raise InputError(f"merge {m} is at level {k}, "
+                                     f"its record says {rec['level']}")
+                if not 0 <= i < j < k:
+                    raise InputError(f"merge {m} pair {[i, j]} is not two "
+                                     f"of its level's {k} atoms, i < j")
                 merges.append(MergeRecord(
-                    level=int(rec["level"]), pair=(int(i), int(j)),
-                    height=float(rec["height"]),
-                    merged_atom=lvl.atoms[min(int(i), int(j))]))
+                    level=k, pair=(i, j), height=float(rec["height"]),
+                    merged_atom=lvl.atoms[i]))
             dg = cls(levels=levels, merges=tuple(merges))
             heights = tuple(float(h) for h in d["heights"])
         except KeyError as exc:
             raise InputError(f"dendrogram record missing field {exc}") from exc
+        except InputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"dendrogram record is malformed: {exc}") from exc
         if heights != dg.heights:
             raise InputError(f"dendrogram heights {list(heights)} are not "
                              f"its merge heights {list(dg.heights)}")

@@ -5,7 +5,12 @@ pass over ``model.log_joint``, the kernel behind every likelihood here.
 Every pass over the data rows (E-step, the experts' weighted sums, gating
 objective, gradient and Hessian, the k-means assignment sweep) works on
 blocks of ``model.ROW_BLOCK`` rows, so its temporaries stay cache-sized at
-any N.  Besides the data, a fit holds only its N x K responsibilities.
+any N.  Besides the data, a fit holds only its responsibilities, stored
+expert-major as a C-ordered (K, N) array: each expert's responsibilities
+are one contiguous row.  The kernels keep that layout: a block's
+log-joint, gating logits (``gates @ z.T``) and softmax are (K, B), the
+design is handled as its (D+1, B) transpose, and every sum over the K
+experts adds contiguous rows elementwise.
 With one block a pass is the unblocked arithmetic bit for bit; with more,
 its sums are added block by block, which may move a fit by rounding.
 The M-step solves the experts in closed form (weighted least squares,
@@ -34,10 +39,10 @@ from .model import (
     ExpertAtom,
     MixingMeasure,
     log_joint,
-    logsumexp_rows,
+    logsumexp_cols,
     normalize_baseline,
     row_blocks,
-    softmax_rows,
+    softmax_cols,
 )
 
 __all__ = [
@@ -94,17 +99,25 @@ class FitConfig:
             raise InputError(f"unknown init scheme {self.init!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FitResult:
     model: MixingMeasure          # baseline-normalized
-    loglik_trace: tuple[float, ...]
+    # average log-likelihood at the start and after each iteration, as a
+    # read-only float64 array: 8 bytes a value, where a tuple of floats
+    # takes 32, for studies that keep many fits
+    loglik_trace: np.ndarray
     iterations: int
     converged: bool
+
+    def __post_init__(self):
+        trace = np.array(self.loglik_trace, dtype=float)
+        trace.setflags(write=False)
+        object.__setattr__(self, "loglik_trace", trace)
 
     def to_dict(self) -> dict:
         return {
             "model": self.model.to_dict(),
-            "loglik_trace": list(self.loglik_trace),
+            "loglik_trace": self.loglik_trace.tolist(),
             "iterations": self.iterations,
             "converged": self.converged,
         }
@@ -113,11 +126,15 @@ class FitResult:
     def from_dict(cls, d: dict) -> "FitResult":
         try:
             return cls(model=MixingMeasure.from_dict(d["model"]),
-                       loglik_trace=tuple(d["loglik_trace"]),
+                       loglik_trace=d["loglik_trace"],
                        iterations=int(d["iterations"]),
                        converged=bool(d["converged"]))
         except KeyError as exc:
             raise InputError(f"fit record missing field {exc}") from exc
+        except InputError:
+            raise
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"fit record field is malformed: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +146,14 @@ def _design(xs: np.ndarray) -> np.ndarray:
     z[:, :-1] = xs
     z[:, -1] = 1.0
     return z
+
+
+def _design_t(xs: np.ndarray) -> np.ndarray:
+    """The transposed design, shape (D+1, n): rows x_1..x_D, then ones."""
+    zt = np.empty((xs.shape[1] + 1, xs.shape[0]))
+    zt[:-1] = xs.T
+    zt[-1] = 1.0
+    return zt
 
 
 def _block_sums(terms, n: int) -> list:
@@ -146,26 +171,26 @@ def _block_sums(terms, n: int) -> list:
 
 
 def _gating_terms(gates: np.ndarray, resp: np.ndarray,
-                  z: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+                  zt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective, gradient and Hessian (without the ridge) of the gating
-    objective over one block of rows; ``z`` is the block's (x, 1) design."""
-    n, p = z.shape
+    objective over one block of rows; ``resp`` is the block's (K, B)
+    responsibilities and ``zt`` its transposed design."""
+    p, n = zt.shape
     k = gates.shape[0]
-    logits = z @ gates.T                          # (B, K)
-    pi, lse = softmax_rows(logits)
-    # sum_n sum_k r_nk log softmax_k(logits_n); rows of resp sum to 1
+    logits = gates @ zt                           # (K, B)
+    pi, lse = softmax_cols(logits)
+    # sum_n sum_k r_kn log softmax_k(logits_n); columns of resp sum to 1
     obj = float(np.sum(resp * logits) - np.sum(lse))
-    grad = (resp - pi).T @ z                      # (K, D+1)
+    grad = (resp - pi) @ zt.T                     # (K, D+1)
 
     # Fisher-style Hessian blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T
-    # as GEMMs: -(P^T P) with P_n = pi_n (x) z_n, plus sum_n pi_nk z_n z_n^T;
-    # outer products on contiguous (., B) copies, where broadcasts are fast
-    zt = np.ascontiguousarray(z.T)
-    pzt = (np.ascontiguousarray(pi.T)[:, None, :] * zt).reshape(k * p, n)
-    hess = -(pzt @ pzt.T)
-    zzt = (zt[:, None, :] * zt).reshape(p * p, n)
+    # as GEMMs: -(P P^T) with rows P_(k,d) = pi_k * z_d, plus the diagonal
+    # blocks sum_n pi_nk z_n z_n^T; every broadcast runs along the rows
+    pz = (pi[:, None, :] * zt).reshape(k * p, n)
+    hess = -(pz @ pz.T)
+    zz = (zt[:, None, :] * zt).reshape(p * p, n)
     diag = np.arange(k)
-    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi.T @ zzt.T).reshape(k, p, p)
+    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi @ zz.T).reshape(k, p, p)
     return obj, grad, hess
 
 
@@ -173,22 +198,26 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
                        ridge: float = 1e-8) -> tuple[np.ndarray, float]:
     """One damped Newton update of the gating parameters.
 
-    ``gates`` is (K, D+1): row k holds (omega1_k, omega0_k).  Returns the
-    updated gates and the new objective value; the objective never
-    decreases (step halving, up to 20 halvings, falls back to no move).
-    The softmax translation direction is flat, so the Hessian needs the
-    ridge to be solvable; the update then stays in a fixed gauge section.
-    Objective, gradient and Hessian are sums over row blocks
-    (``model.row_blocks``).
+    ``gates`` is (K, D+1): row k holds (omega1_k, omega0_k).  ``resp`` is
+    (N, K) in either memory order; the step works on its (K, N) transpose,
+    which is free when ``resp`` is itself a transposed C-ordered (K, N)
+    array, as in ``em_fit``.  Returns the updated gates and the new
+    objective value; the objective never decreases (step halving, up to
+    20 halvings, falls back to no move).  The softmax translation
+    direction is flat, so the Hessian needs the ridge to be solvable; the
+    update then stays in a fixed gauge section.  Objective, gradient and
+    Hessian are sums over row blocks (``model.row_blocks``).
     """
     n, d = xs.shape
     k = gates.shape[0]
     if resp.shape != (n, k):
         raise InputError("responsibility matrix shape mismatch")
+    resp = np.ascontiguousarray(resp.T)
     p = d + 1
     obj0, grad, hess = _block_sums(
-        lambda rows: _gating_terms(gates, resp[rows], _design(xs[rows])), n)
-    hess[np.diag_indices_from(hess)] += ridge
+        lambda rows: _gating_terms(gates, resp[:, rows], _design_t(xs[rows])),
+        n)
+    hess.reshape(-1)[::k * p + 1] += ridge
 
     try:
         step = np.linalg.solve(hess, grad.reshape(-1)).reshape(k, p)
@@ -202,9 +231,9 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
         cand = gates + scale * step
         obj = 0.0
         for rows in row_blocks(n):
-            logits = _design(xs[rows]) @ cand.T
-            obj += float(np.sum(resp[rows] * logits)
-                         - np.sum(logsumexp_rows(logits)))
+            logits = cand @ _design_t(xs[rows])
+            obj += float(np.sum(resp[:, rows] * logits)
+                         - np.sum(logsumexp_cols(logits)))
         if obj >= obj0:
             return cand, obj
         scale *= 0.5
@@ -225,28 +254,25 @@ def _gate_mstep(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
 # ---------------------------------------------------------------------------
 # expert M-step
 
-def _expert_moments(z: np.ndarray, resp: np.ndarray,
+def _expert_moments(zt: np.ndarray, resp: np.ndarray,
                     ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per expert, over one block of rows with (x, 1) design ``z``: the
-    responsibility mass, the weighted Gram matrix z^T W z and z^T W y."""
-    mass, gram, rhs = [], [], []
-    for w in resp.T:
-        zw = z * w[:, None]
-        mass.append(np.sum(w))
-        gram.append(z.T @ zw)
-        rhs.append(zw.T @ ys)
-    return np.array(mass), np.array(gram), np.array(rhs)
+    """Per expert, over one block of rows with transposed design ``zt`` and
+    (K, B) responsibilities: the responsibility mass, the weighted Gram
+    matrix z^T W z and z^T W y."""
+    zw = resp[:, None, :] * zt                    # (K, D+1, B)
+    return np.sum(resp, axis=1), zw @ zt.T, zw @ ys
 
 
 def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
                   sigma_floor: float, iteration: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slopes, intercepts and variances of every expert: weighted least
-    squares, then the weighted residual variance, each one blocked pass
-    over the rows."""
+    """Slopes, intercepts and variances of every expert from the (K, N)
+    responsibilities: weighted least squares, then the weighted residual
+    variance, each one blocked pass over the rows."""
     n, d = xs.shape
     mass, gram, rhs = _block_sums(
-        lambda rows: _expert_moments(_design(xs[rows]), resp[rows], ys[rows]),
+        lambda rows: _expert_moments(_design_t(xs[rows]), resp[:, rows],
+                                     ys[rows]),
         n)
     betas = np.empty_like(rhs)
     for j, sw in enumerate(mass.tolist()):
@@ -259,9 +285,8 @@ def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
             betas[j], *_ = np.linalg.lstsq(gram[j], rhs[j], rcond=None)
 
     def residual_sums(rows):
-        z = _design(xs[rows])
-        return (np.array([np.sum(w * (ys[rows] - z @ beta) ** 2)
-                          for w, beta in zip(resp[rows].T, betas)]),)
+        resid = ys[rows] - betas @ _design_t(xs[rows])     # (K, B)
+        return (np.sum(resp[:, rows] * resid ** 2, axis=1),)
 
     ss, = _block_sums(residual_sums, n)
     return (betas[:, :d].copy(), betas[:, d].copy(),
@@ -293,15 +318,16 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     intercepts = init.intercepts()
     sigmas = np.maximum(init.sigmas(), cfg.sigma_floor)
 
-    resp = np.empty((n, k))
+    resp = np.empty((k, n))
 
     def current_loglik(iteration: int) -> float:
         # one pass, block by block, gives the likelihood and the next
         # E-step's responsibilities (written into resp)
         total = 0.0
         for rows in row_blocks(n):
-            resp[rows], row_ll = softmax_rows(log_joint(
-                omega, omega0, slopes, intercepts, sigmas, xs[rows], ys[rows]))
+            resp[:, rows], row_ll = softmax_cols(log_joint(
+                omega, omega0, slopes, intercepts, sigmas, xs[rows],
+                ys[rows]).T)
             total += float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
         avg = total / n
         if not math.isfinite(avg):
@@ -319,7 +345,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
 
         # M-step, gates
         gates = np.hstack([omega, omega0[:, None]])
-        gates = _gate_mstep(gates, resp, xs, cfg)
+        gates = _gate_mstep(gates, resp.T, xs, cfg)
         omega = gates[:, :d]
         omega0 = gates[:, d]
 
@@ -341,7 +367,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
                    sigma=float(sigmas[j]))
         for j in range(k))
     model = normalize_baseline(MixingMeasure(atoms=atoms, dim=d))
-    return FitResult(model=model, loglik_trace=tuple(trace),
+    return FitResult(model=model, loglik_trace=trace,
                      iterations=iteration, converged=converged)
 
 

@@ -21,7 +21,6 @@ import io
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -364,6 +363,8 @@ def _run_jobs(jobs, worker: Callable, workers: int, on_done: Callable):
         for key, args in jobs:
             on_done(key, worker(*args))
         return
+    # imported here: multiprocessing costs a serial run memory for nothing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = {pool.submit(worker, *args): key for key, args in jobs}
         for fut in as_completed(futures):

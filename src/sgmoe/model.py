@@ -158,7 +158,7 @@ class ExpertAtom:
             raise InputError(f"atom record missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixingMeasure:
     """A finite collection of expert atoms over covariates of dimension ``dim``."""
 
@@ -225,7 +225,7 @@ class MixingMeasure:
             raise InputError(f"model record missing field {exc}") from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dataset:
     """Paired covariates and scalar responses."""
 
@@ -291,44 +291,67 @@ def _check_x(measure: MixingMeasure, x) -> np.ndarray:
 
 
 def _shifted_exp(a: np.ndarray):
-    """exp(a - m), its row sums and the row log-sum-exp, with m the row max
-    or 0 where that max is not finite (all -inf, or holding +inf or nan).
-    Columnwise: numpy's axis-1 reductions are slow on narrow arrays."""
-    m = functools.reduce(np.maximum, a.T)
+    """exp(a - m), its column sums and the column log-sum-exp of a (K, n)
+    array, with m the column max or 0 where that max is not finite (all
+    -inf, or holding +inf or nan).  The reductions combine the K rows
+    elementwise, so they run along n, over contiguous rows of a C-ordered
+    array."""
+    m = functools.reduce(np.maximum, a)
     m = np.where(np.isfinite(m), m, 0.0)
     with np.errstate(over="ignore", divide="ignore"):
-        e = np.exp(a - m[:, None])
-        s = functools.reduce(np.add, e.T)
+        e = a - m
+        np.exp(e, out=e)
+        s = functools.reduce(np.add, e)
         return e, s, np.log(s) + m
 
 
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row log-sum-exp of ``a``, shape (n,); an all -inf row gives -inf."""
+def logsumexp_cols(a: np.ndarray) -> np.ndarray:
+    """Column log-sum-exp of a (K, n) array, shape (n,); an all -inf
+    column gives -inf."""
     return _shifted_exp(a)[2]
 
 
-def softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of ``a`` and its row log-sum-exp, from one max shift; a
-    row whose log-sum-exp is not finite gets uniform weights."""
+def softmax_cols(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column softmax of a (K, n) array and its column log-sum-exp, from
+    one max shift; a column whose log-sum-exp is not finite gets uniform
+    weights."""
     e, s, lse = _shifted_exp(a)
-    dead = ~np.isfinite(lse)
-    e[dead] = 1.0
-    s[dead] = a.shape[1]
-    return e / s[:, None], lse
+    finite = np.isfinite(lse)
+    if not finite.all():
+        dead = ~finite
+        e[:, dead] = 1.0
+        s[dead] = a.shape[0]
+    e /= s
+    return e, lse
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """Row log-sum-exp of an (n, K) array: :func:`logsumexp_cols` of its
+    transpose."""
+    return logsumexp_cols(a.T)
+
+
+def softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row softmax of an (n, K) array and its row log-sum-exp:
+    :func:`softmax_cols` of its transpose, transposed back."""
+    p, lse = softmax_cols(a.T)
+    return p.T, lse
 
 
 def _log_gates_t(omega1s: np.ndarray, omega0s: np.ndarray,
                  xs: np.ndarray) -> np.ndarray:
     # (K, n) layout, where numpy's broadcasts run along n
     logits = omega1s @ xs.T + omega0s[:, None]
-    return logits - logsumexp_rows(logits.T)
+    return logits - logsumexp_cols(logits)
 
 
 def log_joint(omega1s: np.ndarray, omega0s: np.ndarray, slopes: np.ndarray,
               intercepts: np.ndarray, sigmas: np.ndarray, xs: np.ndarray,
               ys: np.ndarray) -> np.ndarray:
     """log(gate_k(x_n) * N(y_n | a_k . x_n + b_k, sigma_k)), shape (n, K),
-    from stacked atom parameters; the kernel behind every likelihood here."""
+    from stacked atom parameters; the kernel behind every likelihood here.
+    It is the transpose of a C-ordered (K, n) array, whose ``.T`` is the
+    expert-major layout the EM kernels work in."""
     means = slopes @ xs.T + intercepts[:, None]
     log_norm = -0.5 * (LOG_2PI + np.log(sigmas)[:, None]
                        + (ys - means) ** 2 / sigmas[:, None])

@@ -19,7 +19,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import functools
-import hashlib
 import itertools
 import json
 import math
@@ -207,6 +206,8 @@ def write_dataset_csv(data: Dataset, path) -> dict[Path, str]:
     their `file_digest` values are returned by path, so nothing is read
     back.
     """
+    # imported here: OpenSSL costs memory in runs that hash nothing
+    import hashlib
     table = np.column_stack((data.xs, data.ys))
     line = ",".join(["%r"] * table.shape[1]) + "\r\n"
     csv_fnv, csv_sha = _Fnv1a(), hashlib.sha256()
@@ -318,6 +319,7 @@ def _read_table(path, size: int, width: int):
 
 def _sha256(path) -> bytes:
     """SHA-256 of a file's bytes."""
+    import hashlib
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         while chunk := fh.read(_SHA_CHUNK):
@@ -403,13 +405,16 @@ def _parse_rows(chunk: list, first_line: int, width: int, path) -> np.ndarray:
 # once bits 0..k-1 are known. The input is hashed one _FNV_CHUNK at a time:
 # eight vectorized bit passes per chunk give its low bytes, then one
 # wrapping uint64 dot product per _FNV_BLOCK (64 KiB) of it against the
-# power table. Scalar arithmetic stays in python ints.
+# power table. Scalar arithmetic stays in python ints. The passes cost about
+# 100 us whatever the length, so a piece shorter than _FNV_SMALL bytes is
+# hashed by the plain per-byte loop instead.
 
 _FNV_OFFSET = 0xcbf29ce484222325
 _FNV_PRIME = 0x100000001b3
 _U64 = 1 << 64
 _FNV_BLOCK = 1 << 16
 _FNV_CHUNK = 1 << 18
+_FNV_SMALL = 2048
 
 
 @functools.cache
@@ -428,6 +433,10 @@ def _fnv_powers() -> np.ndarray:
 def _fnv1a64_chunk(h: int, chunk) -> int:
     """FNV-1a state `h` after the bytes of `chunk` (at most _FNV_CHUNK)."""
     n = len(chunk)
+    if n < _FNV_SMALL:
+        for byte in bytes(chunk):
+            h = ((h ^ byte) * _FNV_PRIME) & (_U64 - 1)
+        return h
     b = np.frombuffer(chunk, dtype=np.uint8)
     if n % 64:
         # padded to whole 64-bit words; padding only alters positions >= n

@@ -32,9 +32,9 @@ from sgmoe.model import (
     ExpertAtom,
     MixingMeasure,
     log_joint,
-    logsumexp_rows,
+    logsumexp_cols,
     normalize_baseline,
-    softmax_rows,
+    softmax_cols,
 )
 
 
@@ -150,29 +150,37 @@ def naive_gating_newton_step(gates, resp, xs, ridge=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# unblocked EM reference: the gating Newton step and the E-step as single
-# passes over all N rows, with the library's formulas; at N <= ROW_BLOCK the
-# library must reproduce these bit for bit
+# unblocked EM reference: the gating Newton step, the E-step and the expert
+# M-step as single passes over all N rows, with the library's expert-major
+# formulas ((K, N) responsibilities, (K, N) logits, the (D+1, N) transposed
+# design); at N <= ROW_BLOCK the library must reproduce these bit for bit
+
+def design_t(xs):
+    """The transposed regression design, C-ordered: rows x_1..x_D, then
+    ones."""
+    return np.ascontiguousarray(np.vstack([xs.T, np.ones((1, xs.shape[0]))]))
+
 
 def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8):
-    """One damped gating Newton step over all rows at once; returns a dict
-    of the start objective obj0, gradient grad, Hessian hess (ridge
-    included), step, the number of halvings taken (None when no candidate
-    was accepted), and the resulting gates and objective."""
+    """One damped gating Newton step over all rows at once, from (N, K)
+    responsibilities; returns a dict of the start objective obj0,
+    gradient grad, Hessian hess (ridge included), step, the number of
+    halvings taken (None when no candidate was accepted), and the
+    resulting gates and objective."""
     n, d = xs.shape
     k = gates.shape[0]
     p = d + 1
-    z = np.hstack([xs, np.ones((n, 1))])
-    logits = z @ gates.T
-    pi, lse = softmax_rows(logits)
-    obj0 = float(np.sum(resp * logits) - np.sum(lse))
-    grad = (resp - pi).T @ z
-    zt = np.ascontiguousarray(z.T)
-    pzt = (np.ascontiguousarray(pi.T)[:, None, :] * zt).reshape(k * p, n)
-    hess = -(pzt @ pzt.T)
-    zzt = (zt[:, None, :] * zt).reshape(p * p, n)
+    rt = np.ascontiguousarray(resp.T)
+    zt = design_t(xs)
+    logits = gates @ zt
+    pi, lse = softmax_cols(logits)
+    obj0 = float(np.sum(rt * logits) - np.sum(lse))
+    grad = (rt - pi) @ zt.T
+    pz = (pi[:, None, :] * zt).reshape(k * p, n)
+    hess = -(pz @ pz.T)
+    zz = (zt[:, None, :] * zt).reshape(p * p, n)
     diag = np.arange(k)
-    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi.T @ zzt.T).reshape(k, p, p)
+    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi @ zz.T).reshape(k, p, p)
     hess[np.diag_indices_from(hess)] += ridge
     step = np.linalg.solve(hess, grad.reshape(-1)).reshape(k, p)
     out = dict(obj0=obj0, grad=grad, hess=hess, step=step, halvings=None,
@@ -180,8 +188,8 @@ def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8):
     scale = 1.0
     for halvings in range(20):
         cand = gates + scale * step
-        logits = z @ cand.T
-        obj = float(np.sum(resp * logits) - np.sum(logsumexp_rows(logits)))
+        logits = cand @ zt
+        obj = float(np.sum(rt * logits) - np.sum(logsumexp_cols(logits)))
         if obj >= obj0:
             out.update(halvings=halvings, gates=cand, obj=obj)
             break
@@ -190,10 +198,10 @@ def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8):
 
 
 def unblocked_estep(omega, omega0, slopes, intercepts, sigmas, xs, ys):
-    """Responsibilities and the average floored log-likelihood from one
-    log-joint pass over all rows."""
-    resp, row_ll = softmax_rows(
-        log_joint(omega, omega0, slopes, intercepts, sigmas, xs, ys))
+    """(K, N) responsibilities and the average floored log-likelihood from
+    one log-joint pass over all rows."""
+    resp, row_ll = softmax_cols(
+        log_joint(omega, omega0, slopes, intercepts, sigmas, xs, ys).T)
     return resp, float(np.mean(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
 
 
@@ -201,8 +209,8 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
                      init: MixingMeasure) -> FitResult:
     """``em_fit`` built on the unblocked E-step and gating step above."""
     xs, ys = data.xs, data.ys
-    n, d = xs.shape
-    z = np.hstack([xs, np.ones((n, 1))])
+    d = xs.shape[1]
+    zt = design_t(xs)
     omega0, omega = init.omega0s(), init.omega1s()
     slopes, intercepts = init.slopes(), init.intercepts()
     sigmas = np.maximum(init.sigmas(), cfg.sigma_floor)
@@ -212,19 +220,17 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
     converged = False
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
-        for j in range(cfg.K):
-            w = resp[:, j]
-            sw = float(np.sum(w))
-            zw = z * w[:, None]
-            beta = np.linalg.solve(z.T @ zw, zw.T @ ys)
-            resid = ys - z @ beta
-            slopes[j], intercepts[j] = beta[:d], beta[d]
-            sigmas[j] = max(float(np.sum(w * resid ** 2) / sw),
-                            cfg.sigma_floor)
+        zw = resp[:, None, :] * zt
+        gram, rhs = zw @ zt.T, zw @ ys
+        betas = np.stack([np.linalg.solve(gram[j], rhs[j])
+                          for j in range(cfg.K)])
+        ss = np.sum(resp * (ys - betas @ zt) ** 2, axis=1)
+        slopes, intercepts = betas[:, :d].copy(), betas[:, d].copy()
+        sigmas = np.maximum(ss / np.sum(resp, axis=1), cfg.sigma_floor)
         gates = np.hstack([omega, omega0[:, None]])
         obj = None
         for _ in range(cfg.newton_max_iter):
-            step = unblocked_gating_newton_step(gates, resp, xs,
+            step = unblocked_gating_newton_step(gates, resp.T, xs,
                                                 ridge=cfg.ridge)
             gates, new_obj = step["gates"], step["obj"]
             if obj is not None and new_obj - obj < cfg.newton_tol:
@@ -244,7 +250,7 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
         for j in range(cfg.K))
     return FitResult(model=normalize_baseline(MixingMeasure(atoms=atoms,
                                                             dim=d)),
-                     loglik_trace=tuple(trace), iterations=iteration,
+                     loglik_trace=trace, iterations=iteration,
                      converged=converged)
 
 

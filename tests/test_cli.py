@@ -4,11 +4,14 @@ import argparse
 import csv
 import json
 import os
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import pytest
 
+import sgmoe
 from sgmoe import cli
 from sgmoe.cli import run_cli
 from sgmoe.datagen import GenConfig, builtin_truths
@@ -947,3 +950,17 @@ def test_resume_under_another_config_exits_one(tmp_path, capsys, study,
                            "--out", str(tmp_path / "c")]) == 0
     assert (tmp_path / "c.csv").read_bytes() == \
         (tmp_path / "a.csv").read_bytes()
+
+
+def test_import_loads_no_openssl_or_multiprocessing():
+    # hashlib (OpenSSL) and the process pool are imported where a command
+    # hashes or a study starts workers, so importing the commands costs
+    # neither's memory
+    code = ("import sys, sgmoe.cli, sgmoe.experiments; "
+            "print(sorted({'hashlib', '_hashlib', 'multiprocessing'} "
+            "& set(sys.modules)))")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(sgmoe.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

@@ -227,6 +227,31 @@ class TestBuildPath:
         dg2 = Dendrogram.from_dict(d)
         assert dg2.to_dict() == d
 
+    @pytest.mark.parametrize("merge, field, value, match", [
+        (0, "level", 99, "merge 0 is at level 4, its record says 99"),
+        (2, "level", 3, "merge 2 is at level 2"),
+        (1, "pair", [5, 7], r"merge 1 pair \[5, 7\] is not two"),
+        (1, "pair", [-1, 1], "is not two of its level's 3 atoms"),
+        (0, "pair", [1, 1], r"pair \[1, 1\]"),
+        (0, "pair", [2, 0], r"pair \[2, 0\]"),
+        (0, "pair", [1], "malformed"),
+        (0, "pair", ["a", 1], "malformed"),
+    ])
+    def test_merge_record_must_fit_its_position(self, merge, field, value,
+                                                match):
+        rng = np.random.default_rng(83)
+        d = build_path(random_measure(rng, k=4, dim=2)).to_dict()
+        d["merges"][merge][field] = value
+        with pytest.raises(InputError, match=match):
+            Dendrogram.from_dict(d)
+
+    def test_merge_count_must_match_levels(self):
+        rng = np.random.default_rng(83)
+        d = build_path(random_measure(rng, k=4, dim=2)).to_dict()
+        d["merges"].append(dict(d["merges"][-1]))
+        with pytest.raises(InputError, match="4 levels need 3 merges, got 4"):
+            Dendrogram.from_dict(d)
+
 
 class TestDissimilarityOverflow:
     def test_one_huge_gate_is_fine(self):

@@ -171,6 +171,22 @@ class TestGatingNewton:
         assert err <= 1e-9 * max(1.0, float(np.linalg.norm(pin(want))))
         assert got_obj == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
 
+    def test_responsibility_layout_does_not_matter(self):
+        # em_fit passes the (N, K) transpose of its C-ordered (K, N)
+        # responsibilities; a C-ordered (N, K) copy gives the same bits
+        rng = np.random.default_rng(41)
+        n, k, d = 300, 4, 2
+        xs = rng.uniform(-2, 2, size=(n, d))
+        raw = rng.uniform(0.01, 1.0, size=(k, n))
+        resp_t = raw / raw.sum(axis=0)
+        resp = np.ascontiguousarray(resp_t.T)
+        assert resp.flags.c_contiguous and resp_t.T.flags.f_contiguous
+        gates = rng.normal(scale=2.0, size=(k, d + 1))
+        got, got_obj = gating_newton_step(gates, resp_t.T, xs)
+        want, want_obj = gating_newton_step(gates, resp, xs)
+        assert np.array_equal(got, want)
+        assert got_obj == want_obj
+
 
 class TestEmFit:
     def test_estep_makes_underflowed_rows_uniform(self, monkeypatch):
@@ -318,6 +334,22 @@ class TestEmFit:
         d = res.to_dict()
         back = FitResult.from_dict(d)
         assert back.to_dict() == d
+
+    def test_trace_is_a_read_only_float_array(self):
+        rng = np.random.default_rng(37)
+        data = random_dataset(rng, n=60, dim=1)
+        res = em_fit(data, FitConfig(K=2, max_iter=5),
+                     init_random(data, 2, seed=0))
+        trace = res.loglik_trace
+        assert trace.dtype == np.float64
+        assert trace.shape == (res.iterations + 1,)
+        with pytest.raises(ValueError):
+            trace[0] = 0.0
+        assert all(type(v) is float for v in res.to_dict()["loglik_trace"])
+        d = res.to_dict()
+        d["loglik_trace"] = ["x"]
+        with pytest.raises(InputError, match="malformed"):
+            FitResult.from_dict(d)
 
 
 class TestInitKmeans:
@@ -550,7 +582,7 @@ class TestRowBlocks:
             init = init_perturbed(g0, cfg.K, 0.5, cfg.seed)
             got = em_fit(data, cfg, init)
             want = unblocked_em_fit(data, cfg, init)
-            assert got.loglik_trace == want.loglik_trace
+            assert np.array_equal(got.loglik_trace, want.loglik_trace)
             assert got.iterations == want.iterations
             assert got.model.to_dict() == want.model.to_dict()
 

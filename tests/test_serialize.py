@@ -22,6 +22,7 @@ from sgmoe.model import Dataset
 from sgmoe.selection import SelectionReport
 from sgmoe.serialize import (
     _FNV_CHUNK,
+    _FNV_SMALL,
     _TABLE_HEADER,
     RunManifest,
     _Fnv1a,
@@ -93,7 +94,7 @@ class TestStampedJson:
         p = tmp_path / "f.json"
         save_fit(fit, p)
         back = load_fit(p)
-        assert back.loglik_trace == fit.loglik_trace
+        assert np.array_equal(back.loglik_trace, fit.loglik_trace)
         assert back.iterations == 2 and back.converged
 
     def test_dendrogram_round_trip(self, tmp_path):
@@ -594,6 +595,21 @@ class TestDigests:
     @given(st.binary(max_size=300))
     def test_matches_byte_loop_on_short_inputs(self, data):
         assert fnv1a64(data) == fnv1a64_oracle(data)
+
+    @pytest.mark.parametrize("length", [
+        0, 1, _FNV_SMALL - 1, _FNV_SMALL, _FNV_SMALL + 1,
+        _FNV_CHUNK + _FNV_SMALL - 1, _FNV_CHUNK + _FNV_SMALL])
+    @pytest.mark.parametrize("piece", [1, 64, _FNV_SMALL - 1, _FNV_SMALL,
+                                       _FNV_CHUNK])
+    def test_small_pieces_match_byte_loop(self, length, piece):
+        # pieces and chunk tails shorter than _FNV_SMALL take the per-byte
+        # loop, longer ones the bit passes; one digest may mix both
+        data = np.random.default_rng(length).integers(
+            0, 256, size=length, dtype=np.uint8).tobytes()
+        h = _Fnv1a()
+        for start in range(0, length, piece):
+            h.update(data[start:start + piece])
+        assert h.hexdigest() == fnv1a64(data) == fnv1a64_oracle(data)
 
     @settings(max_examples=20, deadline=None)
     @given(length=st.sampled_from([_FNV_CHUNK - 1, _FNV_CHUNK, _FNV_CHUNK + 1,
