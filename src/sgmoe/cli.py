@@ -24,10 +24,12 @@ from pathlib import Path
 from .datagen import GenConfig, builtin_truths, sample
 from .dendrogram import build_path
 from .errors import InputError, NumericError
-from .estimation import FitConfig, em_fit, make_init
+from .estimation import INITS, FitConfig, em_fit, make_init
 from .experiments import (
+    LOSSES,
     PRESET_NAMES,
     RATE_VALUES,
+    SETTINGS,
     RateStudyConfig,
     SelectionStudyConfig,
     preset,
@@ -96,12 +98,13 @@ def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
     that is `own`, the type of file --out names, else appended to it.
     Before the body, an InputError if any output, the manifest included,
     is the same file (`_identities`) as an input, a file the command also
-    reads (a study's checkpoint, a dataset's binary table) or another
-    output. Then each input but --data is hashed once; `_load_data` adds
-    the digest of --data. The body may add the digests of outputs it
-    hashed as it wrote them, which are then not read back. After the
-    body, the manifest with the digests of the inputs and outputs.
-    Without --out there is nothing to check or record, and no digest.
+    reads (a study's checkpoint; --data's binary table, added here) or
+    another output. Then each input but --data is hashed once;
+    `_load_data` adds the digest of --data. The body may add the digests
+    of outputs it hashed as it wrote them, which are then not read back.
+    After the body, the manifest with the digests of the inputs and
+    outputs. Without --out there is nothing to check or record, and no
+    digest.
     """
     if args.out is None:
         yield {}
@@ -109,6 +112,9 @@ def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
     started = datetime.now(timezone.utc).isoformat()
     inputs, outputs = [Path(p) for p in inputs], [Path(p) for p in outputs]
     manifest = _beside(args.out, ".manifest.json", own)
+    data = Path(args.data) if "data" in args else None
+    if data is not None:
+        reads = [*reads, table_path(data)]
     taken = {}   # identity -> (the file it names, whether an output)
     for path in [*inputs, *map(Path, reads)]:
         for key in _identities(path):
@@ -122,7 +128,6 @@ def _run_record(args, argv, config: dict, seed: int | None, inputs=(),
                     f"outputs {other} and {out} are one file" if is_output
                     else f"output {out} would overwrite input {other}")
         taken.update((key, (out, True)) for key in keys)
-    data = Path(args.data) if "data" in args else None
     digests = {p: file_digest(p) for p in inputs if p != data}
     yield digests
     save_manifest(RunManifest(
@@ -181,7 +186,7 @@ def _parse_epsilon(text: str) -> float | None:
 def _cmd_simulate(args, argv):
     truth = _lookup_truth(args.truth)
     gen = GenConfig(**_given(args, GenConfig))
-    config = {"truth": args.truth, **gen.to_dict()}
+    config = {"truth": args.truth, **asdict(gen)}
     out = Path(args.out)
     sidecar = _beside(out, ".gen.json", ".csv")
     with _run_record(args, argv, config, gen.seed,
@@ -198,7 +203,7 @@ def _cmd_fit(args, argv):
     inputs = [args.data] if args.reference is None else \
         [args.data, args.reference]
     with _run_record(args, argv, asdict(cfg), cfg.seed, inputs, [args.out],
-                     [table_path(args.data)], own=".json") as digests:
+                     own=".json") as digests:
         data = _load_data(args, digests)
         reference = None
         if args.reference is not None:
@@ -215,8 +220,7 @@ def _cmd_dendrogram(args, argv):
     out_json, out_csv = _beside(args.out, ".json"), _beside(args.out, ".csv")
     with _run_record(args, argv, {"model": str(args.model),
                                   "data": str(args.data)}, None,
-                     [args.model, args.data], [out_json, out_csv],
-                     [table_path(args.data)]) as digests:
+                     [args.model, args.data], [out_json, out_csv]) as digests:
         model = load_model_or_fit(args.model)
         data = _load_data(args, digests)
         dg = build_path(model)
@@ -238,8 +242,7 @@ def _cmd_select(args, argv):
     config = {**asdict(cfg), "kmax": args.kmax, "methods": list(methods),
               "epsilon": args.epsilon}
     with _run_record(args, argv, config, cfg.seed, [args.data],
-                     outputs.values(),
-                     [table_path(args.data)]) as digests:
+                     outputs.values()) as digests:
         data = _load_data(args, digests)
         reports = select_order(data, args.kmax, methods, cfg,
                                lambda k: make_init(data, replace(cfg, K=k)),
@@ -382,7 +385,7 @@ def _cmd_study(args, argv):
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_fit_flags(p, init_choices=("kmeans", "perturbed_truth", "random")):
+def _add_fit_flags(p, init_choices=INITS):
     """Flags named after FitConfig fields; unset ones keep its defaults."""
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
@@ -473,7 +476,8 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", default="logn",
                    help="dendrogram criterion weight: 'logn' or a number")
     p.add_argument("--seed", type=int)
-    _add_fit_flags(p, init_choices=("kmeans", "random"))
+    _add_fit_flags(p, init_choices=tuple(i for i in INITS
+                                         if i != "perturbed_truth"))
     p.add_argument("--out", required=True,
                    help="output base name; writes <out>.<method>.json")
     p.set_defaults(handler=_cmd_select)
@@ -488,9 +492,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("rate-study",
                        help="loss-vs-N convergence study")
     _add_study_flags(p)
-    p.add_argument("--setting", choices=("exact", "overfit", "merged"))
+    p.add_argument("--setting", choices=SETTINGS)
     p.add_argument("--fit-k", type=int)
-    p.add_argument("--loss", choices=("vde", "vdo", "vdfra"))
+    p.add_argument("--loss", choices=tuple(LOSSES))
     p.set_defaults(handler=_cmd_study)
 
     p = sub.add_parser("select-study",

@@ -70,11 +70,6 @@ class GenConfig:
         if not self.x_low < self.x_high:
             raise InputError("x_low must be < x_high")
 
-    def to_dict(self) -> dict:
-        return {"n": self.n, "seed": self.seed, "x_low": self.x_low,
-                "x_high": self.x_high,
-                "contamination_eps": self.contamination_eps}
-
 
 def sample_labeled(truth: MixingMeasure,
                    cfg: GenConfig) -> tuple[Dataset, np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, decodes
 from .model import ExpertAtom, MixingMeasure
 
 __all__ = [
@@ -33,21 +33,20 @@ __all__ = [
 
 @dataclass(frozen=True, slots=True)
 class MergeRecord:
-    """One merge: at ``level`` atoms, the pair ``pair`` was replaced at height ``height``."""
+    """One merge: the pair ``pair`` of its level's atoms was replaced at
+    height ``height``; the merge's position in the path gives its level."""
 
-    level: int                 # number of atoms before this merge
     pair: tuple[int, int]      # indices merged, i < j
     height: float              # minimal pairwise dissimilarity at this level
-    merged_atom: ExpertAtom
-
-    def to_dict(self) -> dict:
-        return {"level": self.level, "pair": list(self.pair),
-                "height": self.height}
 
 
 @dataclass(frozen=True, slots=True)
 class Dendrogram:
-    """Aggregation path: models at every level K, K-1, ..., 1 plus merge records."""
+    """Aggregation path: models at every level K, K-1, ..., 1 plus merge records.
+
+    The m-th merge reduces levels[m] to levels[m + 1]: it joins two of
+    levels[m]'s atoms, i < j, at a nonnegative height.
+    """
 
     levels: tuple[MixingMeasure, ...]   # levels[0] has K atoms, levels[-1] has 1
     merges: tuple[MergeRecord, ...]     # length K-1
@@ -55,15 +54,25 @@ class Dendrogram:
     def __post_init__(self):
         object.__setattr__(self, "levels", tuple(self.levels))
         object.__setattr__(self, "merges", tuple(self.merges))
-        if len(self.levels) != len(self.merges) + 1:
-            raise InputError("levels must be one longer than merges")
+        if len(self.merges) != len(self.levels) - 1:
+            raise InputError(f"{len(self.levels)} levels need "
+                             f"{len(self.levels) - 1} merges, got "
+                             f"{len(self.merges)}")
         top = self.levels[0].n_atoms
         for i, lvl in enumerate(self.levels):
             if lvl.n_atoms != top - i:
                 raise InputError(
                     f"level {i} has {lvl.n_atoms} atoms, expected {top - i}")
-        if any(h < 0 for h in self.heights):
-            raise InputError("heights must be nonnegative")
+        for m, merge in enumerate(self.merges):
+            i, j = merge.pair
+            k = top - m
+            if not 0 <= i < j < k:
+                raise InputError(f"merge {m} pair {[i, j]} is not two "
+                                 f"of its level's {k} atoms, i < j")
+            # NaN fails every comparison, so the bound is stated as a pass
+            if not merge.height >= 0:
+                raise InputError(f"merge {m} height {merge.height} is "
+                                 "not >= 0")
 
     @property
     def heights(self) -> tuple[float, ...]:
@@ -89,46 +98,31 @@ class Dendrogram:
         return self.merges[k_top - kappa].height
 
     def to_dict(self) -> dict:
+        top = self.levels[0].n_atoms
         return {
             "levels": [g.to_dict() for g in self.levels],
-            "merges": [m.to_dict() for m in self.merges],
+            "merges": [{"level": top - m, "pair": list(merge.pair),
+                        "height": merge.height}
+                       for m, merge in enumerate(self.merges)],
             "heights": list(self.heights),
         }
 
     @classmethod
+    @decodes("dendrogram")
     def from_dict(cls, d: dict) -> "Dendrogram":
-        """The dendrogram of a `to_dict` record; an InputError when its
-        top-level heights are not its merges' heights, or a merge's level
-        or pair is not one of its position: the m-th merge is at the level
-        with K - m atoms and joins two of them, i < j."""
-        try:
-            levels = tuple(MixingMeasure.from_dict(g) for g in d["levels"])
-            if len(d["merges"]) != len(levels) - 1:
-                raise InputError(f"{len(levels)} levels need "
-                                 f"{len(levels) - 1} merges, got "
-                                 f"{len(d['merges'])}")
-            merges = []
-            for m, (rec, parent, lvl) in enumerate(
-                    zip(d["merges"], levels, levels[1:])):
-                i, j = (int(v) for v in rec["pair"])
-                k = parent.n_atoms
-                if int(rec["level"]) != k:
-                    raise InputError(f"merge {m} is at level {k}, "
-                                     f"its record says {rec['level']}")
-                if not 0 <= i < j < k:
-                    raise InputError(f"merge {m} pair {[i, j]} is not two "
-                                     f"of its level's {k} atoms, i < j")
-                merges.append(MergeRecord(
-                    level=k, pair=(i, j), height=float(rec["height"]),
-                    merged_atom=lvl.atoms[i]))
-            dg = cls(levels=levels, merges=tuple(merges))
-            heights = tuple(float(h) for h in d["heights"])
-        except KeyError as exc:
-            raise InputError(f"dendrogram record missing field {exc}") from exc
-        except InputError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"dendrogram record is malformed: {exc}") from exc
+        """The dendrogram of a `to_dict` record; an InputError also when a
+        merge's level or the top-level heights are not the ones its
+        levels and merges give."""
+        dg = cls(levels=[MixingMeasure.from_dict(g) for g in d["levels"]],
+                 merges=[MergeRecord(pair=tuple(int(v) for v in rec["pair"]),
+                                     height=float(rec["height"]))
+                         for rec in d["merges"]])
+        for m, rec in enumerate(d["merges"]):
+            k = dg.levels[m].n_atoms
+            if int(rec["level"]) != k:
+                raise InputError(f"merge {m} is at level {k}, "
+                                 f"its record says {rec['level']}")
+        heights = tuple(float(h) for h in d["heights"])
         if heights != dg.heights:
             raise InputError(f"dendrogram heights {list(heights)} are not "
                              f"its merge heights {list(dg.heights)}")
@@ -207,8 +201,8 @@ def merge_step(measure: MixingMeasure) -> tuple[MixingMeasure, MergeRecord]:
     atoms = list(measure.atoms)
     atoms[i] = merged
     del atoms[j]
-    record = MergeRecord(level=k, pair=(i, j), height=height, merged_atom=merged)
-    return MixingMeasure(atoms=tuple(atoms), dim=measure.dim), record
+    return (MixingMeasure(atoms=tuple(atoms), dim=measure.dim),
+            MergeRecord(pair=(i, j), height=height))
 
 
 def build_path(measure: MixingMeasure) -> Dendrogram:

@@ -7,6 +7,8 @@ breakdown during iteration (exit 2).
 
 from __future__ import annotations
 
+import functools
+
 
 class InputError(ValueError):
     """Invalid argument, malformed file, or inconsistent configuration."""
@@ -21,3 +23,21 @@ class NumericError(RuntimeError):
     def __init__(self, message: str, *, iteration: int | None = None):
         super().__init__(message)
         self.iteration = iteration
+
+
+def decodes(kind: str):
+    """Make a `from_dict(cls, d)` raise InputError for any malformed `kind`
+    record: a missing field, or a field of the wrong type or value."""
+    def wrap(from_dict):
+        @functools.wraps(from_dict)
+        def decode(cls, d):
+            try:
+                return from_dict(cls, d)
+            except KeyError as exc:
+                raise InputError(f"{kind} record missing field {exc}") from exc
+            except InputError:
+                raise
+            except (AttributeError, IndexError, TypeError, ValueError) as exc:
+                raise InputError(f"{kind} record is malformed: {exc}") from exc
+        return decode
+    return wrap

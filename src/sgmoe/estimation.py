@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, decodes
 from .model import (
     LOG_DENSITY_FLOOR,
     Dataset,
@@ -55,6 +55,10 @@ __all__ = [
     "init_random",
     "make_init",
 ]
+
+
+# FitConfig.init choices; "perturbed_truth" needs a reference model
+INITS = ("kmeans", "perturbed_truth", "random")
 
 
 @dataclass(frozen=True)
@@ -95,7 +99,7 @@ class FitConfig:
                 raise InputError(f"{name} must be finite and "
                                  f"{'> 0' if positive else '>= 0'}, "
                                  f"got {value}")
-        if self.init not in ("kmeans", "perturbed_truth", "random"):
+        if self.init not in INITS:
             raise InputError(f"unknown init scheme {self.init!r}")
 
 
@@ -123,18 +127,12 @@ class FitResult:
         }
 
     @classmethod
+    @decodes("fit")
     def from_dict(cls, d: dict) -> "FitResult":
-        try:
-            return cls(model=MixingMeasure.from_dict(d["model"]),
-                       loglik_trace=d["loglik_trace"],
-                       iterations=int(d["iterations"]),
-                       converged=bool(d["converged"]))
-        except KeyError as exc:
-            raise InputError(f"fit record missing field {exc}") from exc
-        except InputError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"fit record field is malformed: {exc}") from exc
+        return cls(model=MixingMeasure.from_dict(d["model"]),
+                   loglik_trace=d["loglik_trace"],
+                   iterations=int(d["iterations"]),
+                   converged=bool(d["converged"]))
 
 
 # ---------------------------------------------------------------------------

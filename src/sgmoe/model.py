@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, decodes
 
 _MAX_LOG = math.log(np.finfo(float).max)  # ~709.78
 
@@ -84,7 +84,10 @@ def _as_float(value, name: str) -> float:
 
 
 def _as_vector(value, name: str, dim: int | None = None) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{name} must be a real vector, got {value!r}") from exc
     if arr.ndim == 0:
         arr = arr.reshape(1)
     if arr.ndim != 1:
@@ -150,12 +153,10 @@ class ExpertAtom:
         }
 
     @classmethod
+    @decodes("atom")
     def from_dict(cls, d: dict) -> "ExpertAtom":
-        try:
-            return cls(omega0=d["omega0"], omega1=d["omega1"], a=d["a"],
-                       b=d["b"], sigma=d["sigma"])
-        except KeyError as exc:
-            raise InputError(f"atom record missing field {exc}") from exc
+        return cls(omega0=d["omega0"], omega1=d["omega1"], a=d["a"],
+                   b=d["b"], sigma=d["sigma"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -217,12 +218,10 @@ class MixingMeasure:
         return {"dim": self.dim, "atoms": [at.to_dict() for at in self.atoms]}
 
     @classmethod
+    @decodes("model")
     def from_dict(cls, d: dict) -> "MixingMeasure":
-        try:
-            atoms = tuple(ExpertAtom.from_dict(rec) for rec in d["atoms"])
-            return cls(atoms=atoms, dim=int(d["dim"]))
-        except KeyError as exc:
-            raise InputError(f"model record missing field {exc}") from exc
+        return cls(atoms=tuple(ExpertAtom.from_dict(rec) for rec in d["atoms"]),
+                   dim=int(d["dim"]))
 
 
 @dataclass(frozen=True, slots=True)

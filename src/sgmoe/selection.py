@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dendrogram import Dendrogram
-from .errors import InputError
+from .errors import InputError, decodes
 from .estimation import FitResult
 from .model import Dataset, avg_log_likelihood, responsibility_matrix
 
@@ -62,15 +62,13 @@ class SelectionReport:
         return d
 
     @classmethod
+    @decodes("selection")
     def from_dict(cls, d: dict) -> "SelectionReport":
-        try:
-            return cls(method=d["method"],
-                       per_level={int(k): float(v)
-                                  for k, v in d["per_level"].items()},
-                       chosen=int(d["chosen"]),
-                       epsilon_n=d.get("epsilon_n"))
-        except KeyError as exc:
-            raise InputError(f"selection record missing field {exc}") from exc
+        return cls(method=d["method"],
+                   per_level={int(k): float(v)
+                              for k, v in d["per_level"].items()},
+                   chosen=int(d["chosen"]),
+                   epsilon_n=d.get("epsilon_n"))
 
 
 def argmin_level(scores: dict[int, float]) -> int:

@@ -28,12 +28,12 @@ import stat
 import struct
 import warnings
 import zlib
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
 from .dendrogram import Dendrogram
-from .errors import InputError
+from .errors import InputError, decodes
 from .estimation import FitResult
 from .model import Dataset, MixingMeasure
 from .selection import SelectionReport
@@ -547,29 +547,18 @@ class RunManifest:
     argv: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "started": self.started,
-            "finished": self.finished,
-            "inputs": dict(self.inputs),
-            "outputs": dict(self.outputs),
-            "argv": list(self.argv),
-        }
+        return {**asdict(self), "argv": list(self.argv)}
 
     @classmethod
+    @decodes("manifest")
     def from_dict(cls, d: dict) -> "RunManifest":
-        try:
-            return cls(command=str(d["command"]), config=dict(d["config"]),
-                       seed=None if d["seed"] is None else int(d["seed"]),
-                       version=str(d["version"]), started=str(d["started"]),
-                       finished=str(d["finished"]), inputs=dict(d["inputs"]),
-                       outputs=dict(d["outputs"]),
-                       argv=tuple(str(a) for a in d["argv"]))
-        except KeyError as exc:
-            raise InputError(f"manifest missing field {exc}") from exc
+        # {**x} takes a mapping only, where dict(x) also takes pairs
+        return cls(command=str(d["command"]), config={**d["config"]},
+                   seed=None if d["seed"] is None else int(d["seed"]),
+                   version=str(d["version"]), started=str(d["started"]),
+                   finished=str(d["finished"]), inputs={**d["inputs"]},
+                   outputs={**d["outputs"]},
+                   argv=tuple(str(a) for a in d["argv"]))
 
 
 def save_manifest(manifest: RunManifest, path) -> None:

@@ -347,6 +347,35 @@ def test_undecodable_input_exits_one(workdir, tmp_path, capsys, case):
     assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
 
 
+@pytest.mark.parametrize("command", ["metrics", "dendrogram", "fit"])
+@pytest.mark.parametrize("edit", ["dim", "atoms", "atom"])
+def test_malformed_model_exits_one(workdir, tmp_path, capsys, command, edit):
+    doc = {"format": "sgmoe/model/v1",
+           **json.loads((workdir / "fit.json").read_text())["model"]}
+    if edit == "dim":
+        doc["dim"] = "x"
+    elif edit == "atoms":
+        doc["atoms"] = 5
+    else:
+        doc["atoms"][0] = 5
+    bad, out = tmp_path / "bad.json", tmp_path / "out"
+    bad.write_text(json.dumps(doc))
+    data, fit = str(workdir / "data.csv"), str(workdir / "fit.json")
+    argv = {
+        "metrics": ["metrics", "--fitted", str(bad), "--reference", fit,
+                    "--out", f"{out}.json"],
+        "dendrogram": ["dendrogram", "--model", str(bad), "--data", data,
+                       "--out", str(out)],
+        "fit": ["fit", "--data", data, "--k", "2", "--init",
+                "perturbed_truth", "--reference", str(bad),
+                "--out", f"{out}.json"],
+    }[command]
+    assert run_cli(argv) == 1
+    captured = capsys.readouterr()
+    kind = "atom" if edit == "atom" else "model"
+    assert captured.err.startswith(f"error: {kind} record is malformed: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.json"]
+
 @pytest.mark.parametrize("command", ["simulate", "fit", "dendrogram",
                                      "rate-study", "select-study",
                                      "missing-directory"])

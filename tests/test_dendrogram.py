@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from sgmoe.dendrogram import (
     Dendrogram,
+    MergeRecord,
     build_path,
     dissimilarity,
     merge_pair,
@@ -251,6 +252,30 @@ class TestBuildPath:
         d["merges"].append(dict(d["merges"][-1]))
         with pytest.raises(InputError, match="4 levels need 3 merges, got 4"):
             Dendrogram.from_dict(d)
+
+    @pytest.mark.parametrize("pair, match", [
+        ((0, 4), r"merge 0 pair \[0, 4\] is not two of its level's 4"),
+        ((1, 0), r"merge 0 pair \[1, 0\]"),
+        ((2, 2), r"merge 0 pair \[2, 2\]"),
+        ((-1, 2), r"merge 0 pair \[-1, 2\]"),
+    ])
+    def test_built_merge_pair_is_checked(self, pair, match):
+        # the dendrogram checks the merges it is built from, not only
+        # the ones it loads
+        rng = np.random.default_rng(83)
+        dg = build_path(random_measure(rng, k=4, dim=2))
+        merges = (MergeRecord(pair=pair, height=dg.merges[0].height),
+                  *dg.merges[1:])
+        with pytest.raises(InputError, match=match):
+            Dendrogram(levels=dg.levels, merges=merges)
+
+    @pytest.mark.parametrize("height", [-1e-12, math.nan])
+    def test_built_merge_height_is_checked(self, height):
+        rng = np.random.default_rng(83)
+        dg = build_path(random_measure(rng, k=3, dim=1))
+        merges = (dg.merges[0], MergeRecord(pair=(0, 1), height=height))
+        with pytest.raises(InputError, match="merge 1 height"):
+            Dendrogram(levels=dg.levels, merges=merges)
 
 
 class TestDissimilarityOverflow:

@@ -316,6 +316,21 @@ class TestDictRoundTrip:
             MixingMeasure.from_dict(d)
 
 
+class TestVectorFields:
+    @pytest.mark.parametrize("value", ["abc", {"a": 1}, [[1.0], [2.0, 3.0]],
+                                       ["x"], object()])
+    def test_non_numeric_vector_is_an_input_error(self, value):
+        with pytest.raises(InputError, match="omega1 must be a real vector"):
+            ExpertAtom(omega0=0.0, omega1=value, a=(0.0,), b=0.0, sigma=1.0)
+        with pytest.raises(InputError, match="a must be a real vector"):
+            ExpertAtom(omega0=0.0, omega1=(0.0,), a=value, b=0.0, sigma=1.0)
+
+    @pytest.mark.parametrize("value", ["abc", {"a": 1}])
+    def test_translate_by_non_numeric_slope(self, value):
+        with pytest.raises(InputError, match="t1 must be a real vector"):
+            translate(g0_two_expert(), 0.0, value)
+
+
 class TestWeightOverflow:
     def test_weight_inside_double_range(self):
         at = ExpertAtom(omega0=709.0, omega1=(0.0,), a=(0.0,), b=0.0,

@@ -40,10 +40,7 @@ def constant_density_dendrogram(heights):
     for kappa in range(k, 0, -1):
         w = math.log(1.0 / kappa)
         levels.append(make_measure([(w, *atom[1:])] * kappa))
-    merges = tuple(
-        MergeRecord(level=k - i, pair=(0, 1), height=float(h),
-                    merged_atom=levels[i + 1].atoms[0])
-        for i, h in enumerate(heights))
+    merges = tuple(MergeRecord(pair=(0, 1), height=float(h)) for h in heights)
     return Dendrogram(levels=tuple(levels), merges=merges)
 
 

@@ -676,6 +676,70 @@ class TestDigests:
         assert file_digest(out) == fnv1a64_oracle(out.read_bytes())
 
 
+def _stamped_docs(tmp_path):
+    """A valid document of each kind, by loader; with the path to the
+    model record inside it, when it holds one."""
+    model = g0_three_expert()
+    save_model(model, tmp_path / "m.json")
+    save_fit(FitResult(model=model, loglik_trace=(-1.0,), iterations=0,
+                       converged=False), tmp_path / "f.json")
+    save_dendrogram(build_path(model), tmp_path / "d.json")
+    save_report(SelectionReport(method="dsc", per_level={2: -1.5, 3: 0.25},
+                                chosen=2, epsilon_n=9.2), tmp_path / "r.json")
+    save_manifest(RunManifest(command="fit", config={"K": 2}, seed=3,
+                              version="v0.1.0", started="s", finished="f",
+                              inputs={"d.csv": "0"}, outputs={}, argv=("fit",)),
+                  tmp_path / "man.json")
+    return {
+        load_model: ("m.json", ()),
+        load_model_or_fit: ("f.json", ("model",)),
+        load_fit: ("f.json", ("model",)),
+        load_dendrogram: ("d.json", ("levels", 1)),
+        load_report: ("r.json", None),
+        load_manifest: ("man.json", None),
+    }
+
+
+MODEL_EDITS = [
+    (("dim",), "x"),
+    (("dim",), None),
+    (("atoms",), 5),
+    (("atoms",), "ab"),
+    (("atoms", 0), 5),
+    (("atoms", 0), [1.0, 2.0]),
+    (("atoms", 0, "omega1"), "abc"),
+    (("atoms", 0, "omega1"), {"a": 1}),
+    (("atoms", 0, "sigma"), [1.0]),
+]
+RECORD_EDITS = {
+    load_report: [(("per_level",), {"two": 1.0}),
+                  (("per_level",), [1.0, 2.0]),
+                  (("chosen",), "x")],
+    load_manifest: [(("config",), 5), (("config",), "ab"),
+                    (("config",), ["ab"]), (("config",), []),
+                    (("inputs",), [["d.csv", "0"]]), (("seed",), "x")],
+}
+
+
+@pytest.mark.parametrize("loader, where, value", [
+    pytest.param(loader, where, value, id=f"{loader.__name__}-"
+                 f"{'.'.join(map(str, where))}={json.dumps(value)}")
+    for loader, edits in [*((loader, MODEL_EDITS) for loader in (
+        load_model, load_model_or_fit, load_fit, load_dendrogram)),
+        *RECORD_EDITS.items()]
+    for where, value in edits])
+def test_malformed_record_is_an_input_error(tmp_path, loader, where, value):
+    name, model_at = _stamped_docs(tmp_path)[loader]
+    doc = json.loads((tmp_path / name).read_text())
+    rec = doc
+    for key in (model_at or ()) + where[:-1]:
+        rec = rec[key]
+    rec[where[-1]] = value
+    (tmp_path / name).write_text(json.dumps(doc))
+    with pytest.raises(InputError):
+        loader(tmp_path / name)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         man = RunManifest(command="simulate", config={"n": 10, "seed": 3},
