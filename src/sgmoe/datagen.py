@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import (Dataset, ExpertAtom, MixingMeasure, log_gates_matrix,
-                    row_blocks)
+from .model import Dataset, ExpertAtom, MixingMeasure, log_gates, row_blocks
 
 __all__ = [
     "GenConfig",
@@ -81,6 +80,7 @@ def sample_labeled(truth: MixingMeasure,
     """
     rng = np.random.default_rng(cfg.seed)
     n, d, k = cfg.n, truth.dim, truth.n_atoms
+    omega1s, omega0s = truth.omega1s(), truth.omega0s()
     slopes, intercepts = truth.slopes(), truth.intercepts()
     sds = np.sqrt(truth.sigmas())
 
@@ -91,9 +91,9 @@ def sample_labeled(truth: MixingMeasure,
     ys = rng.random(n)
     picks = np.empty(n, dtype=int)
     for rows in row_blocks(n):
-        gate_cdf = np.cumsum(np.exp(log_gates_matrix(truth, xs[rows])),
-                             axis=1)
-        picks[rows] = np.sum(ys[rows, None] > gate_cdf, axis=1)
+        gate_cdf = np.cumsum(np.exp(log_gates(omega1s, omega0s, xs[rows])),
+                             axis=0)
+        picks[rows] = np.sum(ys[rows] > gate_cdf, axis=0)
     np.minimum(picks, k - 1, out=picks)   # guard the top edge against rounding
     rng.standard_normal(out=ys)
     for rows in row_blocks(n):

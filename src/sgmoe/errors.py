@@ -25,6 +25,13 @@ class NumericError(RuntimeError):
         self.iteration = iteration
 
 
+def typed(value, kind: type, name: str):
+    """``value`` if it is exactly a ``kind`` (a bool is no int), uncoerced."""
+    if type(value) is not kind:
+        raise InputError(f"{name} must be {kind.__name__}, got {value!r}")
+    return value
+
+
 def decodes(kind: str):
     """Make a `from_dict(cls, d)` raise InputError for any malformed `kind`
     record: a missing field, or a field of the wrong type or value."""

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, decodes
+from .errors import InputError, NumericError, decodes, typed
 from .model import (
     LOG_DENSITY_FLOOR,
     Dataset,
@@ -131,8 +131,8 @@ class FitResult:
     def from_dict(cls, d: dict) -> "FitResult":
         return cls(model=MixingMeasure.from_dict(d["model"]),
                    loglik_trace=d["loglik_trace"],
-                   iterations=int(d["iterations"]),
-                   converged=bool(d["converged"]))
+                   iterations=typed(d["iterations"], int, "iterations"),
+                   converged=typed(d["converged"], bool, "converged"))
 
 
 # ---------------------------------------------------------------------------
@@ -197,20 +197,18 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     """One damped Newton update of the gating parameters.
 
     ``gates`` is (K, D+1): row k holds (omega1_k, omega0_k).  ``resp`` is
-    (N, K) in either memory order; the step works on its (K, N) transpose,
-    which is free when ``resp`` is itself a transposed C-ordered (K, N)
-    array, as in ``em_fit``.  Returns the updated gates and the new
-    objective value; the objective never decreases (step halving, up to
-    20 halvings, falls back to no move).  The softmax translation
-    direction is flat, so the Hessian needs the ridge to be solvable; the
-    update then stays in a fixed gauge section.  Objective, gradient and
-    Hessian are sums over row blocks (``model.row_blocks``).
+    the (K, N) responsibilities, as ``em_fit`` holds them.  Returns the
+    updated gates and the new objective value; the objective never
+    decreases (step halving, up to 20 halvings, falls back to no move).
+    The softmax translation direction is flat, so the Hessian needs the
+    ridge to be solvable; the update then stays in a fixed gauge section.
+    Objective, gradient and Hessian are sums over row blocks
+    (``model.row_blocks``).
     """
     n, d = xs.shape
     k = gates.shape[0]
-    if resp.shape != (n, k):
+    if resp.shape != (k, n):
         raise InputError("responsibility matrix shape mismatch")
-    resp = np.ascontiguousarray(resp.T)
     p = d + 1
     obj0, grad, hess = _block_sums(
         lambda rows: _gating_terms(gates, resp[:, rows], _design_t(xs[rows])),
@@ -325,7 +323,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
         for rows in row_blocks(n):
             resp[:, rows], row_ll = softmax_cols(log_joint(
                 omega, omega0, slopes, intercepts, sigmas, xs[rows],
-                ys[rows]).T)
+                ys[rows]))
             total += float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
         avg = total / n
         if not math.isfinite(avg):
@@ -343,7 +341,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
 
         # M-step, gates
         gates = np.hstack([omega, omega0[:, None]])
-        gates = _gate_mstep(gates, resp.T, xs, cfg)
+        gates = _gate_mstep(gates, resp, xs, cfg)
         omega = gates[:, :d]
         omega0 = gates[:, d]
 

@@ -34,7 +34,7 @@ from .estimation import FitConfig, em_fit, init_kmeans, init_perturbed
 from .metrics import vde, vdfra, vdo
 from .model import Dataset, MixingMeasure, row_blocks
 from .selection import (METHODS, SelectionReport, argmin_level,
-                        criterion_scores, dsc_select)
+                        check_epsilon, criterion_scores, dsc_select)
 from .serialize import (_read_json, _unreadable, _unwritable, _write_json,
                         format_tag, overwrite)
 
@@ -69,6 +69,8 @@ def slope_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     vs = np.array([p[1] for p in pts], dtype=float)
     if np.any(ns <= 0) or np.any(vs <= 0):
         raise InputError("slope fit needs positive sizes and values")
+    if np.unique(ns).size < 2:
+        raise InputError("slope fit needs at least 2 distinct sizes")
     coeffs = np.polyfit(np.log(ns), np.log(vs), 1)
     return float(coeffs[0]), float(coeffs[1])
 
@@ -237,7 +239,7 @@ def _rate_replication(cfg: RateStudyConfig, n_index: int, n: int,
 def _curve(sizes, ok, j: int):
     """Per-size mean and spread of value column j of the ok records, and
     the log-log slope and intercept of the positive means (NaN with fewer
-    than 3 of them)."""
+    than 3 of them, or with all of them at one size)."""
     rows = []
     for n, values in zip(sizes, ok):
         losses = [v[j] for v in values]
@@ -247,7 +249,8 @@ def _curve(sizes, ok, j: int):
                             reps_used=len(losses)))
     pts = [(row.n, row.mean_loss) for row in rows
            if row.reps_used > 0 and row.mean_loss > 0]
-    slope = slope_fit(pts) if len(pts) >= 3 else (math.nan, math.nan)
+    slope = (slope_fit(pts) if len(pts) >= 3 and len({n for n, _ in pts}) > 1
+             else (math.nan, math.nan))
     return (tuple(rows), *slope)
 
 
@@ -490,10 +493,7 @@ class SelectionStudyConfig(_StudyConfig):
             raise InputError("duplicate selection method")
         if not 0.0 <= self.contamination_eps < 1.0:
             raise InputError("contamination_eps must lie in [0, 1)")
-        if self.epsilon_n is not None and not (
-                math.isfinite(self.epsilon_n) and self.epsilon_n > 0.0):
-            raise InputError(
-                f"epsilon_n must be finite and > 0, got {self.epsilon_n}")
+        check_epsilon(self.epsilon_n)
 
     def fit_size(self) -> int:
         return self.kmax
@@ -527,29 +527,30 @@ def select_order(data: Dataset, kmax: int, methods: Sequence[str],
     Fits sizes 1..kmax, or only kmax when the DSC is the only method, each
     from init_for(k) with em's settings at K = k. The DSC reads the kmax
     fit's dendrogram (epsilon_n None means log N); AIC/BIC/ICL score every
-    fitted size. A failed fit raises NumericError naming its size.
+    fitted size, all from one `criterion_scores` call. A failed fit raises
+    NumericError naming its size.
 
     The one pipeline behind `sgmoe select` and the selection study. It
     looks `em_fit`, `build_path` and the scorers up as this module's
     globals, where the benchmark (perfbench/) wraps them.
     """
-    sweep = any(m != "dsc" for m in methods)
-    fits = {}
+    sweep = tuple(m for m in methods if m != "dsc")
+    fits = []
     for k in range(1, kmax + 1) if sweep else (kmax,):
         try:
-            fits[k] = em_fit(data, replace(em, K=k), init_for(k))
+            fits.append(em_fit(data, replace(em, K=k), init_for(k)))
         except (InputError, NumericError) as exc:
             raise NumericError(
                 f"fit failed at candidate size {k}: {exc}") from exc
+    scores = criterion_scores(fits, data, sweep) if sweep else {}
     reports = {}
     for m in methods:
         if m == "dsc":
-            reports[m] = dsc_select(build_path(fits[kmax].model), data,
+            reports[m] = dsc_select(build_path(fits[-1].model), data,
                                     epsilon_n)
         else:
-            scores = criterion_scores(list(fits.values()), data, m)
-            reports[m] = SelectionReport(method=m, per_level=scores,
-                                         chosen=argmin_level(scores))
+            reports[m] = SelectionReport(method=m, per_level=scores[m],
+                                         chosen=argmin_level(scores[m]))
     return reports
 
 

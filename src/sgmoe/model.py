@@ -56,7 +56,7 @@ LOG_2PI = math.log(2.0 * math.pi)
 # pass holds O(ROW_BLOCK * K) temporaries whatever N is: the likelihood and
 # responsibilities here, EM's E-step, expert M-step and gating Newton sums,
 # the k-means assignment sweep and the sampler's gate draw.  The data, a
-# fit's N x K responsibilities and the sampler's N-vectors stay N-sized.
+# fit's K x N responsibilities and the sampler's N-vectors stay N-sized.
 # Every such pass is exactly its unblocked arithmetic when N <= ROW_BLOCK;
 # above it, sums taken block by block may move a fit by rounding.
 ROW_BLOCK = 16384
@@ -324,22 +324,10 @@ def softmax_cols(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, lse
 
 
-def logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """Row log-sum-exp of an (n, K) array: :func:`logsumexp_cols` of its
-    transpose."""
-    return logsumexp_cols(a.T)
-
-
-def softmax_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row softmax of an (n, K) array and its row log-sum-exp:
-    :func:`softmax_cols` of its transpose, transposed back."""
-    p, lse = softmax_cols(a.T)
-    return p.T, lse
-
-
-def _log_gates_t(omega1s: np.ndarray, omega0s: np.ndarray,
-                 xs: np.ndarray) -> np.ndarray:
-    # (K, n) layout, where numpy's broadcasts run along n
+def log_gates(omega1s: np.ndarray, omega0s: np.ndarray,
+              xs: np.ndarray) -> np.ndarray:
+    """Log softmax gate probabilities from stacked gating parameters, as a
+    C-ordered (K, n) array."""
     logits = omega1s @ xs.T + omega0s[:, None]
     return logits - logsumexp_cols(logits)
 
@@ -347,24 +335,18 @@ def _log_gates_t(omega1s: np.ndarray, omega0s: np.ndarray,
 def log_joint(omega1s: np.ndarray, omega0s: np.ndarray, slopes: np.ndarray,
               intercepts: np.ndarray, sigmas: np.ndarray, xs: np.ndarray,
               ys: np.ndarray) -> np.ndarray:
-    """log(gate_k(x_n) * N(y_n | a_k . x_n + b_k, sigma_k)), shape (n, K),
-    from stacked atom parameters; the kernel behind every likelihood here.
-    It is the transpose of a C-ordered (K, n) array, whose ``.T`` is the
-    expert-major layout the EM kernels work in."""
+    """log(gate_k(x_n) * N(y_n | a_k . x_n + b_k, sigma_k)) from stacked
+    atom parameters, as a C-ordered (K, n) array: the expert-major layout
+    of every kernel here, where numpy's broadcasts run along n."""
     means = slopes @ xs.T + intercepts[:, None]
     log_norm = -0.5 * (LOG_2PI + np.log(sigmas)[:, None]
                        + (ys - means) ** 2 / sigmas[:, None])
-    return (_log_gates_t(omega1s, omega0s, xs) + log_norm).T
-
-
-def log_gates_matrix(measure: MixingMeasure, xs: np.ndarray) -> np.ndarray:
-    """Log softmax gate probabilities, shape (n, K)."""
-    return _log_gates_t(measure.omega1s(), measure.omega0s(), xs).T
+    return log_gates(omega1s, omega0s, xs) + log_norm
 
 
 def log_joint_matrix(measure: MixingMeasure, xs: np.ndarray,
                      ys: np.ndarray) -> np.ndarray:
-    """:func:`log_joint` of the measure's atoms, shape (n, K)."""
+    """:func:`log_joint` of the measure's atoms, shape (K, n)."""
     return log_joint(measure.omega1s(), measure.omega0s(), measure.slopes(),
                      measure.intercepts(), measure.sigmas(), xs, ys)
 
@@ -379,7 +361,7 @@ def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
     """
     logp = np.empty(xs.shape[0])
     for rows in row_blocks(xs.shape[0]):
-        logp[rows] = logsumexp_rows(
+        logp[rows] = logsumexp_cols(
             log_joint_matrix(measure, xs[rows], ys[rows]))
     floored = logp < LOG_DENSITY_FLOOR
     n_floor = int(np.count_nonzero(floored))
@@ -395,7 +377,8 @@ def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
 def gating_probs(measure: MixingMeasure, x) -> np.ndarray:
     """Softmax gate probabilities at covariate x; sums to 1, all in [0, 1]."""
     x = _check_x(measure, x)
-    return np.exp(log_gates_matrix(measure, x[None, :]))[0]
+    return np.exp(log_gates(measure.omega1s(), measure.omega0s(),
+                            x[None, :]))[:, 0]
 
 
 def conditional_density(measure: MixingMeasure, x, y) -> float:
@@ -418,15 +401,16 @@ def avg_log_likelihood(measure: MixingMeasure, data: Dataset) -> float:
 
 
 def responsibility_matrix(measure: MixingMeasure, data: Dataset) -> np.ndarray:
-    """Posterior component memberships for every observation, shape (n, K)."""
+    """Posterior component memberships for every observation, as a
+    C-ordered (n, K) array."""
     if data.dim != measure.dim:
         raise InputError(
             f"dataset dim {data.dim} does not match model dim {measure.dim}")
-    # a fully underflowed row becomes uniform
+    # a fully underflowed observation gets uniform memberships
     out = np.empty((data.n, measure.n_atoms))
     for rows in row_blocks(data.n):
-        out[rows] = softmax_rows(
-            log_joint_matrix(measure, data.xs[rows], data.ys[rows]))[0]
+        out[rows] = softmax_cols(
+            log_joint_matrix(measure, data.xs[rows], data.ys[rows]))[0].T
     return out
 
 

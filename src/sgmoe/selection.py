@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dendrogram import Dendrogram
-from .errors import InputError, decodes
+from .errors import InputError, decodes, typed
 from .estimation import FitResult
 from .model import Dataset, avg_log_likelihood, responsibility_matrix
 
@@ -40,6 +40,15 @@ __all__ = [
 METHODS = ("dsc", "aic", "bic", "icl")
 
 
+def check_epsilon(epsilon_n) -> None:
+    """Refuse a DSC weight that is not None or a finite number > 0."""
+    if epsilon_n is not None and not (
+            isinstance(epsilon_n, (int, float))
+            and not isinstance(epsilon_n, bool)
+            and math.isfinite(epsilon_n) and epsilon_n > 0):
+        raise InputError(f"epsilon_n must be finite and > 0, got {epsilon_n}")
+
+
 @dataclass(frozen=True)
 class SelectionReport:
     method: str                     # dsc | aic | bic | icl
@@ -52,6 +61,7 @@ class SelectionReport:
             raise InputError(f"unknown selection method {self.method!r}")
         if self.chosen not in self.per_level:
             raise InputError("chosen level must appear in per_level")
+        check_epsilon(self.epsilon_n)
 
     def to_dict(self) -> dict:
         d = {"method": self.method,
@@ -67,7 +77,7 @@ class SelectionReport:
         return cls(method=d["method"],
                    per_level={int(k): float(v)
                               for k, v in d["per_level"].items()},
-                   chosen=int(d["chosen"]),
+                   chosen=typed(d["chosen"], int, "chosen"),
                    epsilon_n=d.get("epsilon_n"))
 
 
@@ -82,10 +92,8 @@ def dsc_select(dg: Dendrogram, data: Dataset,
     k_top = dg.levels[0].n_atoms
     if k_top < 2:
         raise InputError("selection needs a dendrogram with at least 2 atoms")
-    if epsilon_n is None:
-        epsilon_n = math.log(data.n)
-    if not (math.isfinite(epsilon_n) and epsilon_n > 0):
-        raise InputError(f"epsilon_n must be finite and > 0, got {epsilon_n}")
+    epsilon_n = math.log(data.n) if epsilon_n is None else epsilon_n
+    check_epsilon(epsilon_n)
     scores = {}
     for kappa in range(2, k_top + 1):
         ll = avg_log_likelihood(dg.level(kappa), data)
@@ -106,25 +114,26 @@ def param_count(k: int, d: int) -> int:
 
 
 def criterion_scores(fits: list[FitResult], data: Dataset,
-                     method: str) -> dict[int, float]:
-    """AIC/BIC/ICL scores (lower is better) for pre-computed fits 1..kmax."""
-    if method not in ("aic", "bic", "icl"):
-        raise InputError(f"unknown sweep criterion {method!r}")
+                     methods: tuple[str, ...]) -> dict[str, dict[int, float]]:
+    """AIC/BIC/ICL scores (lower is better) of pre-computed fits, per method
+    a dict from fit size to score: one likelihood per fit serves every
+    method, and ICL adds one responsibility matrix per fit."""
+    for m in methods:
+        if m not in ("aic", "bic", "icl"):
+            raise InputError(f"unknown sweep criterion {m!r}")
     n = data.n
-    scores = {}
+    scores = {m: {} for m in methods}
     for fit in fits:
         k = fit.model.n_atoms
         p = param_count(k, data.dim)
         ll = avg_log_likelihood(fit.model, data)
-        if method == "aic":
-            scores[k] = 2.0 * p - 2.0 * n * ll
-        else:
-            score = p * math.log(n) - 2.0 * n * ll
-            if method == "icl":
-                resp = responsibility_matrix(fit.model, data)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    plogp = np.where(resp > 0.0, resp * np.log(resp), 0.0)
-                score += -2.0 * float(np.sum(plogp))
-            scores[k] = score
+        fit_scores = {"aic": 2.0 * p - 2.0 * n * ll,
+                      "bic": p * math.log(n) - 2.0 * n * ll}
+        if "icl" in scores:
+            resp = responsibility_matrix(fit.model, data)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                plogp = np.where(resp > 0.0, resp * np.log(resp), 0.0)
+            fit_scores["icl"] = fit_scores["bic"] - 2.0 * float(np.sum(plogp))
+        for m, per_size in scores.items():
+            per_size[k] = fit_scores[m]
     return scores
-

@@ -162,20 +162,19 @@ def design_t(xs):
 
 
 def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8):
-    """One damped gating Newton step over all rows at once, from (N, K)
-    responsibilities; returns a dict of the start objective obj0,
+    """One damped gating Newton step over all rows at once, from C-ordered
+    (K, N) responsibilities; returns a dict of the start objective obj0,
     gradient grad, Hessian hess (ridge included), step, the number of
     halvings taken (None when no candidate was accepted), and the
     resulting gates and objective."""
     n, d = xs.shape
     k = gates.shape[0]
     p = d + 1
-    rt = np.ascontiguousarray(resp.T)
     zt = design_t(xs)
     logits = gates @ zt
     pi, lse = softmax_cols(logits)
-    obj0 = float(np.sum(rt * logits) - np.sum(lse))
-    grad = (rt - pi) @ zt.T
+    obj0 = float(np.sum(resp * logits) - np.sum(lse))
+    grad = (resp - pi) @ zt.T
     pz = (pi[:, None, :] * zt).reshape(k * p, n)
     hess = -(pz @ pz.T)
     zz = (zt[:, None, :] * zt).reshape(p * p, n)
@@ -189,7 +188,7 @@ def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8):
     for halvings in range(20):
         cand = gates + scale * step
         logits = cand @ zt
-        obj = float(np.sum(rt * logits) - np.sum(logsumexp_cols(logits)))
+        obj = float(np.sum(resp * logits) - np.sum(logsumexp_cols(logits)))
         if obj >= obj0:
             out.update(halvings=halvings, gates=cand, obj=obj)
             break
@@ -201,7 +200,7 @@ def unblocked_estep(omega, omega0, slopes, intercepts, sigmas, xs, ys):
     """(K, N) responsibilities and the average floored log-likelihood from
     one log-joint pass over all rows."""
     resp, row_ll = softmax_cols(
-        log_joint(omega, omega0, slopes, intercepts, sigmas, xs, ys).T)
+        log_joint(omega, omega0, slopes, intercepts, sigmas, xs, ys))
     return resp, float(np.mean(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
 
 
@@ -230,7 +229,7 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
         gates = np.hstack([omega, omega0[:, None]])
         obj = None
         for _ in range(cfg.newton_max_iter):
-            step = unblocked_gating_newton_step(gates, resp.T, xs,
+            step = unblocked_gating_newton_step(gates, resp, xs,
                                                 ridge=cfg.ridge)
             gates, new_obj = step["gates"], step["obj"]
             if obj is not None and new_obj - obj < cfg.newton_tol:

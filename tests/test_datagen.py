@@ -11,7 +11,7 @@ from scipy.stats import chi2
 from sgmoe import model
 from sgmoe.datagen import GenConfig, builtin_truths, derive_seed, sample, sample_labeled
 from sgmoe.errors import InputError
-from sgmoe.model import Dataset, conditional_density, log_gates_matrix
+from sgmoe.model import Dataset, conditional_density, log_gates
 from sgmoe.serialize import fnv1a64
 
 from helpers import make_measure
@@ -24,8 +24,9 @@ def unblocked_sample_labeled(truth, cfg):
     n, d, k = cfg.n, truth.dim, truth.n_atoms
     xs = rng.uniform(cfg.x_low, cfg.x_high, size=(n, d))
     contaminated = rng.random(n) < cfg.contamination_eps
-    gate_cdf = np.cumsum(np.exp(log_gates_matrix(truth, xs)), axis=1)
-    picks = np.sum(rng.random(n)[:, None] > gate_cdf, axis=1)
+    gate_cdf = np.cumsum(
+        np.exp(log_gates(truth.omega1s(), truth.omega0s(), xs)), axis=0)
+    picks = np.sum(rng.random(n) > gate_cdf, axis=0)
     picks = np.minimum(picks, k - 1)
     means = (np.sum(truth.slopes()[picks] * xs, axis=1)
              + truth.intercepts()[picks])

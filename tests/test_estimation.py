@@ -83,8 +83,8 @@ class TestGatingNewton:
         n = 60
         rng = np.random.default_rng(5)
         xs = rng.uniform(-1, 1, size=(n, 1))
-        resp = np.zeros((n, 2))
-        resp[:, 0] = 1.0
+        resp = np.zeros((2, n))
+        resp[0] = 1.0
         gates = np.array([[0.0, 50.0], [0.0, 0.0]])   # (omega1, omega0) rows
         new_gates, _ = gating_newton_step(gates, resp, xs)
         assert float(np.max(np.abs(new_gates - gates))) < 1e-8
@@ -95,7 +95,7 @@ class TestGatingNewton:
         rng = np.random.default_rng(7)
         xs = np.zeros((n, 1))
         r1 = rng.uniform(0.1, 0.9, size=n)
-        resp = np.stack([r1, 1 - r1], axis=1)
+        resp = np.stack([r1, 1 - r1])
         gates = np.zeros((2, 2))
         for _ in range(60):
             gates, _ = gating_newton_step(gates, resp, xs)
@@ -112,7 +112,7 @@ class TestGatingNewton:
 
         gates = np.zeros((k, d + 1))
         for _ in range(200):
-            gates, obj = gating_newton_step(gates, resp, xs)
+            gates, obj = gating_newton_step(gates, resp.T, xs)
 
         # slow independent oracle: projected gradient ascent with baseline
         # row pinned to zero (same gauge section up to translation)
@@ -144,7 +144,7 @@ class TestGatingNewton:
         gates = rng.normal(size=(k, 3))
         prev = None
         for _ in range(30):
-            gates, obj = gating_newton_step(gates, resp, xs)
+            gates, obj = gating_newton_step(gates, resp.T, xs)
             if prev is not None:
                 assert obj >= prev - 1e-12
             prev = obj
@@ -159,7 +159,7 @@ class TestGatingNewton:
         raw = rng.uniform(0.01, 1.0, size=(n, k))
         resp = raw / raw.sum(axis=1, keepdims=True)
         gates = rng.normal(size=(k, d + 1))
-        got, got_obj = gating_newton_step(gates, resp, xs)
+        got, got_obj = gating_newton_step(gates, resp.T, xs)
         want, want_obj = naive_gating_newton_step(gates, resp, xs)
 
         # only the ridge fixes the translation direction, so rounding there
@@ -172,17 +172,17 @@ class TestGatingNewton:
         assert got_obj == pytest.approx(want_obj, rel=1e-9, abs=1e-9)
 
     def test_responsibility_layout_does_not_matter(self):
-        # em_fit passes the (N, K) transpose of its C-ordered (K, N)
-        # responsibilities; a C-ordered (N, K) copy gives the same bits
+        # em_fit passes its C-ordered (K, N) responsibilities; the same
+        # values in Fortran order give the same bits
         rng = np.random.default_rng(41)
         n, k, d = 300, 4, 2
         xs = rng.uniform(-2, 2, size=(n, d))
         raw = rng.uniform(0.01, 1.0, size=(k, n))
-        resp_t = raw / raw.sum(axis=0)
-        resp = np.ascontiguousarray(resp_t.T)
-        assert resp.flags.c_contiguous and resp_t.T.flags.f_contiguous
+        resp = raw / raw.sum(axis=0)
+        resp_f = np.asfortranarray(resp)
+        assert resp.flags.c_contiguous and not resp_f.flags.c_contiguous
         gates = rng.normal(scale=2.0, size=(k, d + 1))
-        got, got_obj = gating_newton_step(gates, resp_t.T, xs)
+        got, got_obj = gating_newton_step(gates, resp_f, xs)
         want, want_obj = gating_newton_step(gates, resp, xs)
         assert np.array_equal(got, want)
         assert got_obj == want_obj
@@ -200,7 +200,7 @@ class TestEmFit:
 
         def dead_rows(*args):
             lj = real_log_joint(*args)
-            lj[:3] = -np.inf
+            lj[:, :3] = -np.inf
             return lj
 
         def spy(gates, resp, xs, **kwargs):
@@ -211,9 +211,9 @@ class TestEmFit:
         monkeypatch.setattr(estimation, "gating_newton_step", spy)
         em_fit(data, FitConfig(K=3, max_iter=1), init_random(data, 3, 0))
         resp = seen[0]
-        assert np.all(resp[:3] == 1.0 / 3.0)
+        assert np.all(resp[:, :3] == 1.0 / 3.0)
         assert np.all(np.isfinite(resp))
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(resp.sum(axis=0), 1.0, rtol=1e-12)
 
     def test_single_expert_recovers_wls(self):
         rng = np.random.default_rng(17)
@@ -523,7 +523,7 @@ class TestRowBlocks:
         k, d = 3, 2
         xs = rng.uniform(-2, 2, size=(n, d))
         raw = rng.uniform(0.01, 1.0, size=(n, k))
-        resp = raw / raw.sum(axis=1, keepdims=True)
+        resp = np.ascontiguousarray((raw / raw.sum(axis=1, keepdims=True)).T)
         # far from the optimum the full step overshoots and is halved
         gates = rng.normal(scale=3.0 if start == "far" else 0.5,
                            size=(k, d + 1))
@@ -614,7 +614,7 @@ class TestRowBlocks:
             lj = real_log_joint(*args)
             xs = args[5]
             block_sizes.append(len(xs))
-            lj[np.isin(xs[:, 0], data.xs[dead, 0])] = -np.inf
+            lj[:, np.isin(xs[:, 0], data.xs[dead, 0])] = -np.inf
             return lj
 
         def spy(gates, resp, xs, **kwargs):
@@ -626,9 +626,9 @@ class TestRowBlocks:
         em_fit(data, FitConfig(K=3, max_iter=1), init_random(data, 3, 0))
         assert block_sizes[:4] == [16, 16, 16, 2]
         resp = seen[0]
-        assert np.all(resp[dead] == 1.0 / 3.0)
+        assert np.all(resp[:, dead] == 1.0 / 3.0)
         assert np.all(np.isfinite(resp))
-        np.testing.assert_allclose(resp.sum(axis=1), 1.0, rtol=1e-12)
+        np.testing.assert_allclose(resp.sum(axis=0), 1.0, rtol=1e-12)
 
 
 class TestWorkingMemory:

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import tracemalloc
+import warnings
 from functools import lru_cache
 
 import numpy as np
@@ -100,6 +101,11 @@ class TestGridAndSlope:
         with pytest.raises(InputError):
             slope_fit([(10, 1.0), (20, 0.5), (30, 0.0)])
 
+    def test_slope_rejects_one_size(self):
+        # a least-squares line through one abscissa is not determined
+        with pytest.raises(InputError, match="2 distinct sizes"):
+            slope_fit([(200, 1.0), (200, 0.5), (200, 0.7)])
+
 
 class TestWorkerResolution:
     def test_config_when_no_env(self):
@@ -158,6 +164,18 @@ class TestRateStudy:
         assert all(row.mean_loss > 0 for row in res.rows)
         assert math.isfinite(res.slope)
         assert res.rows[-1].mean_loss < res.rows[0].mean_loss
+
+    def test_one_size_grid_reports_no_slope(self):
+        cfg = tiny_rate_config(n_min=200, n_max=200,
+                               em=FitConfig(K=2, tol=1e-5, max_iter=300,
+                                            init_scale=0.0))
+        assert cfg.sizes() == (200, 200, 200)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            res = run_rate_study(cfg)
+        assert caught == []
+        assert all(row.reps_used == 2 for row in res.rows)
+        assert math.isnan(res.slope) and math.isnan(res.intercept)
 
     def test_resume_completes_to_identical_table(self, tmp_path):
         cfg = tiny_rate_config()
@@ -533,7 +551,7 @@ class TestSelectionStudy:
         for name in ("init_perturbed", "init_kmeans", "dsc_select",
                      "criterion_scores"):
             record(name)
-        scoring = ["build_path:3", "dsc_select"] + ["criterion_scores"] * 3
+        scoring = ["criterion_scores", "build_path:3", "dsc_select"]
 
         data = tmp_path / "data.csv"
         assert run_cli(["simulate", "--truth", "g0_2", "--n", "300",

@@ -22,12 +22,13 @@ from sgmoe.model import (
     conditional_density,
     gating_probs,
     log_density_vector,
+    log_joint,
     log_joint_matrix,
-    logsumexp_rows,
+    logsumexp_cols,
     normalize_baseline,
     responsibilities,
     responsibility_matrix,
-    softmax_rows,
+    softmax_cols,
     translate,
 )
 
@@ -234,13 +235,16 @@ class TestResponsibilities:
 
 
 class TestRowKernels:
+    """Per-observation rows of an (n, K) array, reduced by the column
+    kernels on its (K, n) transpose."""
+
     @settings(max_examples=200, deadline=None)
     @given(a=arrays(np.float64,
                     st.tuples(st.integers(1, 6), st.integers(1, 5)),
                     elements=st.one_of(st.floats(-1e3, 1e3),
                                        st.just(-np.inf))))
     def test_logsumexp_matches_scipy(self, a):
-        np.testing.assert_allclose(logsumexp_rows(a), logsumexp(a, axis=1),
+        np.testing.assert_allclose(logsumexp_cols(a.T), logsumexp(a, axis=1),
                                    rtol=1e-13, atol=1e-12)
 
     def test_logsumexp_edge_rows(self):
@@ -251,7 +255,7 @@ class TestRowKernels:
                       [-1e3, -1e3, -inf],
                       [inf, 0.0, -inf],
                       [np.nan, 0.0, 1.0]])
-        got = logsumexp_rows(a)
+        got = logsumexp_cols(a.T)
         np.testing.assert_array_equal(got[[0, 1, 4, 5]],
                                       [-inf, 1e3, inf, np.nan])
         np.testing.assert_allclose(got[2:4], logsumexp(a[2:4], axis=1),
@@ -260,11 +264,11 @@ class TestRowKernels:
     def test_softmax_dead_rows_uniform(self):
         a = np.array([[-np.inf, -np.inf], [np.inf, 0.0], [np.nan, 1.0],
                       [-1e3, -1e3 - 2.0]])
-        p, lse = softmax_rows(a)
-        np.testing.assert_array_equal(p[:3], 0.5)
+        p, lse = softmax_cols(a.T)
+        np.testing.assert_array_equal(p[:, :3], 0.5)
         want = np.array([1.0, math.exp(-2.0)]) / (1.0 + math.exp(-2.0))
-        np.testing.assert_allclose(p[3], want, rtol=1e-14)
-        np.testing.assert_array_equal(lse, logsumexp_rows(a))
+        np.testing.assert_allclose(p[:, 3], want, rtol=1e-14)
+        np.testing.assert_array_equal(lse, logsumexp_cols(a.T))
 
 
 class TestGauge:
@@ -361,7 +365,7 @@ class TestRowBlocks:
             got = log_density_vector(g, data.xs, ys)
         assert len(record) == 1
         assert str(record[0].message).startswith("4 of 53 density values")
-        want = logsumexp_rows(log_joint_matrix(g, data.xs, ys))
+        want = logsumexp_cols(log_joint_matrix(g, data.xs, ys))
         assert np.all(got[far] == model.LOG_DENSITY_FLOOR)
         keep = np.setdiff1d(np.arange(53), far)
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-13)
@@ -372,9 +376,21 @@ class TestRowBlocks:
         data = random_dataset(rng, n=500, dim=2)
         lj = log_joint_matrix(g, data.xs, data.ys)
         assert np.array_equal(log_density_vector(g, data.xs, data.ys),
-                              logsumexp_rows(lj))
+                              logsumexp_cols(lj))
         assert np.array_equal(responsibility_matrix(g, data),
-                              softmax_rows(lj)[0])
+                              softmax_cols(lj)[0].T)
+
+    def test_kernels_are_expert_major(self):
+        # log_joint is a C-ordered (K, n) array; responsibility_matrix
+        # stays a C-ordered (n, K) array, the order ICL sums its entropy in
+        rng = np.random.default_rng(12)
+        g = random_measure(rng, k=3, dim=2, scale=1.0)
+        data = random_dataset(rng, n=40, dim=2)
+        lj = log_joint(g.omega1s(), g.omega0s(), g.slopes(), g.intercepts(),
+                       g.sigmas(), data.xs, data.ys)
+        assert lj.shape == (3, 40) and lj.flags.c_contiguous
+        resp = responsibility_matrix(g, data)
+        assert resp.shape == (40, 3) and resp.flags.c_contiguous
 
     def test_responsibilities_over_blocks(self, monkeypatch):
         rng = np.random.default_rng(10)

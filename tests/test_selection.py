@@ -175,10 +175,32 @@ class TestCriterionSweep:
         with pytest.raises(NumericError, match="candidate size 4"):
             sweep(data, 4, ("bic",), FitConfig(K=1, seed=0, init="kmeans"))
 
+    def test_each_fit_scored_once(self, monkeypatch):
+        # all four methods at kmax = 4: one likelihood per sweep fit plus
+        # one per DSC level (4 + 3), one responsibility matrix per fit
+        from sgmoe import selection
+        from sgmoe.selection import METHODS
+
+        counts = {"avg_log_likelihood": 0, "responsibility_matrix": 0}
+        for name in counts:
+            real = getattr(selection, name)
+
+            def counted(*args, _name=name, _real=real):
+                counts[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(selection, name, counted)
+        g0 = builtin_truths()["g0_2"]
+        data = sample(g0, GenConfig(n=600, seed=21))
+        cfg = FitConfig(K=1, seed=3, init="kmeans")
+        reports = sweep(data, 4, METHODS, cfg)
+        assert list(reports) == list(METHODS)
+        assert counts == {"avg_log_likelihood": 4 + 3,
+                          "responsibility_matrix": 4}
+
     def test_unknown_method_rejected(self):
         data = toy_data()
         with pytest.raises(InputError):
-            criterion_scores([], data, "gic")
+            criterion_scores([], data, ("gic",))
         with pytest.raises(InputError):
             sweep(data, 2, ("gic",), FitConfig(K=1, seed=0))
 
@@ -192,6 +214,13 @@ class TestSelectionReport:
     def test_chosen_must_be_scored(self):
         with pytest.raises(InputError):
             SelectionReport(method="aic", per_level={1: 0.0}, chosen=2)
+
+    @pytest.mark.parametrize("epsilon", ["x", 0.0, -1.0, math.nan,
+                                         math.inf, True])
+    def test_epsilon_must_be_a_positive_number(self, epsilon):
+        with pytest.raises(InputError, match="epsilon_n must be"):
+            SelectionReport(method="dsc", per_level={2: 0.0}, chosen=2,
+                            epsilon_n=epsilon)
 
 
 def test_readme_library_example():

@@ -740,6 +740,28 @@ def test_malformed_record_is_an_input_error(tmp_path, loader, where, value):
         loader(tmp_path / name)
 
 
+@pytest.mark.parametrize("loader, field, value", [
+    (load_fit, "converged", "false"),
+    (load_fit, "converged", 1),
+    (load_fit, "iterations", 2.5),
+    (load_fit, "iterations", True),
+    (load_report, "chosen", 2.9),
+    (load_report, "chosen", "2"),
+    (load_report, "epsilon_n", "x"),
+    (load_report, "epsilon_n", 0.0),
+    (load_report, "epsilon_n", True),
+])
+def test_scalar_field_must_have_its_json_type(tmp_path, loader, field, value):
+    # no coercion: a bool field takes true/false only, a count an integer,
+    # and epsilon_n null or a finite number > 0
+    name, _ = _stamped_docs(tmp_path)[loader]
+    doc = json.loads((tmp_path / name).read_text())
+    doc[field] = value
+    (tmp_path / name).write_text(json.dumps(doc))
+    with pytest.raises(InputError, match=field):
+        loader(tmp_path / name)
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         man = RunManifest(command="simulate", config={"n": 10, "seed": 3},
