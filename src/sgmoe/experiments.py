@@ -51,13 +51,25 @@ def resolve_workers(configured: int | None = None) -> int:
 
 
 def log_size_grid(n_min: int, n_max: int, count: int) -> tuple[int, ...]:
-    """`count` sample sizes spaced evenly in log10 between the endpoints."""
+    """`count` distinct sample sizes spaced evenly in log10 between the
+    endpoints; a count whose rounded sizes repeat is refused."""
     if count < 1:
         raise InputError(f"size count must be >= 1, got {count}")
     if not 1 <= n_min <= n_max:
         raise InputError(f"need 1 <= n_min <= n_max, got [{n_min}, {n_max}]")
-    grid = np.logspace(math.log10(n_min), math.log10(n_max), count)
-    return tuple(int(round(x)) for x in grid)
+
+    def grid(c):
+        return tuple(int(round(x)) for x in
+                     np.logspace(math.log10(n_min), math.log10(n_max), c))
+
+    sizes = grid(count)
+    if len(set(sizes)) < count:
+        most = next(c for c in range(count - 1, 0, -1)
+                    if len(set(grid(c))) == c)
+        raise InputError(
+            f"{count} log-spaced sizes in [{n_min}, {n_max}] repeat a size; "
+            f"the range allows at most {most} distinct ones")
+    return sizes
 
 
 def slope_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

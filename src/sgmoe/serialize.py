@@ -2,8 +2,11 @@
 
 Every JSON document carries a "format" stamp "sgmoe/<kind>/v<major>"; the
 loaders refuse stamps whose kind or major version they do not understand.
-Floats are written with repr, so finite doubles survive a round trip
-bit-for-bit. Dataset CSVs have no stamp: their header is their schema.
+Floats are written as repr writes them, the shortest decimal that reads
+back as the same double (at most 17 significant digits), so finite doubles
+survive a round trip bit-for-bit; dataset CSVs get that text from a numpy
+kernel (`_csv_lines`). Dataset CSVs have no stamp: their header is their
+schema.
 Beside each dataset CSV it writes, `write_dataset_csv` leaves the same
 table in binary (`table_path`), keyed to the CSV's SHA-256 and holding its
 FNV-1a digest, which `load_dataset_csv` reads instead of parsing the CSV
@@ -196,10 +199,12 @@ def table_path(path) -> Path:
 
 
 def write_dataset_csv(data: Dataset, path) -> dict[Path, str]:
-    """Header x1..xD,y; values via repr (17 significant digits).
+    """Header x1..xD,y; each value as repr writes it: the shortest decimal
+    that reads back as the same double (at most 17 significant digits).
 
     The bytes are those of `csv.writer`'s default dialect: comma-separated,
     CRLF line ends, nothing quoted (no float repr holds a comma or quote).
+    The text is made by `_csv_lines` in numpy, one block of rows at a time.
     Then `table_path(path)` gets the same table in binary, keyed to the
     CSV's length and SHA-256, holding its FNV-1a digest and checked by a
     CRC-32. Both files are hashed from the bytes as they are written, and
@@ -208,20 +213,17 @@ def write_dataset_csv(data: Dataset, path) -> dict[Path, str]:
     """
     # imported here: OpenSSL costs memory in runs that hash nothing
     import hashlib
-    table = np.column_stack((data.xs, data.ys))
-    line = ",".join(["%r"] * table.shape[1]) + "\r\n"
     csv_fnv, csv_sha = _Fnv1a(), hashlib.sha256()
     with overwrite(path, binary=True) as fh:
-        def write(text):
-            chunk = text.encode("ascii")
+        def write(chunk):
             fh.write(chunk)
             csv_fnv.update(chunk)
             csv_sha.update(chunk)
 
-        write(",".join(dataset_header(data.dim)) + "\r\n")
+        write((",".join(dataset_header(data.dim)) + "\r\n").encode("ascii"))
         for start in range(0, data.n, _CSV_CHUNK_ROWS):
-            rows = table[start:start + _CSV_CHUNK_ROWS]
-            write((line * len(rows)) % tuple(rows.ravel().tolist()))
+            rows = slice(start, start + _CSV_CHUNK_ROWS)
+            write(_csv_lines(np.column_stack((data.xs[rows], data.ys[rows]))))
     csv_digest = csv_fnv.hexdigest()
     xs = np.ascontiguousarray(data.xs, dtype="<f8")
     ys = np.ascontiguousarray(data.ys, dtype="<f8")
@@ -235,6 +237,176 @@ def write_dataset_csv(data: Dataset, path) -> dict[Path, str]:
             table_hash.update(part)
     return {Path(path): csv_digest,
             table_path(path): table_hash.hexdigest()}
+
+
+# repr writes a double x as the shortest decimal that reads back as x (of
+# two such, the nearer), in fixed notation when 1e-4 <= |x| < 1e16.
+# `_csv_lines` finds those digits in numpy. For such x, k = 16 -
+# floor(log10 |x|) puts V = |x| 10^k in (10^16, 10^17); 10^k is exact for
+# k <= 22, and Dekker's product (numpy has no fused multiply-add) splits V
+# exactly into an integer P and a remainder e, taken to |e| <= 1/2. The
+# decimals that read back as x lie within u = 10^k ulp(x) / 2 of V, which is
+# exact too. So the digits are those of the multiple of 10^(17-n) nearest V,
+# for the least n whose nearest multiple lies within u. n = 17 always does;
+# n = 16, 15, ... are tried in turn, each on the values the one before kept.
+# A distance is one rounding from exact, so a test that falls within a
+# relative _REPR_MARGIN of its bound (u, or a tie at half a step) is left
+# undecided; the bound is loose enough to cover how the nearest multiple is
+# picked too (the steps here are at most 10^5, and u > 0.55). repr itself
+# writes the values left undecided, and 0, subnormals, powers of two (whose
+# interval is lopsided), values outside the fixed range, and those with 12
+# digits or fewer.
+#
+# Each value gets 44 bytes: two 20-byte copies of three characters and the
+# 17 digits (zero-padded past n, four at a time from a table), then ",\n" or
+# "\r\n". The first copy starts "-00" and ends in "." in place of its last
+# digit, which an integer part never reaches; the second starts "000". A
+# row of `_line_masks`, picked by sign, decimal point, length and column,
+# keeps the sign, the integer part from the first copy ("0" or digits),
+# its ".", the fraction from the second copy and the terminator. A value
+# repr writes goes over the first 24 bytes, under a mask row of its length.
+
+_REPR_MARGIN = 2.0 ** -26
+_SPLIT = 134217729.0                        # 2^27 + 1, Veltkamp's splitter
+_POW10 = 10.0 ** np.arange(23)
+_POW10_HI = _POW10 * _SPLIT - (_POW10 * _SPLIT - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+_EXPONENT = np.uint64(0x7ff << 52)
+_MANTISSA = np.uint64((1 << 52) - 1)
+_HALF_ULP = np.uint64(53 << 52)             # exponent offset of ulp(x) / 2
+_FIELD_WORDS = 11                           # two 5-word copies, terminator
+_REPR_ROWS = 2 * 20 * 5 * 2                 # sign, point, end, last column
+
+
+@functools.cache
+def _digits4() -> np.ndarray:
+    """The ASCII digits of 0000..9999 as little-endian uint32 words."""
+    d = np.arange(10_000)
+    digits = np.stack([d // 1000, d // 100 % 10, d // 10 % 10, d % 10], 1)
+    return (digits.astype(np.uint8) + ord("0")).view("<u4").ravel()
+
+
+@functools.cache
+def _line_masks() -> np.ndarray:
+    """Which of a value's 44 bytes `_csv_lines` keeps. Row (((negative *
+    20 + decimal point + 3) * 5 + end - 13) * 2 + last column), with end =
+    max(digits, decimal point + 1); then row _REPR_ROWS + 2 * length + last
+    column for a value written by repr."""
+    masks = np.zeros((_REPR_ROWS + 50, 4 * _FIELD_WORDS), dtype=bool)
+    for row, (neg, point, end, last) in zip(masks, np.ndindex(2, 20, 5, 2)):
+        point, end = point - 3, end + 13
+        row[0] = neg
+        row[2] = point <= 0
+        row[3:3 + point] = True
+        row[19] = True
+        row[23 + point:23 + max(end, point + 1)] = True
+        row[40:42] = True, last
+    for length, rows in enumerate(masks[_REPR_ROWS:].reshape(25, 2, -1)):
+        rows[:, :length] = True
+        rows[:, 40] = True
+        rows[1, 41] = True
+    return masks
+
+
+def _csv_lines(table: np.ndarray) -> np.ndarray:
+    """The CSV lines of a (rows, columns) float64 table, as uint8 bytes:
+    each value as repr writes it (see the note above), comma-separated,
+    CRLF-ended."""
+    m, cols = table.size, table.shape[1]
+    v = table.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16) & (v.view(np.uint64) & _MANTISSA != 0)
+    np.copyto(a, 1.5, where=~fast)     # a stand-in that every step accepts
+    k = np.log10(a)
+    np.floor(k, out=k)
+    k = 16 - k.astype(np.intp)
+    hi = a * _POW10[k]
+    c = a * _SPLIT
+    ah = c - (c - a)
+    al = a - ah
+    ph, pl = _POW10_HI[k], _POW10_LO[k]
+    e = ah * ph - hi
+    e += ah * pl
+    e += al * ph
+    e += al * pl
+    fast &= (hi > 1e16) & (hi < 1e17)
+    u = ((a.view(np.uint64) & _EXPONENT) - _HALF_ULP).view(float)
+    u *= _POW10[k]
+    del a, c, ah, al, ph, pl
+    step = np.rint(e)
+    e -= step
+    fast &= np.abs(e) < 0.5 * (1 - _REPR_MARGIN)
+    digits = hi.astype(np.int64)
+    digits += step.astype(np.int64)
+    del hi, step
+    # the n-digit multiple nearest V is digits - offset
+    count = np.full(m, 17)
+    offset = np.zeros(m, dtype=np.int64)
+    kept, kd, ke, ku = np.arange(m), digits, e, u
+    for n in range(16, 11, -1):
+        s = 10 ** (17 - n)
+        near = kd - kd // s * s
+        near = near.astype(float)
+        dist = near + ke
+        dist *= 1.0 / s
+        np.rint(dist, out=dist)
+        near -= dist * s
+        np.add(near, ke, out=dist)
+        np.abs(dist, out=dist)
+        inside = (dist < ku * (1 - _REPR_MARGIN)) & \
+            (dist < s / 2 * (1 - _REPR_MARGIN))
+        fast[kept[~inside & (dist <= ku * (1 + _REPR_MARGIN))]] = False
+        inside = np.flatnonzero(inside)
+        kept = kept[inside]
+        if not kept.size:
+            break
+        offset[kept] = near[inside]
+        count[kept] = n
+        kd, ke, ku = kd[inside], ke[inside], ku[inside]
+    else:
+        fast[kept] = False
+    del e, u, kd, ke, ku, near, dist
+    digits -= offset
+    # the 4-digit groups d, g1, g2, g3, g4 of the 17 digits
+    g2 = digits // 10 ** 8
+    g4 = digits - g2 * 10 ** 8
+    g1 = g2 // 10_000
+    g2 -= g1 * 10_000
+    d = g1 // 10_000
+    g1 -= d * 10_000
+    g3 = g4 // 10_000
+    g4 -= g3 * 10_000
+    table4 = _digits4()
+    words = np.empty((m, _FIELD_WORDS), dtype="<u4")
+    for col, group in ((1, g1), (2, g2), (3, g3), (4, g4)):
+        words[:, col + 5] = table4.take(group)
+        words[:, col] = words[:, col + 5]
+    words[:, 4] &= 0x00ffffff
+    words[:, 4] |= ord(".") << 24
+    lead = d.astype("<u4")
+    lead <<= 24
+    lead |= 0x30303030                 # "000" and the first digit
+    words[:, 5] = lead
+    lead ^= ord("0") ^ ord("-")        # "-00" and the first digit
+    words[:, 0] = lead
+    words[:, 10] = int.from_bytes(b",\n", "little")
+    words[cols - 1::cols, 10] = int.from_bytes(b"\r\n", "little")
+    del digits, offset, g1, g2, g3, g4, d, lead
+    key = np.maximum(count, 17 - k)
+    key += 5 * (20 - k) - 13
+    key += 100 * (v < 0)
+    key *= 2
+    key[cols - 1::cols] += 1
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = [repr(x).encode() for x in v[slow].tolist()]
+        lengths = np.array([len(t) for t in text])
+        key[slow] = _REPR_ROWS + 2 * lengths + (slow % cols == cols - 1)
+        at = np.repeat(4 * _FIELD_WORDS * slow - np.cumsum(lengths)
+                       + lengths, lengths) + np.arange(lengths.sum())
+        words.view(np.uint8).ravel()[at] = np.frombuffer(b"".join(text),
+                                                         dtype=np.uint8)
+    return words.view(np.uint8)[_line_masks().take(key, axis=0)]
 
 
 def _table_crc(key, *payload) -> int:
@@ -417,10 +589,10 @@ _FNV_CHUNK = 1 << 18
 _FNV_SMALL = 2048
 
 
-@functools.cache
 def _fnv_powers() -> np.ndarray:
     """P^B, P^(B-1), ..., P^1 mod 2^64 as uint64, B = _FNV_BLOCK (512 KB,
-    built on first use so that runs which hash nothing do not hold it)."""
+    0.1 ms to build: each `_Fnv1a` builds its own on its first long chunk
+    and drops it with itself, so no run holds it between digests)."""
     powers = np.empty(_FNV_BLOCK, dtype=np.uint64)
     powers[-1] = _FNV_PRIME
     n = 1
@@ -430,8 +602,9 @@ def _fnv_powers() -> np.ndarray:
     return powers
 
 
-def _fnv1a64_chunk(h: int, chunk) -> int:
-    """FNV-1a state `h` after the bytes of `chunk` (at most _FNV_CHUNK)."""
+def _fnv1a64_chunk(h: int, chunk, powers) -> int:
+    """FNV-1a state `h` after the bytes of `chunk` (at most _FNV_CHUNK);
+    `powers` is `_fnv_powers()`, or None if `chunk` is under _FNV_SMALL."""
     n = len(chunk)
     if n < _FNV_SMALL:
         for byte in bytes(chunk):
@@ -466,7 +639,6 @@ def _fnv1a64_chunk(h: int, chunk) -> int:
         plane = np.unpackbits(w.view(np.uint8), bitorder="little")
         plane *= bit
         low |= plane
-    powers = _fnv_powers()
     d = np.empty(min(n, _FNV_BLOCK), dtype=np.uint64)
     for start in range(0, n, _FNV_BLOCK):
         m = min(n - start, _FNV_BLOCK)
@@ -486,7 +658,13 @@ class _Fnv1a:
     def __init__(self):
         self._h = _FNV_OFFSET
         self._pending = b""
+        self._powers = None
         self.length = 0
+
+    def _step(self, h: int, chunk) -> int:
+        if self._powers is None and len(chunk) >= _FNV_SMALL:
+            self._powers = _fnv_powers()
+        return _fnv1a64_chunk(h, chunk, self._powers)
 
     def update(self, data) -> None:
         view = memoryview(data).cast("B")
@@ -497,16 +675,16 @@ class _Fnv1a:
             view = view[take:]
             if len(self._pending) < _FNV_CHUNK:
                 return
-            self._h = _fnv1a64_chunk(self._h, self._pending)
+            self._h = self._step(self._h, self._pending)
         whole = len(view) - len(view) % _FNV_CHUNK
         for start in range(0, whole, _FNV_CHUNK):
-            self._h = _fnv1a64_chunk(self._h, view[start:start + _FNV_CHUNK])
+            self._h = self._step(self._h, view[start:start + _FNV_CHUNK])
         self._pending = bytes(view[whole:])
 
     def hexdigest(self) -> str:
         h = self._h
         if self._pending:
-            h = _fnv1a64_chunk(h, self._pending)
+            h = self._step(h, self._pending)
         return f"{h:016x}"
 
 

@@ -72,6 +72,14 @@ class TestGridAndSlope:
     def test_grid_single_point(self):
         assert log_size_grid(500, 500, 1) == (500,)
 
+    @pytest.mark.parametrize("n_min, n_max, count, most", [
+        (100, 110, 20, 11), (200, 200, 3, 1), (1, 10, 10, 6)])
+    def test_grid_refuses_repeated_sizes(self, n_min, n_max, count, most):
+        with pytest.raises(InputError, match=f"allows at most {most} "):
+            log_size_grid(n_min, n_max, count)
+        sizes = log_size_grid(n_min, n_max, most)
+        assert len(set(sizes)) == most
+
     def test_grid_rejects_bad_ranges(self):
         with pytest.raises(InputError):
             log_size_grid(100, 10, 3)
@@ -166,10 +174,10 @@ class TestRateStudy:
         assert res.rows[-1].mean_loss < res.rows[0].mean_loss
 
     def test_one_size_grid_reports_no_slope(self):
-        cfg = tiny_rate_config(n_min=200, n_max=200,
+        cfg = tiny_rate_config(n_min=200, n_max=200, n_count=1,
                                em=FitConfig(K=2, tol=1e-5, max_iter=300,
                                             init_scale=0.0))
-        assert cfg.sizes() == (200, 200, 200)
+        assert cfg.sizes() == (200,)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             res = run_rate_study(cfg)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sgmoe.cli import _write_table, run_cli
+from sgmoe.datagen import GenConfig, builtin_truths, sample
 from sgmoe.dendrogram import build_path
 from sgmoe.errors import InputError
 from sgmoe.estimation import FitResult
@@ -26,7 +27,7 @@ from sgmoe.serialize import (
     _TABLE_HEADER,
     RunManifest,
     _Fnv1a,
-    _fnv_powers,
+    _csv_lines,
     file_digest,
     fnv1a64,
     load_dataset_csv,
@@ -287,6 +288,74 @@ class TestDatasetCsv:
             file_digest(tmp_path)
 
 
+def _repr_lines(table: np.ndarray) -> bytes:
+    """CSV lines of `table` with each value written by repr itself."""
+    return "".join(",".join(map(repr, row)) + "\r\n"
+                   for row in table.tolist()).encode()
+
+
+def _as_table(values, width: int) -> np.ndarray:
+    """`values` as a float table of `width` columns, cut to whole rows."""
+    values = np.asarray(values, dtype=float)
+    return values[:len(values) // width * width].reshape(-1, width)
+
+
+# uint64 bit patterns of finite doubles of either sign: any pattern, or
+# one with an exponent in repr's fixed-notation range, 2^-14 .. 2^53
+_FINITE_BITS = st.one_of(
+    st.integers(0, 2 ** 64 - 1),
+    st.tuples(st.booleans(), st.integers(1023 - 14, 1023 + 53),
+              st.integers(0, 2 ** 52 - 1))
+    .map(lambda t: t[0] << 63 | t[1] << 52 | t[2]),
+).filter(lambda b: b >> 52 & 0x7ff != 0x7ff)
+
+
+class TestReprKernel:
+    """`_csv_lines`, the numpy kernel behind `write_dataset_csv`, writes
+    every value as repr does."""
+
+    @given(bits=st.lists(_FINITE_BITS, min_size=4, max_size=48),
+           width=st.integers(1, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_repr_on_any_finite_bits(self, bits, width):
+        table = _as_table(np.array(bits, dtype=np.uint64).view(float),
+                          width)
+        assert _csv_lines(table).tobytes() == _repr_lines(table)
+
+    @pytest.mark.parametrize("values", [
+        [s * 2.0 ** p for p in range(-20, 61) for s in (1, -1)],
+        [np.nextafter(edge, to) for edge in (1e-4, 1e16)
+         for to in (0.0, np.inf)] + [1e-4, 1e16, -1e-4, -1e16],
+        [0.5, 0.125, 0.1, 2.5, 0.3, -0.75, 1.0, 10.0, 1e-3, 123.456,
+         0.1 + 0.2, 1 / 3, 2 / 3, 9999999999999998.0],
+        np.concatenate([1e15 + np.arange(2000.0),
+                        np.random.default_rng(1).integers(
+                            10 ** 15, 10 ** 16, size=2000)]),
+        [5e-324, -5e-324, 2.2250738585072009e-308, 1e-310, 0.0, -0.0,
+         1.7976931348623157e308, -1.7976931348623157e308],
+        # exactly halfway between two 17-digit decimals
+        [1e15 + j + f for j in range(0, 10 ** 15, 10 ** 12 + 7)
+         for f in (0.25, 0.75)] + [1 + 2.0 ** -j for j in range(1, 53)],
+    ], ids=["powers_of_two", "range_edges", "short_decimals",
+            "integers_1e15_1e16", "zeros_subnormals_max", "halfway_ties"])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_matches_repr_on_structured_cases(self, values, width):
+        table = _as_table(values, width)
+        assert _csv_lines(table).tobytes() == _repr_lines(table)
+
+    @pytest.mark.parametrize("truth, width", [("g0_2", 2), ("g0_3", 4)])
+    def test_matches_repr_on_sampled_draws(self, truth, width):
+        # 2e5 values of `sample`'s x and y, in the writer's row blocks
+        rows = 200_000 // width
+        data = sample(builtin_truths()[truth],
+                      GenConfig(n=rows, seed=width, contamination_eps=0.05))
+        xs = np.random.default_rng(width).uniform(size=(rows, width - 2))
+        table = np.column_stack((data.xs, xs, data.ys))
+        for start in range(0, rows, 4096):
+            block = table[start:start + 4096]
+            assert _csv_lines(block).tobytes() == _repr_lines(block)
+
+
 def _parsed(path, **kw):
     """`load_dataset_csv` of `path` with no binary table beside it."""
     table, kept = table_path(path), None
@@ -531,7 +600,8 @@ class TestDatasetReader:
     @given(text=_dataset_text())
     @settings(max_examples=300, deadline=None)
     def test_matches_row_by_row_reader(self, tmp_path_factory, text):
-        p = tmp_path_factory.getbasetemp() / "differential.csv"
+        # a fresh file: rewriting one just written waits on its writeback
+        p = tmp_path_factory.mktemp("differential") / "d.csv"
         p.write_bytes(text.encode())
         want = _read_outcome(csv_reader_dataset, p)
         with warnings.catch_warnings(record=True) as caught:
@@ -653,7 +723,6 @@ class TestDigests:
         assert file_digest(p) == fnv1a64(data) == fnv1a64_oracle(data)
 
     def test_file_digest_memory_is_bounded(self, tmp_path):
-        _fnv_powers()   # built once per process, not part of a digest
         rng = np.random.default_rng(6)
         peaks = []
         for chunks in (1, 16):
