@@ -394,10 +394,6 @@ def _add_fit_flags(p, init_choices=INITS):
     p.add_argument("--init-gate-scale", type=float,
                    help="perturbation scale for the gating block only "
                         "(default: --init-scale)")
-    p.add_argument("--newton-max-iter", type=int)
-    p.add_argument("--newton-tol", type=float)
-    p.add_argument("--ridge", type=float)
-    p.add_argument("--sigma-floor", type=float)
 
 
 def _add_study_flags(p):

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, decodes
+from .errors import InputError, NumericError, decodes, number, numbers, typed
 from .model import ExpertAtom, MixingMeasure
 
 __all__ = [
@@ -113,16 +113,19 @@ class Dendrogram:
         """The dendrogram of a `to_dict` record; an InputError also when a
         merge's level or the top-level heights are not the ones its
         levels and merges give."""
+        def merge(rec):
+            pair = typed(rec["pair"], list, "pair")
+            return MergeRecord(pair=tuple(typed(v, int, "pair") for v in pair),
+                               height=number(rec["height"], "height"))
+
         dg = cls(levels=[MixingMeasure.from_dict(g) for g in d["levels"]],
-                 merges=[MergeRecord(pair=tuple(int(v) for v in rec["pair"]),
-                                     height=float(rec["height"]))
-                         for rec in d["merges"]])
+                 merges=[merge(rec) for rec in d["merges"]])
         for m, rec in enumerate(d["merges"]):
             k = dg.levels[m].n_atoms
-            if int(rec["level"]) != k:
+            if typed(rec["level"], int, "level") != k:
                 raise InputError(f"merge {m} is at level {k}, "
                                  f"its record says {rec['level']}")
-        heights = tuple(float(h) for h in d["heights"])
+        heights = tuple(numbers(d["heights"], "heights"))
         if heights != dg.heights:
             raise InputError(f"dendrogram heights {list(heights)} are not "
                              f"its merge heights {list(dg.heights)}")

@@ -25,11 +25,27 @@ class NumericError(RuntimeError):
         self.iteration = iteration
 
 
+# The checks a `from_dict` makes of a JSON value: each raises TypeError,
+# which `decodes` reports as a malformed record.
+
 def typed(value, kind: type, name: str):
     """``value`` if it is exactly a ``kind`` (a bool is no int), uncoerced."""
     if type(value) is not kind:
-        raise InputError(f"{name} must be {kind.__name__}, got {value!r}")
+        raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def number(value, name: str) -> float:
+    """``value`` as a float if it is a JSON number: an int or a float, not
+    a bool or a str."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def numbers(values, name: str) -> list[float]:
+    """A JSON array of numbers (see `number`) as a list of floats."""
+    return [number(v, name) for v in typed(values, list, name)]
 
 
 def decodes(kind: str):

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, decodes, typed
+from .errors import InputError, NumericError, decodes, numbers, typed
 from .model import (
     LOG_DENSITY_FLOOR,
     Dataset,
@@ -60,6 +60,11 @@ __all__ = [
 # FitConfig.init choices; "perturbed_truth" needs a reference model
 INITS = ("kmeans", "perturbed_truth", "random")
 
+NEWTON_MAX_ITER = 25   # gating Newton steps per M-step, at most
+NEWTON_TOL = 1e-8      # stop them when the gating objective gains less
+RIDGE = 1e-8           # added to the gating Hessian's diagonal
+SIGMA_FLOOR = 1e-8     # least expert variance a start or M-step may give
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -72,10 +77,6 @@ class FitConfig:
     # positive init_scale starts duplicates split in expert space but with
     # identical gates, which keeps the gating likelihood ridge unseeded.
     init_gate_scale: float | None = None
-    newton_max_iter: int = 25     # inner gating Newton cap per M-step
-    newton_tol: float = 1e-8
-    ridge: float = 1e-8           # gating Hessian regularizer
-    sigma_floor: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -84,12 +85,8 @@ class FitConfig:
         if self.max_iter < 0:
             # 0 means evaluate the initial model without any update
             raise InputError("max_iter must be >= 0")
-        if self.newton_max_iter < 1:
-            raise InputError("newton_max_iter must be >= 1")
         # NaN fails every comparison, so each bound is stated as a pass
-        for name, positive in (("tol", True), ("sigma_floor", True),
-                               ("newton_tol", True), ("ridge", False),
-                               ("init_scale", False),
+        for name, positive in (("tol", True), ("init_scale", False),
                                ("init_gate_scale", False)):
             value = getattr(self, name)
             if value is None and name == "init_gate_scale":
@@ -129,9 +126,15 @@ class FitResult:
     @classmethod
     @decodes("fit")
     def from_dict(cls, d: dict) -> "FitResult":
+        """The fit of a `to_dict` record; an InputError also when its
+        iterations are not one less than its trace's length."""
+        trace = numbers(d["loglik_trace"], "loglik_trace")
+        iterations = typed(d["iterations"], int, "iterations")
+        if iterations != len(trace) - 1:
+            raise InputError(f"fit of {iterations} iterations has a trace "
+                             f"of {len(trace)} values, not {iterations + 1}")
         return cls(model=MixingMeasure.from_dict(d["model"]),
-                   loglik_trace=d["loglik_trace"],
-                   iterations=typed(d["iterations"], int, "iterations"),
+                   loglik_trace=trace, iterations=iterations,
                    converged=typed(d["converged"], bool, "converged"))
 
 
@@ -192,8 +195,8 @@ def _gating_terms(gates: np.ndarray, resp: np.ndarray,
     return obj, grad, hess
 
 
-def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
-                       ridge: float = 1e-8) -> tuple[np.ndarray, float]:
+def gating_newton_step(gates: np.ndarray, resp: np.ndarray,
+                       xs: np.ndarray) -> tuple[np.ndarray, float]:
     """One damped Newton update of the gating parameters.
 
     ``gates`` is (K, D+1): row k holds (omega1_k, omega0_k).  ``resp`` is
@@ -201,8 +204,8 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     updated gates and the new objective value; the objective never
     decreases (step halving, up to 20 halvings, falls back to no move).
     The softmax translation direction is flat, so the Hessian needs the
-    ridge to be solvable; the update then stays in a fixed gauge section.
-    Objective, gradient and Hessian are sums over row blocks
+    ridge RIDGE to be solvable; the update then stays in a fixed gauge
+    section.  Objective, gradient and Hessian are sums over row blocks
     (``model.row_blocks``).
     """
     n, d = xs.shape
@@ -213,7 +216,7 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     obj0, grad, hess = _block_sums(
         lambda rows: _gating_terms(gates, resp[:, rows], _design_t(xs[rows])),
         n)
-    hess.reshape(-1)[::k * p + 1] += ridge
+    hess.reshape(-1)[::k * p + 1] += RIDGE
 
     try:
         step = np.linalg.solve(hess, grad.reshape(-1)).reshape(k, p)
@@ -236,17 +239,6 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     return gates, obj0
 
 
-def _gate_mstep(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
-                cfg: FitConfig) -> np.ndarray:
-    obj = None
-    for _ in range(cfg.newton_max_iter):
-        gates, new_obj = gating_newton_step(gates, resp, xs, ridge=cfg.ridge)
-        if obj is not None and new_obj - obj < cfg.newton_tol:
-            break
-        obj = new_obj
-    return gates
-
-
 # ---------------------------------------------------------------------------
 # expert M-step
 
@@ -260,8 +252,7 @@ def _expert_moments(zt: np.ndarray, resp: np.ndarray,
 
 
 def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
-                  sigma_floor: float, iteration: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+                  iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Slopes, intercepts and variances of every expert from the (K, N)
     responsibilities: weighted least squares, then the weighted residual
     variance, each one blocked pass over the rows."""
@@ -286,7 +277,7 @@ def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
 
     ss, = _block_sums(residual_sums, n)
     return (betas[:, :d].copy(), betas[:, d].copy(),
-            np.maximum(ss / mass, sigma_floor))
+            np.maximum(ss / mass, SIGMA_FLOOR))
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +288,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
 
     Stops when the average log-likelihood changes by less than cfg.tol or
     after cfg.max_iter iterations; the returned model is baseline-normalized
-    and every variance respects cfg.sigma_floor.
+    and every variance is at least SIGMA_FLOOR.
     """
     if init.n_atoms != cfg.K:
         raise InputError(f"init has {init.n_atoms} atoms, config wants {cfg.K}")
@@ -312,7 +303,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     omega = init.omega1s()
     slopes = init.slopes()
     intercepts = init.intercepts()
-    sigmas = np.maximum(init.sigmas(), cfg.sigma_floor)
+    sigmas = np.maximum(init.sigmas(), SIGMA_FLOOR)
 
     resp = np.empty((k, n))
 
@@ -336,12 +327,16 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     converged = False
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
-        slopes, intercepts, sigmas = _expert_mstep(
-            xs, ys, resp, cfg.sigma_floor, iteration)
+        slopes, intercepts, sigmas = _expert_mstep(xs, ys, resp, iteration)
 
-        # M-step, gates
+        # M-step, gates: Newton steps until one gains less than NEWTON_TOL
         gates = np.hstack([omega, omega0[:, None]])
-        gates = _gate_mstep(gates, resp, xs, cfg)
+        obj = None
+        for _ in range(NEWTON_MAX_ITER):
+            gates, new_obj = gating_newton_step(gates, resp, xs)
+            if obj is not None and new_obj - obj < NEWTON_TOL:
+                break
+            obj = new_obj
         omega = gates[:, :d]
         omega0 = gates[:, d]
 
@@ -370,8 +365,8 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
 # ---------------------------------------------------------------------------
 # initialization schemes
 
-def _cluster_atom(xs: np.ndarray, ys: np.ndarray, proportion: float,
-                  sigma_floor: float) -> ExpertAtom:
+def _cluster_atom(xs: np.ndarray, ys: np.ndarray,
+                  proportion: float) -> ExpertAtom:
     """Least-squares expert for one cluster; falls back to a flat fit when
     the cluster design is singular (too few or collinear points)."""
     n, d = xs.shape
@@ -381,18 +376,18 @@ def _cluster_atom(xs: np.ndarray, ys: np.ndarray, proportion: float,
         beta = np.linalg.solve(gram, z.T @ ys)
         a, b = beta[:d], float(beta[d])
         resid = ys - z @ beta
-        sigma = max(float(np.mean(resid ** 2)), sigma_floor)
+        sigma = max(float(np.mean(resid ** 2)), SIGMA_FLOOR)
     else:
         a = np.zeros(d)
         b = float(np.mean(ys))
-        sigma = max(float(np.var(ys)), sigma_floor)
+        sigma = max(float(np.var(ys)), SIGMA_FLOOR)
     return ExpertAtom(omega0=math.log(proportion), omega1=np.zeros(d),
                       a=a, b=b, sigma=sigma)
 
 
-def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
-               n_iter: int = 50) -> np.ndarray:
-    """Plain k-means with k-means++ seeding; returns integer labels."""
+def _kmeans_pp(points: np.ndarray, k: int,
+               rng: np.random.Generator) -> np.ndarray:
+    """Plain k-means (k-means++ seeding, at most 50 sweeps); labels."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[rng.integers(n)]
@@ -405,7 +400,7 @@ def _kmeans_pp(points: np.ndarray, k: int, rng: np.random.Generator,
         centers[j] = points[rng.choice(n, p=d2 / total)]
         d2 = np.minimum(d2, np.sum((points - centers[j]) ** 2, axis=1))
     labels = np.zeros(n, dtype=int)
-    for sweep in range(n_iter):
+    for sweep in range(50):
         new_labels, far = _assign(points, centers)
         if sweep > 0 and np.array_equal(new_labels, labels):
             break
@@ -437,8 +432,7 @@ def _assign(points: np.ndarray, centers: np.ndarray) -> tuple[np.ndarray, int]:
     return labels, far
 
 
-def init_kmeans(data: Dataset, k: int, seed: int,
-                sigma_floor: float = 1e-8) -> MixingMeasure:
+def init_kmeans(data: Dataset, k: int, seed: int) -> MixingMeasure:
     """Cluster joined (x, y) points and fit one expert per cluster."""
     if k < 1:
         raise InputError(f"K must be >= 1, got {k}")
@@ -457,8 +451,7 @@ def init_kmeans(data: Dataset, k: int, seed: int,
         if count == 0:
             raise NumericError(f"k-means produced an empty cluster {j}")
         atoms.append(_cluster_atom(data.xs[mask], data.ys[mask],
-                                   proportion=count / data.n,
-                                   sigma_floor=sigma_floor))
+                                   proportion=count / data.n))
     return MixingMeasure(atoms=tuple(atoms), dim=data.dim)
 
 
@@ -522,7 +515,7 @@ def make_init(data: Dataset, cfg: FitConfig,
               reference: MixingMeasure | None = None) -> MixingMeasure:
     """Build the starting model named by cfg.init."""
     if cfg.init == "kmeans":
-        return init_kmeans(data, cfg.K, cfg.seed, sigma_floor=cfg.sigma_floor)
+        return init_kmeans(data, cfg.K, cfg.seed)
     if cfg.init == "perturbed_truth":
         if reference is None:
             raise InputError("perturbed_truth init needs a reference model")

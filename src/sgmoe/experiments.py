@@ -30,9 +30,10 @@ import numpy as np
 from .datagen import GenConfig, builtin_truths, derive_seed, sample
 from .dendrogram import build_path
 from .errors import InputError, NumericError
-from .estimation import FitConfig, em_fit, init_kmeans, init_perturbed
+from .estimation import (NEWTON_MAX_ITER, NEWTON_TOL, RIDGE, SIGMA_FLOOR,
+                         FitConfig, em_fit, init_kmeans, init_perturbed)
 from .metrics import vde, vdfra, vdo
-from .model import Dataset, MixingMeasure, row_blocks
+from .model import MAX_LOG, Dataset, MixingMeasure, row_blocks
 from .selection import (METHODS, SelectionReport, argmin_level,
                         check_epsilon, criterion_scores, dsc_select)
 from .serialize import (_read_json, _unreadable, _unwritable, _write_json,
@@ -91,7 +92,8 @@ def slope_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 class _StudyConfig:
     """What both studies share: the truth, the (size, rep) grid, the EM
     settings, the study seed and the worker count. em.K, em.seed and
-    em.init are ignored; replication seeds derive from `seed`.
+    em.init are ignored, and left out of the config record (UNRECORDED);
+    replication seeds derive from `seed`.
 
     Each study adds its own fields, checks them in `_check(k0)` (k0 is the
     true size) and names its largest fitted size in `fit_size()`.
@@ -184,7 +186,7 @@ class RateStudyResult:
 # Beyond log(float max) the ratio of two atoms' gates somewhere on the data
 # is not representable in double precision: the gate has separated the data
 # and the fit's exp(omega0) weights no longer describe a measurable model.
-MAX_GATE_SPREAD = math.log(np.finfo(float).max)  # ~709.78
+MAX_GATE_SPREAD = MAX_LOG  # ~709.78
 
 
 def gate_spread(model, xs: np.ndarray) -> float:
@@ -336,23 +338,35 @@ def record_path(checkpoint) -> Path:
     return Path(f"{checkpoint}.config.json")
 
 
+# Config fields that change no record: the worker count, and the em fields
+# every replication sets for itself (its size, start and seed)
+UNRECORDED = frozenset({"workers", "em.K", "em.init", "em.seed"})
+
+# Fields of older records that this version no longer has, each with the
+# value every fit now takes: a record holding that value still matches
+RETIRED = {"em.gate_box": None, "em.newton_max_iter": NEWTON_MAX_ITER,
+           "em.newton_tol": NEWTON_TOL, "em.ridge": RIDGE,
+           "em.sigma_floor": SIGMA_FLOOR}
+
+
 def _config_record(cfg) -> dict:
     """The study's kind and config as flat JSON values, the em fields as
-    "em.<field>"; `workers` is left out, as it changes no record."""
+    "em.<field>", without the UNRECORDED fields."""
     flat = {"study": type(cfg).__name__}
     for name, value in asdict(cfg).items():
         if isinstance(value, dict):
             flat.update({f"{name}.{key}": v for key, v in value.items()})
-        elif name != "workers":
+        else:
             flat[name] = value
-    return json.loads(json.dumps(flat))
+    return json.loads(json.dumps({key: value for key, value in flat.items()
+                                  if key not in UNRECORDED}))
 
 
 def _check_record(checkpoint, cfg) -> dict:
     """The config record of `cfg`, after checking it against the record of
     an existing checkpoint: an InputError names the first field that
-    differs. A field one record lacks counts as null there, so a record
-    that holds a field this version no longer has, as null, still matches.
+    differs. The existing record's UNRECORDED fields are not compared, and
+    a RETIRED field that this config lacks takes its retired value.
     A checkpoint without a record (hand-made, or written before records
     were kept) is taken as this config's; a record without its checkpoint
     is stale and is replaced."""
@@ -362,10 +376,13 @@ def _check_record(checkpoint, cfg) -> dict:
         return ours
     theirs = _read_json(path, "study_config")
     theirs.pop("format")
+    absent = object()
     for key in dict.fromkeys([*ours, *theirs]):
-        if ours.get(key) != theirs.get(key):
-            there, here = (json.dumps(doc[key]) if key in doc else "absent"
-                           for doc in (theirs, ours))
+        there, here = (doc.get(key, RETIRED.get(key, absent))
+                       for doc in (theirs, ours))
+        if key not in UNRECORDED and there != here:
+            there, here = ("absent" if v is absent else json.dumps(v)
+                           for v in (there, here))
             raise InputError(
                 f"checkpoint {checkpoint} was written with another config: "
                 f"{key} is {there} there, {here} here")
@@ -580,7 +597,7 @@ def _selection_replication(cfg: SelectionStudyConfig, n_index: int, n: int,
         if k >= truth.n_atoms:
             return init_perturbed(truth, k, cfg.em.init_scale, init_seed,
                                   gate_scale=cfg.em.init_gate_scale)
-        return init_kmeans(data, k, init_seed, sigma_floor=cfg.em.sigma_floor)
+        return init_kmeans(data, k, init_seed)
 
     try:
         reports = select_order(data, cfg.kmax, cfg.methods, cfg.em, init_for,

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, decodes
+from .errors import InputError, NumericError, decodes, number, numbers, typed
 
-_MAX_LOG = math.log(np.finfo(float).max)  # ~709.78
+MAX_LOG = math.log(np.finfo(float).max)  # ~709.78, log(float max)
 
 __all__ = [
     "ExpertAtom",
@@ -133,7 +133,7 @@ class ExpertAtom:
     @property
     def weight(self) -> float:
         # exp(omega0) must stay inside double range to be usable as a weight
-        if self.omega0 > _MAX_LOG:
+        if self.omega0 > MAX_LOG:
             raise NumericError(
                 f"atom weight exp({self.omega0:.6g}) overflows; "
                 "gating bias too large")
@@ -155,8 +155,10 @@ class ExpertAtom:
     @classmethod
     @decodes("atom")
     def from_dict(cls, d: dict) -> "ExpertAtom":
-        return cls(omega0=d["omega0"], omega1=d["omega1"], a=d["a"],
-                   b=d["b"], sigma=d["sigma"])
+        return cls(omega0=number(d["omega0"], "omega0"),
+                   omega1=numbers(d["omega1"], "omega1"),
+                   a=numbers(d["a"], "a"), b=number(d["b"], "b"),
+                   sigma=number(d["sigma"], "sigma"))
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,7 +223,7 @@ class MixingMeasure:
     @decodes("model")
     def from_dict(cls, d: dict) -> "MixingMeasure":
         return cls(atoms=tuple(ExpertAtom.from_dict(rec) for rec in d["atoms"]),
-                   dim=int(d["dim"]))
+                   dim=typed(d["dim"], int, "dim"))
 
 
 @dataclass(frozen=True, slots=True)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dendrogram import Dendrogram
-from .errors import InputError, decodes, typed
+from .errors import InputError, decodes, number, typed
 from .estimation import FitResult
 from .model import Dataset, avg_log_likelihood, responsibility_matrix
 
@@ -75,7 +75,7 @@ class SelectionReport:
     @decodes("selection")
     def from_dict(cls, d: dict) -> "SelectionReport":
         return cls(method=d["method"],
-                   per_level={int(k): float(v)
+                   per_level={int(k): number(v, "per_level")
                               for k, v in d["per_level"].items()},
                    chosen=typed(d["chosen"], int, "chosen"),
                    epsilon_n=d.get("epsilon_n"))

@@ -20,6 +20,10 @@ from scipy.special import logsumexp
 from sgmoe.datagen import GenConfig, builtin_truths, sample
 from sgmoe.errors import InputError
 from sgmoe.estimation import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    RIDGE,
+    SIGMA_FLOOR,
     FitConfig,
     FitResult,
     em_fit,
@@ -126,7 +130,7 @@ def naive_gating_hessian(pi: np.ndarray, z: np.ndarray) -> np.ndarray:
     return hess
 
 
-def naive_gating_newton_step(gates, resp, xs, ridge=1e-8):
+def naive_gating_newton_step(gates, resp, xs, ridge=RIDGE):
     """Damped Newton step on the gating objective from textbook parts:
     scipy's logsumexp and the einsum Hessian above; returns (gates, obj)."""
     n = xs.shape[0]
@@ -161,7 +165,7 @@ def design_t(xs):
     return np.ascontiguousarray(np.vstack([xs.T, np.ones((1, xs.shape[0]))]))
 
 
-def unblocked_gating_newton_step(gates, resp, xs, ridge=1e-8):
+def unblocked_gating_newton_step(gates, resp, xs, ridge=RIDGE):
     """One damped gating Newton step over all rows at once, from C-ordered
     (K, N) responsibilities; returns a dict of the start objective obj0,
     gradient grad, Hessian hess (ridge included), step, the number of
@@ -212,7 +216,7 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
     zt = design_t(xs)
     omega0, omega = init.omega0s(), init.omega1s()
     slopes, intercepts = init.slopes(), init.intercepts()
-    sigmas = np.maximum(init.sigmas(), cfg.sigma_floor)
+    sigmas = np.maximum(init.sigmas(), SIGMA_FLOOR)
     resp, avg_ll = unblocked_estep(omega, omega0, slopes, intercepts, sigmas,
                                    xs, ys)
     trace = [avg_ll]
@@ -225,14 +229,13 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
                           for j in range(cfg.K)])
         ss = np.sum(resp * (ys - betas @ zt) ** 2, axis=1)
         slopes, intercepts = betas[:, :d].copy(), betas[:, d].copy()
-        sigmas = np.maximum(ss / np.sum(resp, axis=1), cfg.sigma_floor)
+        sigmas = np.maximum(ss / np.sum(resp, axis=1), SIGMA_FLOOR)
         gates = np.hstack([omega, omega0[:, None]])
         obj = None
-        for _ in range(cfg.newton_max_iter):
-            step = unblocked_gating_newton_step(gates, resp, xs,
-                                                ridge=cfg.ridge)
+        for _ in range(NEWTON_MAX_ITER):
+            step = unblocked_gating_newton_step(gates, resp, xs)
             gates, new_obj = step["gates"], step["obj"]
-            if obj is not None and new_obj - obj < cfg.newton_tol:
+            if obj is not None and new_obj - obj < NEWTON_TOL:
                 break
             obj = new_obj
         omega, omega0 = gates[:, :d], gates[:, d]

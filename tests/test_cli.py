@@ -229,8 +229,7 @@ def test_select_study_non_finite_epsilon(tmp_path, capsys, epsilon):
     assert not list(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("flag", ["--tol", "--sigma-floor", "--ridge",
-                                  "--newton-tol", "--init-scale",
+@pytest.mark.parametrize("flag", ["--tol", "--init-scale",
                                   "--init-gate-scale"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_fit_non_finite_setting_exits_one(workdir, tmp_path, capsys, flag,
@@ -239,6 +238,22 @@ def test_fit_non_finite_setting_exits_one(workdir, tmp_path, capsys, flag,
                   flag, value, "--out", str(tmp_path / "f.json")])
     assert rc == 1
     assert "must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flag", ["--newton-max-iter", "--newton-tol",
+                                  "--ridge", "--sigma-floor"])
+@pytest.mark.parametrize("command", [["fit", "--k", "2"],
+                                     ["select", "--kmax", "2"]],
+                         ids=["fit", "select"])
+def test_retired_solver_flag_exits_one(workdir, tmp_path, capsys, command,
+                                       flag):
+    # the Newton cap and tolerance, the ridge and the variance floor are
+    # estimation constants; their flags are gone, not ignored
+    rc = run_cli([*command, "--data", str(workdir / "data.csv"), flag, "1",
+                  "--out", str(tmp_path / "f.json")])
+    assert rc == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
     assert not list(tmp_path.iterdir())
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,10 @@ from sgmoe import estimation, model
 from sgmoe.datagen import GenConfig, sample
 from sgmoe.errors import InputError
 from sgmoe.estimation import (
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
+    RIDGE,
+    SIGMA_FLOOR,
     FitConfig,
     FitResult,
     em_fit,
@@ -51,9 +56,17 @@ class TestFitConfig:
         cfg = FitConfig()
         assert cfg.tol == 1e-6 and cfg.max_iter == 2000
 
+    def test_fields(self):
+        # the Newton cap and tolerance, the ridge and the variance floor
+        # are module constants, not settings
+        assert [f.name for f in dataclasses.fields(FitConfig)] == [
+            "K", "tol", "max_iter", "init", "init_scale", "init_gate_scale",
+            "seed"]
+        assert (NEWTON_MAX_ITER, NEWTON_TOL, RIDGE, SIGMA_FLOOR) == \
+            (25, 1e-8, 1e-8, 1e-8)
+
     @pytest.mark.parametrize("bad", [
-        dict(K=0), dict(tol=0.0), dict(max_iter=-1), dict(sigma_floor=0.0),
-        dict(init="fancy"), dict(newton_max_iter=0), dict(ridge=-1.0),
+        dict(K=0), dict(tol=0.0), dict(max_iter=-1), dict(init="fancy"),
         dict(init_gate_scale=-0.1),
     ])
     def test_invalid_rejected(self, bad):
@@ -61,8 +74,7 @@ class TestFitConfig:
             FitConfig(**bad)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    @pytest.mark.parametrize("name", ["tol", "sigma_floor", "newton_tol",
-                                      "ridge", "init_scale",
+    @pytest.mark.parametrize("name", ["tol", "init_scale",
                                       "init_gate_scale"])
     def test_non_finite_rejected(self, name, value):
         with pytest.raises(InputError, match=f"{name} must be finite"):
@@ -249,7 +261,7 @@ class TestEmFit:
             res = em_fit(data, cfg, make_init(data, cfg))
             tr = np.array(res.loglik_trace)
             assert np.all(np.diff(tr) >= -1e-8)
-            assert all(at.sigma >= cfg.sigma_floor for at in res.model.atoms)
+            assert all(at.sigma >= SIGMA_FLOOR for at in res.model.atoms)
 
     @given(st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=15, deadline=None)

@@ -257,16 +257,81 @@ class TestRateStudy:
             run_rate_study(cfg, checkpoint=ckpt)
 
     def test_record_with_retired_null_field_resumes(self, tmp_path):
-        # a record of an older version holds a since-removed FitConfig
-        # field as null; null there and absent here is the same setting
+        # a record of an older version holds the since-removed gate box
+        # as null, the value every fit now takes
         cfg = tiny_rate_config()
         ckpt = tmp_path / "c.csv"
         res = run_rate_study(cfg, checkpoint=ckpt)
         record = record_path(ckpt)
         doc = json.loads(record.read_text())
-        record.write_text(json.dumps({**doc, "em.retired": None}))
+        record.write_text(json.dumps({**doc, "em.gate_box": None}))
         assert repr(run_rate_study(cfg, checkpoint=ckpt)) == repr(res)
-        assert "em.retired" not in json.loads(record.read_text())
+        assert "em.gate_box" not in json.loads(record.read_text())
+
+    def test_record_with_retired_solver_fields_resumes(self, tmp_path):
+        # older records hold the Newton cap and tolerance, the ridge and
+        # the variance floor, now constants at the values they had
+        cfg = tiny_rate_config()
+        ckpt = tmp_path / "c.csv"
+        res = run_rate_study(cfg, checkpoint=ckpt)
+        fresh = ckpt.read_bytes()
+        record = record_path(ckpt)
+        doc = json.loads(record.read_text())
+        record.write_text(json.dumps({
+            **doc, "em.newton_max_iter": 25, "em.newton_tol": 1e-8,
+            "em.ridge": 1e-8, "em.sigma_floor": 1e-8}))
+        # one record missing is recomputed and must land on the same bytes
+        lines = fresh.decode().splitlines(keepends=True)
+        ckpt.write_text("".join(lines[:-1]))
+        assert repr(run_rate_study(cfg, checkpoint=ckpt)) == repr(res)
+        assert ckpt.read_bytes() == fresh
+        assert json.loads(record.read_text()) == doc
+
+    @pytest.mark.parametrize("key, value", [
+        ("em.newton_max_iter", 1), ("em.newton_tol", 1e-6),
+        ("em.ridge", 0.0), ("em.sigma_floor", 1e-4),
+        ("em.gate_box", [[-4, 4], [-8, 8]])])
+    def test_record_with_other_retired_value_rejected(self, tmp_path, key,
+                                                      value):
+        cfg = tiny_rate_config()
+        ckpt = tmp_path / "c.csv"
+        run_rate_study(cfg, checkpoint=ckpt)
+        record = record_path(ckpt)
+        doc = json.loads(record.read_text())
+        record.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(InputError, match=f"another config: {key} is "):
+            run_rate_study(cfg, checkpoint=ckpt)
+
+    def test_record_with_unknown_null_field_rejected(self, tmp_path):
+        # only the retired fields have a value when absent
+        cfg = tiny_rate_config()
+        ckpt = tmp_path / "c.csv"
+        run_rate_study(cfg, checkpoint=ckpt)
+        record = record_path(ckpt)
+        doc = json.loads(record.read_text())
+        record.write_text(json.dumps({**doc, "em.unknown": None}))
+        with pytest.raises(InputError, match=r"another config: em\.unknown "
+                           "is null there, absent here"):
+            run_rate_study(cfg, checkpoint=ckpt)
+
+    def test_record_leaves_out_the_fields_a_study_ignores(self, tmp_path):
+        # every replication picks its own size, start and seed, so em.K,
+        # em.init and em.seed are not recorded, and an older record's
+        # values for them are not compared
+        cfg = tiny_rate_config()
+        ckpt = tmp_path / "c.csv"
+        res = run_rate_study(cfg, checkpoint=ckpt)
+        fresh = ckpt.read_bytes()
+        record = record_path(ckpt)
+        doc = json.loads(record.read_text())
+        assert not {"workers", "em.K", "em.init", "em.seed"} & set(doc)
+        record.write_text(json.dumps({**doc, "em.K": 7, "em.init": "random",
+                                      "em.seed": 99}))
+        again = tiny_rate_config(em=FitConfig(K=3, tol=1e-5, max_iter=300,
+                                              init="random", seed=5))
+        assert repr(run_rate_study(again, checkpoint=ckpt)) == repr(res)
+        assert ckpt.read_bytes() == fresh
+        assert json.loads(record.read_text()) == doc
 
     def test_record_with_retired_set_field_rejected(self, tmp_path):
         cfg = tiny_rate_config()

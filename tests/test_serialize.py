@@ -831,6 +831,55 @@ def test_scalar_field_must_have_its_json_type(tmp_path, loader, field, value):
         loader(tmp_path / name)
 
 
+@pytest.mark.parametrize("loader, where, value", [
+    (load_model, ("dim",), 1.9),
+    (load_model, ("dim",), True),
+    (load_model, ("dim",), "1"),
+    (load_model, ("atoms", 0, "omega0"), "-2"),
+    (load_model, ("atoms", 0, "omega1"), ["3"]),
+    (load_model, ("atoms", 0, "a"), [True]),
+    (load_model, ("atoms", 0, "b"), "0"),
+    (load_model, ("atoms", 0, "sigma"), True),
+    (load_fit, ("loglik_trace",), ["-1.0"]),
+    (load_dendrogram, ("merges", 0, "pair"), [0.0, 2.0]),
+    (load_dendrogram, ("merges", 0, "pair"), [0, 2.9]),
+    (load_dendrogram, ("merges", 0, "level"), 3.0),
+    (load_dendrogram, ("merges", 0, "height"), "4.296026558939219"),
+    (load_dendrogram, ("heights", 0), "4.296026558939219"),
+    (load_report, ("per_level", "2"), "-1.5"),
+    (load_report, ("per_level", "3"), True),
+], ids=lambda v: json.dumps(v) if not callable(v) else v.__name__)
+def test_scalar_inside_a_record_is_not_coerced(tmp_path, loader, where,
+                                               value):
+    # each value once loaded as the number it spells or truncates to:
+    # integers must be JSON integers, reals JSON numbers (not bool or str)
+    name, _ = _stamped_docs(tmp_path)[loader]
+    doc = json.loads((tmp_path / name).read_text())
+    rec = doc
+    for key in where[:-1]:
+        rec = rec[key]
+    rec[where[-1]] = value
+    (tmp_path / name).write_text(json.dumps(doc))
+    field = next(key for key in reversed(where)
+                 if isinstance(key, str) and not key.isdigit())
+    with pytest.raises(InputError, match=f"malformed: {field} must be"):
+        loader(tmp_path / name)
+
+
+def test_fit_iterations_must_match_its_trace(tmp_path):
+    # em_fit records the start and one value per iteration
+    name, _ = _stamped_docs(tmp_path)[load_fit]
+    doc = json.loads((tmp_path / name).read_text())
+    doc.update(iterations=7, loglik_trace=[-1.0, -0.5])
+    (tmp_path / name).write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="fit of 7 iterations has a trace "
+                       "of 2 values, not 8"):
+        load_fit(tmp_path / name)
+    doc.update(iterations=1)
+    (tmp_path / name).write_text(json.dumps(doc))
+    assert load_fit(tmp_path / name).iterations == 1
+
+
 class TestManifest:
     def test_round_trip(self, tmp_path):
         man = RunManifest(command="simulate", config={"n": 10, "seed": 3},
