@@ -66,7 +66,8 @@ class TestFitConfig:
             (25, 1e-8, 1e-8, 1e-8)
 
     @pytest.mark.parametrize("bad", [
-        dict(K=0), dict(tol=0.0), dict(max_iter=-1), dict(init="fancy"),
+        dict(K=0), dict(tol=0.0), dict(max_iter=-1), dict(tol=-1.0),
+        dict(init="fancy"), dict(K=-2), dict(init_scale=-0.5),
         dict(init_gate_scale=-0.1),
     ])
     def test_invalid_rejected(self, bad):
