@@ -159,14 +159,6 @@ def _given(args, cls, prefix: str = "") -> dict:
             if value is not None}
 
 
-def _lookup_truth(name: str):
-    registry = builtin_truths()
-    if name not in registry:
-        raise InputError(f"unknown truth {name!r}; "
-                         f"choices: {', '.join(sorted(registry))}")
-    return registry[name]
-
-
 def _parse_epsilon(text: str) -> float | None:
     if text == "logn":
         return None
@@ -184,7 +176,7 @@ def _parse_epsilon(text: str) -> float | None:
 # subcommands
 
 def _cmd_simulate(args, argv):
-    truth = _lookup_truth(args.truth)
+    truth = builtin_truths()[args.truth]
     gen = GenConfig(**_given(args, GenConfig))
     config = {"truth": args.truth, **asdict(gen)}
     out = Path(args.out)
@@ -209,7 +201,7 @@ def _cmd_fit(args, argv):
         if args.reference is not None:
             reference = load_model_or_fit(args.reference)
         elif args.truth is not None:
-            reference = _lookup_truth(args.truth)
+            reference = builtin_truths()[args.truth]
         fit = em_fit(data, cfg, make_init(data, cfg, reference))
         save_fit(fit, Path(args.out))
     print(f"converged={fit.converged} iterations={fit.iterations} "

@@ -80,8 +80,7 @@ def sample_labeled(truth: MixingMeasure,
     """
     rng = np.random.default_rng(cfg.seed)
     n, d, k = cfg.n, truth.dim, truth.n_atoms
-    omega1s, omega0s = truth.omega1s(), truth.omega0s()
-    slopes, intercepts = truth.slopes(), truth.intercepts()
+    gates, betas = truth.gates(), truth.betas()
     sds = np.sqrt(truth.sigmas())
 
     xs = rng.uniform(cfg.x_low, cfg.x_high, size=(n, d))
@@ -91,14 +90,14 @@ def sample_labeled(truth: MixingMeasure,
     ys = rng.random(n)
     picks = np.empty(n, dtype=int)
     for rows in row_blocks(n):
-        gate_cdf = np.cumsum(np.exp(log_gates(omega1s, omega0s, xs[rows])),
-                             axis=0)
+        gate_cdf = np.cumsum(np.exp(log_gates(gates, xs[rows])), axis=0)
         picks[rows] = np.sum(ys[rows] > gate_cdf, axis=0)
     np.minimum(picks, k - 1, out=picks)   # guard the top edge against rounding
     rng.standard_normal(out=ys)
     for rows in row_blocks(n):
         expert = picks[rows]
-        means = np.sum(slopes[expert] * xs[rows], axis=1) + intercepts[expert]
+        means = (np.sum(betas[expert, :-1] * xs[rows], axis=1)
+                 + betas[expert, -1])
         ys[rows] = means + sds[expert] * ys[rows]
     if contaminated.any():   # the last draw: skipping it moves nothing
         np.copyto(ys, rng.laplace(0.0, 1.0, size=n), where=contaminated)

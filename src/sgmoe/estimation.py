@@ -1,7 +1,10 @@
 """EM fitting of softmax-gated mixture-of-experts models.
 
-The E-step takes responsibilities and the average log-likelihood from one
-pass over ``model.log_joint``, the kernel behind every likelihood here.
+A fit keeps its model as the three stacked arrays ``model.log_joint``
+takes: the (K, D+1) gating rows (omega1, omega0), the (K, D+1) expert rows
+(a, b) and the K variances.  The E-step takes responsibilities and the
+average log-likelihood from one pass over ``model.log_joint``, the kernel
+behind every likelihood here.
 Every pass over the data rows (E-step, the experts' weighted sums, gating
 objective, gradient and Hessian, the k-means assignment sweep) works on
 blocks of ``model.ROW_BLOCK`` rows, so its temporaries stay cache-sized at
@@ -252,11 +255,11 @@ def _expert_moments(zt: np.ndarray, resp: np.ndarray,
 
 
 def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
-                  iteration: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Slopes, intercepts and variances of every expert from the (K, N)
-    responsibilities: weighted least squares, then the weighted residual
-    variance, each one blocked pass over the rows."""
-    n, d = xs.shape
+                  iteration: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (K, D+1) rows (a_k, b_k) and the variances of every expert from
+    the (K, N) responsibilities: weighted least squares, then the weighted
+    residual variance, each one blocked pass over the rows."""
+    n = xs.shape[0]
     mass, gram, rhs = _block_sums(
         lambda rows: _expert_moments(_design_t(xs[rows]), resp[:, rows],
                                      ys[rows]),
@@ -276,8 +279,7 @@ def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
         return (np.sum(resp[:, rows] * resid ** 2, axis=1),)
 
     ss, = _block_sums(residual_sums, n)
-    return (betas[:, :d].copy(), betas[:, d].copy(),
-            np.maximum(ss / mass, SIGMA_FLOOR))
+    return betas, np.maximum(ss / mass, SIGMA_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +301,7 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     n, d = xs.shape
     k = cfg.K
 
-    omega0 = init.omega0s()
-    omega = init.omega1s()
-    slopes = init.slopes()
-    intercepts = init.intercepts()
+    gates, betas = init.gates(), init.betas()
     sigmas = np.maximum(init.sigmas(), SIGMA_FLOOR)
 
     resp = np.empty((k, n))
@@ -312,9 +311,8 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
         # E-step's responsibilities (written into resp)
         total = 0.0
         for rows in row_blocks(n):
-            resp[:, rows], row_ll = softmax_cols(log_joint(
-                omega, omega0, slopes, intercepts, sigmas, xs[rows],
-                ys[rows]))
+            resp[:, rows], row_ll = softmax_cols(
+                log_joint(gates, betas, sigmas, xs[rows], ys[rows]))
             total += float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
         avg = total / n
         if not math.isfinite(avg):
@@ -327,22 +325,17 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     converged = False
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
-        slopes, intercepts, sigmas = _expert_mstep(xs, ys, resp, iteration)
+        betas, sigmas = _expert_mstep(xs, ys, resp, iteration)
 
         # M-step, gates: Newton steps until one gains less than NEWTON_TOL
-        gates = np.hstack([omega, omega0[:, None]])
         obj = None
         for _ in range(NEWTON_MAX_ITER):
             gates, new_obj = gating_newton_step(gates, resp, xs)
             if obj is not None and new_obj - obj < NEWTON_TOL:
                 break
             obj = new_obj
-        omega = gates[:, :d]
-        omega0 = gates[:, d]
 
-        params = np.concatenate([omega0, omega.ravel(), slopes.ravel(),
-                                 intercepts, sigmas])
-        if not np.all(np.isfinite(params)):
+        if not all(np.isfinite(a).all() for a in (gates, betas, sigmas)):
             raise NumericError("model parameters became non-finite",
                                iteration=iteration)
 
@@ -353,9 +346,8 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
             break
 
     atoms = tuple(
-        ExpertAtom(omega0=float(omega0[j]), omega1=omega[j].copy(),
-                   a=slopes[j].copy(), b=float(intercepts[j]),
-                   sigma=float(sigmas[j]))
+        ExpertAtom(omega0=gates[j, -1], omega1=gates[j, :-1],
+                   a=betas[j, :-1], b=betas[j, -1], sigma=sigmas[j])
         for j in range(k))
     model = normalize_baseline(MixingMeasure(atoms=atoms, dim=d))
     return FitResult(model=model, loglik_trace=trace,

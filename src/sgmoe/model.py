@@ -195,26 +195,23 @@ class MixingMeasure:
     def n_atoms(self) -> int:
         return len(self.atoms)
 
-    # Stacked parameter views.  K is small in every use here, so these are
-    # recomputed on demand instead of cached.
-    def omega0s(self) -> np.ndarray:
-        return np.array([at.omega0 for at in self.atoms])
+    # Stacked parameter rows over the design (x, 1), the one layout of EM
+    # and of every likelihood kernel.  K is small in every use here, so
+    # these are recomputed on demand instead of cached.
+    def gates(self) -> np.ndarray:
+        """Gating rows (omega1_k, omega0_k), shape (K, D+1)."""
+        return np.array([[*at.omega1, at.omega0] for at in self.atoms])
 
-    def omega1s(self) -> np.ndarray:
-        return np.stack([at.omega1 for at in self.atoms])
-
-    def slopes(self) -> np.ndarray:
-        return np.stack([at.a for at in self.atoms])
-
-    def intercepts(self) -> np.ndarray:
-        return np.array([at.b for at in self.atoms])
+    def betas(self) -> np.ndarray:
+        """Expert regression rows (a_k, b_k), shape (K, D+1)."""
+        return np.array([[*at.a, at.b] for at in self.atoms])
 
     def sigmas(self) -> np.ndarray:
         return np.array([at.sigma for at in self.atoms])
 
     def weights(self) -> np.ndarray:
         """Atom weights exp(omega0); unnormalized, each > 0."""
-        return np.exp(self.omega0s())
+        return np.exp([at.omega0 for at in self.atoms])
 
     def to_dict(self) -> dict:
         return {"dim": self.dim, "atoms": [at.to_dict() for at in self.atoms]}
@@ -326,31 +323,23 @@ def softmax_cols(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return e, lse
 
 
-def log_gates(omega1s: np.ndarray, omega0s: np.ndarray,
-              xs: np.ndarray) -> np.ndarray:
-    """Log softmax gate probabilities from stacked gating parameters, as a
-    C-ordered (K, n) array."""
-    logits = omega1s @ xs.T + omega0s[:, None]
+def log_gates(gates: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Log softmax gate probabilities from the (K, D+1) gating rows
+    (omega1_k, omega0_k), as a C-ordered (K, n) array."""
+    logits = gates[:, :-1] @ xs.T + gates[:, -1:]
     return logits - logsumexp_cols(logits)
 
 
-def log_joint(omega1s: np.ndarray, omega0s: np.ndarray, slopes: np.ndarray,
-              intercepts: np.ndarray, sigmas: np.ndarray, xs: np.ndarray,
-              ys: np.ndarray) -> np.ndarray:
-    """log(gate_k(x_n) * N(y_n | a_k . x_n + b_k, sigma_k)) from stacked
-    atom parameters, as a C-ordered (K, n) array: the expert-major layout
-    of every kernel here, where numpy's broadcasts run along n."""
-    means = slopes @ xs.T + intercepts[:, None]
+def log_joint(gates: np.ndarray, betas: np.ndarray, sigmas: np.ndarray,
+              xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """log(gate_k(x_n) * N(y_n | a_k . x_n + b_k, sigma_k)) from the (K, D+1)
+    gating rows, the (K, D+1) expert rows (a_k, b_k) and the K variances,
+    as a C-ordered (K, n) array: the expert-major layout of every kernel
+    here, where numpy's broadcasts run along n."""
+    means = betas[:, :-1] @ xs.T + betas[:, -1:]
     log_norm = -0.5 * (LOG_2PI + np.log(sigmas)[:, None]
                        + (ys - means) ** 2 / sigmas[:, None])
-    return log_gates(omega1s, omega0s, xs) + log_norm
-
-
-def log_joint_matrix(measure: MixingMeasure, xs: np.ndarray,
-                     ys: np.ndarray) -> np.ndarray:
-    """:func:`log_joint` of the measure's atoms, shape (K, n)."""
-    return log_joint(measure.omega1s(), measure.omega0s(), measure.slopes(),
-                     measure.intercepts(), measure.sigmas(), xs, ys)
+    return log_gates(gates, xs) + log_norm
 
 
 def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
@@ -361,10 +350,10 @@ def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
     Emits :class:`UnderflowWarning` with the number of floored points; the
     floor keeps far-out observations from dragging averages to -inf.
     """
+    params = measure.gates(), measure.betas(), measure.sigmas()
     logp = np.empty(xs.shape[0])
     for rows in row_blocks(xs.shape[0]):
-        logp[rows] = logsumexp_cols(
-            log_joint_matrix(measure, xs[rows], ys[rows]))
+        logp[rows] = logsumexp_cols(log_joint(*params, xs[rows], ys[rows]))
     floored = logp < LOG_DENSITY_FLOOR
     n_floor = int(np.count_nonzero(floored))
     if n_floor:
@@ -379,8 +368,7 @@ def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
 def gating_probs(measure: MixingMeasure, x) -> np.ndarray:
     """Softmax gate probabilities at covariate x; sums to 1, all in [0, 1]."""
     x = _check_x(measure, x)
-    return np.exp(log_gates(measure.omega1s(), measure.omega0s(),
-                            x[None, :]))[:, 0]
+    return np.exp(log_gates(measure.gates(), x[None, :]))[:, 0]
 
 
 def conditional_density(measure: MixingMeasure, x, y) -> float:
@@ -409,10 +397,11 @@ def responsibility_matrix(measure: MixingMeasure, data: Dataset) -> np.ndarray:
         raise InputError(
             f"dataset dim {data.dim} does not match model dim {measure.dim}")
     # a fully underflowed observation gets uniform memberships
+    params = measure.gates(), measure.betas(), measure.sigmas()
     out = np.empty((data.n, measure.n_atoms))
     for rows in row_blocks(data.n):
         out[rows] = softmax_cols(
-            log_joint_matrix(measure, data.xs[rows], data.ys[rows]))[0].T
+            log_joint(*params, data.xs[rows], data.ys[rows]))[0].T
     return out
 
 

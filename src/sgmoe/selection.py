@@ -75,10 +75,19 @@ class SelectionReport:
     @decodes("selection")
     def from_dict(cls, d: dict) -> "SelectionReport":
         return cls(method=d["method"],
-                   per_level={int(k): number(v, "per_level")
+                   per_level={_level(k): number(v, "per_level")
                               for k, v in d["per_level"].items()},
                    chosen=typed(d["chosen"], int, "chosen"),
                    epsilon_n=d.get("epsilon_n"))
+
+
+def _level(key: str) -> int:
+    """A per_level key as its level: only the decimal spelling of a level
+    >= 1, so that no two keys ("2", "02") load as one level."""
+    level = int(key)
+    if key != str(level) or level < 1:
+        raise ValueError(f"per_level key {key!r} is not a level >= 1")
+    return level
 
 
 def argmin_level(scores: dict[int, float]) -> int:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 from . import __version__
 from .dendrogram import Dendrogram
-from .errors import InputError, decodes
+from .errors import InputError, decodes, typed
 from .estimation import FitResult
 from .model import Dataset, MixingMeasure
 from .selection import SelectionReport
@@ -730,13 +730,22 @@ class RunManifest:
     @classmethod
     @decodes("manifest")
     def from_dict(cls, d: dict) -> "RunManifest":
-        # {**x} takes a mapping only, where dict(x) also takes pairs
-        return cls(command=str(d["command"]), config={**d["config"]},
-                   seed=None if d["seed"] is None else int(d["seed"]),
-                   version=str(d["version"]), started=str(d["started"]),
-                   finished=str(d["finished"]), inputs={**d["inputs"]},
-                   outputs={**d["outputs"]},
-                   argv=tuple(str(a) for a in d["argv"]))
+        def text(key):
+            return typed(d[key], str, key)
+
+        def digests(key):
+            return {p: typed(v, str, f"{key}[{p!r}]")
+                    for p, v in typed(d[key], dict, key).items()}
+
+        seed = d["seed"]
+        return cls(command=text("command"),
+                   config=dict(typed(d["config"], dict, "config")),
+                   seed=None if seed is None else typed(seed, int, "seed"),
+                   version=text("version"), started=text("started"),
+                   finished=text("finished"), inputs=digests("inputs"),
+                   outputs=digests("outputs"),
+                   argv=tuple(typed(a, str, "argv")
+                              for a in typed(d["argv"], list, "argv")))
 
 
 def save_manifest(manifest: RunManifest, path) -> None:

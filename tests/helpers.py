@@ -200,11 +200,10 @@ def unblocked_gating_newton_step(gates, resp, xs, ridge=RIDGE):
     return out
 
 
-def unblocked_estep(omega, omega0, slopes, intercepts, sigmas, xs, ys):
+def unblocked_estep(gates, betas, sigmas, xs, ys):
     """(K, N) responsibilities and the average floored log-likelihood from
     one log-joint pass over all rows."""
-    resp, row_ll = softmax_cols(
-        log_joint(omega, omega0, slopes, intercepts, sigmas, xs, ys))
+    resp, row_ll = softmax_cols(log_joint(gates, betas, sigmas, xs, ys))
     return resp, float(np.mean(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
 
 
@@ -214,11 +213,9 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
     xs, ys = data.xs, data.ys
     d = xs.shape[1]
     zt = design_t(xs)
-    omega0, omega = init.omega0s(), init.omega1s()
-    slopes, intercepts = init.slopes(), init.intercepts()
+    gates, betas = init.gates(), init.betas()
     sigmas = np.maximum(init.sigmas(), SIGMA_FLOOR)
-    resp, avg_ll = unblocked_estep(omega, omega0, slopes, intercepts, sigmas,
-                                   xs, ys)
+    resp, avg_ll = unblocked_estep(gates, betas, sigmas, xs, ys)
     trace = [avg_ll]
     converged = False
     iteration = 0
@@ -228,9 +225,7 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
         betas = np.stack([np.linalg.solve(gram[j], rhs[j])
                           for j in range(cfg.K)])
         ss = np.sum(resp * (ys - betas @ zt) ** 2, axis=1)
-        slopes, intercepts = betas[:, :d].copy(), betas[:, d].copy()
         sigmas = np.maximum(ss / np.sum(resp, axis=1), SIGMA_FLOOR)
-        gates = np.hstack([omega, omega0[:, None]])
         obj = None
         for _ in range(NEWTON_MAX_ITER):
             step = unblocked_gating_newton_step(gates, resp, xs)
@@ -238,17 +233,14 @@ def unblocked_em_fit(data: Dataset, cfg: FitConfig,
             if obj is not None and new_obj - obj < NEWTON_TOL:
                 break
             obj = new_obj
-        omega, omega0 = gates[:, :d], gates[:, d]
-        resp, avg_ll = unblocked_estep(omega, omega0, slopes, intercepts,
-                                       sigmas, xs, ys)
+        resp, avg_ll = unblocked_estep(gates, betas, sigmas, xs, ys)
         trace.append(avg_ll)
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
             break
     atoms = tuple(
-        ExpertAtom(omega0=float(omega0[j]), omega1=omega[j].copy(),
-                   a=slopes[j].copy(), b=float(intercepts[j]),
-                   sigma=float(sigmas[j]))
+        ExpertAtom(omega0=gates[j, -1], omega1=gates[j, :-1],
+                   a=betas[j, :-1], b=betas[j, -1], sigma=sigmas[j])
         for j in range(cfg.K))
     return FitResult(model=normalize_baseline(MixingMeasure(atoms=atoms,
                                                             dim=d)),

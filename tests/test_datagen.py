@@ -24,12 +24,11 @@ def unblocked_sample_labeled(truth, cfg):
     n, d, k = cfg.n, truth.dim, truth.n_atoms
     xs = rng.uniform(cfg.x_low, cfg.x_high, size=(n, d))
     contaminated = rng.random(n) < cfg.contamination_eps
-    gate_cdf = np.cumsum(
-        np.exp(log_gates(truth.omega1s(), truth.omega0s(), xs)), axis=0)
+    gate_cdf = np.cumsum(np.exp(log_gates(truth.gates(), xs)), axis=0)
     picks = np.sum(rng.random(n) > gate_cdf, axis=0)
     picks = np.minimum(picks, k - 1)
-    means = (np.sum(truth.slopes()[picks] * xs, axis=1)
-             + truth.intercepts()[picks])
+    means = (np.sum(truth.betas()[picks, :-1] * xs, axis=1)
+             + truth.betas()[picks, -1])
     normal_y = means + np.sqrt(truth.sigmas()[picks]) * rng.standard_normal(n)
     laplace_y = rng.laplace(0.0, 1.0, size=n)
     return (Dataset(xs=xs, ys=np.where(contaminated, laplace_y, normal_y)),

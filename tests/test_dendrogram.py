@@ -37,13 +37,14 @@ def naive_dissimilarity(p, q) -> float:
 def moment_sums(measure: MixingMeasure) -> np.ndarray:
     """Weighted sums conserved by merging, concatenated into one vector."""
     w = measure.weights()
+    omega1s, betas = measure.gates()[:, :-1], measure.betas()
+    slopes, intercepts = betas[:, :-1], betas[:, -1]
     return np.concatenate([
         [np.sum(w)],
-        w @ measure.omega1s(),
-        [np.sum(w * measure.intercepts())],
-        [np.sum(w * (measure.intercepts() ** 2 + measure.sigmas()))],
-        w @ (measure.omega1s() * measure.intercepts()[:, None]
-             + measure.slopes()),
+        w @ omega1s,
+        [np.sum(w * intercepts)],
+        [np.sum(w * (intercepts ** 2 + measure.sigmas()))],
+        w @ (omega1s * intercepts[:, None] + slopes),
     ])
 
 

@@ -314,8 +314,7 @@ class TestEmFit:
         base = em_fit(data, cfg, init)
 
         def params(m):
-            return np.concatenate([m.omega0s(), m.omega1s().ravel(),
-                                   m.slopes().ravel(), m.intercepts(),
+            return np.concatenate([m.gates().ravel(), m.betas().ravel(),
                                    m.sigmas()])
 
         want = params(base.model)
@@ -588,16 +587,21 @@ class TestRowBlocks:
 
     @pytest.mark.parametrize("n", [100, 1000, 3162])
     def test_em_fit_one_block_is_bit_identical(self, n):
-        g0 = builtin_truths()["g0_2"]
-        data = sample(g0, GenConfig(n=n, seed=n))
-        for cfg in (FitConfig(K=4, seed=1, max_iter=300),
-                    FitConfig(K=3, seed=2, max_iter=300)):
-            init = init_perturbed(g0, cfg.K, 0.5, cfg.seed)
-            got = em_fit(data, cfg, init)
-            want = unblocked_em_fit(data, cfg, init)
-            assert np.array_equal(got.loglik_trace, want.loglik_trace)
-            assert got.iterations == want.iterations
-            assert got.model.to_dict() == want.model.to_dict()
+        # at D = 2 the kernels read x's coefficients through (K, 2) views
+        # of the (K, 3) gating and expert rows
+        g2 = make_measure([(-1.0, (3.0, -2.0), (1.0, 4.0), 0.5, 0.5),
+                           (0.5, (-1.5, 2.5), (-2.0, 1.0), 2.0, 0.3),
+                           (0.0, (0.0, 0.0), (3.0, -3.0), -1.0, 0.4)])
+        for truth in (builtin_truths()["g0_2"], g2):
+            data = sample(truth, GenConfig(n=n, seed=n))
+            for cfg in (FitConfig(K=4, seed=1, max_iter=300),
+                        FitConfig(K=3, seed=2, max_iter=300)):
+                init = init_perturbed(truth, cfg.K, 0.5, cfg.seed)
+                got = em_fit(data, cfg, init)
+                want = unblocked_em_fit(data, cfg, init)
+                assert np.array_equal(got.loglik_trace, want.loglik_trace)
+                assert got.iterations == want.iterations
+                assert got.model.to_dict() == want.model.to_dict()
 
     def test_em_fit_over_blocks_follows_unblocked(self, monkeypatch):
         # g0_3's gates overlap; on near-separable data (g0_2 at this N)
@@ -625,7 +629,7 @@ class TestRowBlocks:
 
         def dead_rows(*args):
             lj = real_log_joint(*args)
-            xs = args[5]
+            xs = args[3]
             block_sizes.append(len(xs))
             lj[:, np.isin(xs[:, 0], data.xs[dead, 0])] = -np.inf
             return lj

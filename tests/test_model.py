@@ -23,7 +23,6 @@ from sgmoe.model import (
     gating_probs,
     log_density_vector,
     log_joint,
-    log_joint_matrix,
     logsumexp_cols,
     normalize_baseline,
     responsibilities,
@@ -277,8 +276,9 @@ class TestGauge:
         t = translate(g, 0.7, np.array([1.5]))
         np.testing.assert_allclose(t.weights(), g.weights() * math.exp(0.7),
                                    rtol=1e-14)
-        np.testing.assert_allclose(t.omega1s(), g.omega1s() + 1.5)
-        np.testing.assert_allclose(t.slopes(), g.slopes())
+        np.testing.assert_allclose(t.gates()[:, :-1],
+                                   g.gates()[:, :-1] + 1.5)
+        np.testing.assert_allclose(t.betas(), g.betas())
 
     def test_normalize_baseline_pins_last_atom(self):
         rng = np.random.default_rng(23)
@@ -365,7 +365,8 @@ class TestRowBlocks:
             got = log_density_vector(g, data.xs, ys)
         assert len(record) == 1
         assert str(record[0].message).startswith("4 of 53 density values")
-        want = logsumexp_cols(log_joint_matrix(g, data.xs, ys))
+        want = logsumexp_cols(log_joint(g.gates(), g.betas(), g.sigmas(),
+                                        data.xs, ys))
         assert np.all(got[far] == model.LOG_DENSITY_FLOOR)
         keep = np.setdiff1d(np.arange(53), far)
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-13)
@@ -374,7 +375,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(9)
         g = random_measure(rng, k=4, dim=2, scale=1.0)
         data = random_dataset(rng, n=500, dim=2)
-        lj = log_joint_matrix(g, data.xs, data.ys)
+        lj = log_joint(g.gates(), g.betas(), g.sigmas(), data.xs, data.ys)
         assert np.array_equal(log_density_vector(g, data.xs, data.ys),
                               logsumexp_cols(lj))
         assert np.array_equal(responsibility_matrix(g, data),
@@ -386,8 +387,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(12)
         g = random_measure(rng, k=3, dim=2, scale=1.0)
         data = random_dataset(rng, n=40, dim=2)
-        lj = log_joint(g.omega1s(), g.omega0s(), g.slopes(), g.intercepts(),
-                       g.sigmas(), data.xs, data.ys)
+        lj = log_joint(g.gates(), g.betas(), g.sigmas(), data.xs, data.ys)
         assert lj.shape == (3, 40) and lj.flags.c_contiguous
         resp = responsibility_matrix(g, data)
         assert resp.shape == (40, 3) and resp.flags.c_contiguous

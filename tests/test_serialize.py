@@ -783,10 +783,19 @@ MODEL_EDITS = [
 RECORD_EDITS = {
     load_report: [(("per_level",), {"two": 1.0}),
                   (("per_level",), [1.0, 2.0]),
-                  (("chosen",), "x")],
+                  (("chosen",), "x"),
+                  # one level, one key: its decimal spelling, a level >= 1
+                  (("per_level",), {"02": -1.5, "3": 0.25}),
+                  (("per_level",), {" 2": -1.5, "3": 0.25}),
+                  (("per_level",), {"+2": -1.5, "3": 0.25}),
+                  (("per_level",), {"2": -1.5, "1_0": 0.25}),
+                  (("per_level",), {"2": 1.0, "02": 3.0}),
+                  (("per_level",), {"2": -1.5, "0": 0.25}),
+                  (("per_level",), {"2": -1.5, "-1": 0.25})],
     load_manifest: [(("config",), 5), (("config",), "ab"),
                     (("config",), ["ab"]), (("config",), []),
-                    (("inputs",), [["d.csv", "0"]]), (("seed",), "x")],
+                    (("inputs",), [["d.csv", "0"]]), (("seed",), "x"),
+                    (("argv",), ["fit", 5]), (("inputs",), {"d.csv": 0})],
 }
 
 
@@ -819,10 +828,18 @@ def test_malformed_record_is_an_input_error(tmp_path, loader, where, value):
     (load_report, "epsilon_n", "x"),
     (load_report, "epsilon_n", 0.0),
     (load_report, "epsilon_n", True),
+    (load_manifest, "seed", 2.9),
+    (load_manifest, "seed", "3"),
+    (load_manifest, "seed", True),
+    (load_manifest, "command", 5),
+    (load_manifest, "version", 1),
+    (load_manifest, "argv", "ab"),
+    (load_manifest, "outputs", {"f": 5}),
 ])
 def test_scalar_field_must_have_its_json_type(tmp_path, loader, field, value):
-    # no coercion: a bool field takes true/false only, a count an integer,
-    # and epsilon_n null or a finite number > 0
+    # no coercion: a bool field takes true/false only, a count (or a seed)
+    # an integer, epsilon_n null or a finite number > 0, and a manifest's
+    # texts, argv entries and digests only strings
     name, _ = _stamped_docs(tmp_path)[loader]
     doc = json.loads((tmp_path / name).read_text())
     doc[field] = value
