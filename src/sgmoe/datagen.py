@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .model import Dataset, ExpertAtom, MixingMeasure, log_gates, row_blocks
+from .model import (
+    Dataset,
+    ExpertAtom,
+    MixingMeasure,
+    Workspace,
+    log_gates,
+    row_blocks,
+)
 
 __all__ = [
     "GenConfig",
@@ -89,9 +96,13 @@ def sample_labeled(truth: MixingMeasure,
     # the responses; the gate CDF is taken one block of rows at a time
     ys = rng.random(n)
     picks = np.empty(n, dtype=int)
+    work = Workspace.for_blocks(k, d, n)
     for rows in row_blocks(n):
-        gate_cdf = np.cumsum(np.exp(log_gates(gates, xs[rows])), axis=0)
+        gate_cdf = log_gates(gates, xs[rows], work)
+        np.exp(gate_cdf, out=gate_cdf)
+        np.cumsum(gate_cdf, axis=0, out=gate_cdf)
         picks[rows] = np.sum(ys[rows] > gate_cdf, axis=0)
+    del work, gate_cdf   # else they live on through the draws below
     np.minimum(picks, k - 1, out=picks)   # guard the top edge against rounding
     rng.standard_normal(out=ys)
     for rows in row_blocks(n):

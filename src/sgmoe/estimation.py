@@ -10,12 +10,17 @@ objective, gradient and Hessian, the k-means assignment sweep) works on
 blocks of ``model.ROW_BLOCK`` rows, so its temporaries stay cache-sized at
 any N.  Besides the data, a fit holds only its responsibilities, stored
 expert-major as a C-ordered (K, N) array: each expert's responsibilities
-are one contiguous row.  The kernels keep that layout: a block's
-log-joint, gating logits (``gates @ z.T``) and softmax are (K, B), the
-design is handled as its (D+1, B) transpose, and every sum over the K
-experts adds contiguous rows elementwise.
+are one contiguous row, and the E-step writes its softmax straight into
+them.  Every other temporary of a pass lives in the fit's one
+``model.Workspace``, made when the fit starts and sized by ROW_BLOCK at
+that moment: a block's log-joint, gating logits (``gates @ z.T``) and
+softmax are (K, B) views of it, the design its (D+1, B) transpose, and
+the gating Hessian's and expert moments' (K, D+1, B) products reuse the
+storage of the logits and their scratch.  Every sum over the K experts
+adds contiguous rows elementwise.
 With one block a pass is the unblocked arithmetic bit for bit; with more,
-its sums are added block by block, which may move a fit by rounding.
+its sums are added block by block, which may move a fit by rounding.  The
+workspace changes no operation or its order, only where results go.
 The M-step solves the experts in closed form (weighted least squares,
 weighted residual variance) and improves the gating network with damped
 Newton steps on the multinomial-logistic objective, whose Hessian is two
@@ -41,6 +46,7 @@ from .model import (
     Dataset,
     ExpertAtom,
     MixingMeasure,
+    Workspace,
     log_joint,
     logsumexp_cols,
     normalize_baseline,
@@ -152,54 +158,63 @@ def _design(xs: np.ndarray) -> np.ndarray:
     return z
 
 
-def _design_t(xs: np.ndarray) -> np.ndarray:
-    """The transposed design, shape (D+1, n): rows x_1..x_D, then ones."""
-    zt = np.empty((xs.shape[1] + 1, xs.shape[0]))
-    zt[:-1] = xs.T
-    zt[-1] = 1.0
-    return zt
+def _design_t(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The transposed design into the (D+1, n) ``out``: rows x_1..x_D,
+    then ones."""
+    out[:-1] = xs.T
+    out[-1] = 1.0
+    return out
 
 
-def _block_sums(terms, n: int) -> list:
-    """Termwise sums of ``terms(rows)`` over ``model.row_blocks(n)``.
+def _block_sums(terms, work: Workspace, n: int) -> list:
+    """Termwise sums of ``terms(rows, views)`` over ``model.row_blocks(n)``,
+    with ``views`` the block's views of ``work``.
 
     The sums start from the first block's terms, so that with one block
-    they are that block's arithmetic bit for bit.
+    they are that block's arithmetic bit for bit.  Terms must be new
+    arrays or numbers, never workspace views.
     """
+    def block_terms(rows):
+        return terms(rows, work.block(rows.stop - rows.start))
+
     blocks = row_blocks(n)
-    totals = list(terms(blocks[0]))
+    totals = list(block_terms(blocks[0]))
     for rows in blocks[1:]:
-        for i, term in enumerate(terms(rows)):
+        for i, term in enumerate(block_terms(rows)):
             totals[i] += term
     return totals
 
 
-def _gating_terms(gates: np.ndarray, resp: np.ndarray,
-                  zt: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+def _gating_terms(gates: np.ndarray, resp: np.ndarray, zt: np.ndarray,
+                  views) -> tuple[float, np.ndarray, np.ndarray]:
     """Objective, gradient and Hessian (without the ridge) of the gating
     objective over one block of rows; ``resp`` is the block's (K, B)
-    responsibilities and ``zt`` its transposed design."""
+    responsibilities, ``zt`` its transposed design and ``views`` its
+    workspace views."""
     p, n = zt.shape
     k = gates.shape[0]
-    logits = gates @ zt                           # (K, B)
-    pi, lse = softmax_cols(logits)
+    logits = np.matmul(gates, zt, out=views.a)    # (K, B)
+    pi, lse = softmax_cols(logits, views.c, views.vec)
     # sum_n sum_k r_kn log softmax_k(logits_n); columns of resp sum to 1
-    obj = float(np.sum(resp * logits) - np.sum(lse))
-    grad = (resp - pi) @ zt.T                     # (K, D+1)
+    obj = float(np.sum(np.multiply(resp, logits, out=views.b))
+                - np.sum(lse))
+    grad = np.subtract(resp, pi, out=views.b) @ zt.T     # (K, D+1)
 
     # Fisher-style Hessian blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T
     # as GEMMs: -(P P^T) with rows P_(k,d) = pi_k * z_d, plus the diagonal
-    # blocks sum_n pi_nk z_n z_n^T; every broadcast runs along the rows
-    pz = (pi[:, None, :] * zt).reshape(k * p, n)
+    # blocks sum_n pi_nk z_n z_n^T; every broadcast runs along the rows.
+    # P, then z z^T, take the storage of the dead logits and scratch.
+    pz = np.multiply(pi[:, None, :], zt, out=views.kpr).reshape(k * p, n)
     hess = -(pz @ pz.T)
-    zz = (zt[:, None, :] * zt).reshape(p * p, n)
+    zz = np.multiply(zt[:, None, :], zt, out=views.ppr).reshape(p * p, n)
     diag = np.arange(k)
     hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi @ zz.T).reshape(k, p, p)
     return obj, grad, hess
 
 
-def gating_newton_step(gates: np.ndarray, resp: np.ndarray,
-                       xs: np.ndarray) -> tuple[np.ndarray, float]:
+def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
+                       work: Workspace | None = None
+                       ) -> tuple[np.ndarray, float]:
     """One damped Newton update of the gating parameters.
 
     ``gates`` is (K, D+1): row k holds (omega1_k, omega0_k).  ``resp`` is
@@ -209,16 +224,21 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray,
     The softmax translation direction is flat, so the Hessian needs the
     ridge RIDGE to be solvable; the update then stays in a fixed gauge
     section.  Objective, gradient and Hessian are sums over row blocks
-    (``model.row_blocks``).
+    (``model.row_blocks``), each taken in ``work``, a gating
+    ``model.Workspace`` for this K and D (a new one when None), as is each
+    step-halving candidate's objective.
     """
     n, d = xs.shape
     k = gates.shape[0]
     if resp.shape != (k, n):
         raise InputError("responsibility matrix shape mismatch")
     p = d + 1
+    if work is None:
+        work = Workspace.for_blocks(k, d, n, gating=True)
     obj0, grad, hess = _block_sums(
-        lambda rows: _gating_terms(gates, resp[:, rows], _design_t(xs[rows])),
-        n)
+        lambda rows, views: _gating_terms(
+            gates, resp[:, rows], _design_t(xs[rows], views.zt), views),
+        work, n)
     hess.reshape(-1)[::k * p + 1] += RIDGE
 
     try:
@@ -233,9 +253,13 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray,
         cand = gates + scale * step
         obj = 0.0
         for rows in row_blocks(n):
-            logits = cand @ _design_t(xs[rows])
-            obj += float(np.sum(resp[:, rows] * logits)
-                         - np.sum(logsumexp_cols(logits)))
+            views = work.block(rows.stop - rows.start)
+            logits = np.matmul(cand, _design_t(xs[rows], views.zt),
+                               out=views.a)
+            weighted = np.sum(np.multiply(resp[:, rows], logits,
+                                          out=views.b))
+            obj += float(weighted - np.sum(logsumexp_cols(logits, logits,
+                                                          views.vec)))
         if obj >= obj0:
             return cand, obj
         scale *= 0.5
@@ -245,25 +269,26 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray,
 # ---------------------------------------------------------------------------
 # expert M-step
 
-def _expert_moments(zt: np.ndarray, resp: np.ndarray,
-                    ys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _expert_moments(zt: np.ndarray, resp: np.ndarray, ys: np.ndarray,
+                    views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per expert, over one block of rows with transposed design ``zt`` and
     (K, B) responsibilities: the responsibility mass, the weighted Gram
     matrix z^T W z and z^T W y."""
-    zw = resp[:, None, :] * zt                    # (K, D+1, B)
+    zw = np.multiply(resp[:, None, :], zt, out=views.kpr)   # (K, D+1, B)
     return np.sum(resp, axis=1), zw @ zt.T, zw @ ys
 
 
 def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
-                  iteration: int) -> tuple[np.ndarray, np.ndarray]:
+                  iteration: int,
+                  work: Workspace) -> tuple[np.ndarray, np.ndarray]:
     """The (K, D+1) rows (a_k, b_k) and the variances of every expert from
     the (K, N) responsibilities: weighted least squares, then the weighted
-    residual variance, each one blocked pass over the rows."""
+    residual variance, each one blocked pass over the rows in ``work``."""
     n = xs.shape[0]
     mass, gram, rhs = _block_sums(
-        lambda rows: _expert_moments(_design_t(xs[rows]), resp[:, rows],
-                                     ys[rows]),
-        n)
+        lambda rows, views: _expert_moments(
+            _design_t(xs[rows], views.zt), resp[:, rows], ys[rows], views),
+        work, n)
     betas = np.empty_like(rhs)
     for j, sw in enumerate(mass.tolist()):
         if sw <= 0.0 or not math.isfinite(sw):
@@ -274,11 +299,15 @@ def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
         except np.linalg.LinAlgError:
             betas[j], *_ = np.linalg.lstsq(gram[j], rhs[j], rcond=None)
 
-    def residual_sums(rows):
-        resid = ys[rows] - betas @ _design_t(xs[rows])     # (K, B)
-        return (np.sum(resp[:, rows] * resid ** 2, axis=1),)
+    def residual_sums(rows, views):
+        resid = np.matmul(betas, _design_t(xs[rows], views.zt),
+                          out=views.a)                      # (K, B)
+        np.subtract(ys[rows], resid, out=resid)
+        np.square(resid, out=resid)
+        return (np.sum(np.multiply(resp[:, rows], resid, out=resid),
+                       axis=1),)
 
-    ss, = _block_sums(residual_sums, n)
+    ss, = _block_sums(residual_sums, work, n)
     return betas, np.maximum(ss / mass, SIGMA_FLOOR)
 
 
@@ -305,15 +334,18 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     sigmas = np.maximum(init.sigmas(), SIGMA_FLOOR)
 
     resp = np.empty((k, n))
+    work = Workspace.for_blocks(k, d, n, gating=True)
 
     def current_loglik(iteration: int) -> float:
         # one pass, block by block, gives the likelihood and the next
-        # E-step's responsibilities (written into resp)
+        # E-step's responsibilities (the softmax is written into resp)
         total = 0.0
         for rows in row_blocks(n):
-            resp[:, rows], row_ll = softmax_cols(
-                log_joint(gates, betas, sigmas, xs[rows], ys[rows]))
-            total += float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
+            lj = log_joint(gates, betas, sigmas, xs[rows], ys[rows], work)
+            _, row_ll = softmax_cols(lj, resp[:, rows],
+                                     work.block(lj.shape[1]).vec)
+            total += float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR,
+                                             out=row_ll)))
         avg = total / n
         if not math.isfinite(avg):
             raise NumericError("average log-likelihood became non-finite",
@@ -325,12 +357,12 @@ def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
     converged = False
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
-        betas, sigmas = _expert_mstep(xs, ys, resp, iteration)
+        betas, sigmas = _expert_mstep(xs, ys, resp, iteration, work)
 
         # M-step, gates: Newton steps until one gains less than NEWTON_TOL
         obj = None
         for _ in range(NEWTON_MAX_ITER):
-            gates, new_obj = gating_newton_step(gates, resp, xs)
+            gates, new_obj = gating_newton_step(gates, resp, xs, work=work)
             if obj is not None and new_obj - obj < NEWTON_TOL:
                 break
             obj = new_obj

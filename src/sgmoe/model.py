@@ -15,11 +15,17 @@ Gating parameters are only identified up to a common shift (adding (t0, t1)
 to every (omega0_k, omega1_k) leaves the density unchanged), so models are
 usually reported in baseline form with the last atom's gating parameters
 pinned to zero.  See :func:`normalize_baseline` and :func:`translate`.
+
+The likelihood kernels and EM pass over the data in blocks of ROW_BLOCK
+rows and take every block temporary from a :class:`Workspace`, one buffer
+allocated per pass or fit; with one block (N <= ROW_BLOCK) a pass is the
+unblocked arithmetic bit for bit.  At D = 1 the slope products omega1 . x
+and a . x are elementwise outer products, off numpy's slow matmul loop for
+an inner dimension of 1 (:func:`_affine`).
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -43,6 +49,7 @@ __all__ = [
     "log_density_vector",
     "normalize_baseline",
     "translate",
+    "Workspace",
 ]
 
 # Densities below this are floored before taking logs so that a single
@@ -58,15 +65,87 @@ LOG_2PI = math.log(2.0 * math.pi)
 # the k-means assignment sweep and the sampler's gate draw.  The data, a
 # fit's K x N responsibilities and the sampler's N-vectors stay N-sized.
 # Every such pass is exactly its unblocked arithmetic when N <= ROW_BLOCK;
-# above it, sums taken block by block may move a fit by rounding.
+# above it, sums taken block by block may move a fit by rounding.  A pass
+# takes its block temporaries from a Workspace, allocated once per pass or
+# fit, which computes the same bits as fresh arrays would.
 ROW_BLOCK = 16384
 
 
 def row_blocks(n: int) -> list[slice]:
     """Consecutive slices of at most ROW_BLOCK rows covering range(n); one
     (empty) slice when n is 0."""
-    return [slice(start, start + ROW_BLOCK)
+    return [slice(start, min(start + ROW_BLOCK, n))
             for start in range(0, max(n, 1), ROW_BLOCK)]
+
+
+class Workspace:
+    """Scratch for passes of a K-expert model over blocks of up to ``rows``
+    rows of D-dimensional data: one flat float64 buffer, allocated once,
+    that ``block(r)`` views as C-contiguous arrays of r rows, so a sum over
+    a view runs in the order it would over a fresh array.
+
+    Every workspace has ``vec``, (3, r) column scratch (max, sum and
+    log-sum-exp), and ``a`` and ``b``, two (K, r) slots for the log-joint
+    or logits and their scratch.  A ``gating`` one, EM's, also has ``c``, a
+    (K, r) slot for the gating softmax, ``zt``, the (D+1, r) transposed
+    design, and ``kpr`` and ``ppr``, the gating Hessian's and the expert
+    moments' (K, D+1, r) products and the design's (D+1, D+1, r) cross
+    products; these reuse the storage of ``a`` and ``b``, which are dead
+    when they are made.  ``for_blocks`` sizes one for ``row_blocks(n)``,
+    reading ROW_BLOCK when it is called.
+    """
+
+    def __init__(self, k: int, d: int, rows: int, gating: bool = False):
+        p = d + 1
+        self.k, self.d, self.rows, self.gating = k, d, rows, gating
+        self._wide = p * max(k, p) if gating else 2 * k    # a, b, kpr, ppr
+        # every view starts on a 64-byte line: at 16-byte offsets, EM
+        # iterations at N = 1e5 took about 15% longer
+        size = (3 + self._wide + (k + p) * gating) * _lines(rows)
+        raw = np.empty(size + 8)
+        start = -raw.ctypes.data % 64 // 8
+        self._buf = raw[start:start + size]
+        self._blocks: dict[int, _Block] = {}
+
+    @classmethod
+    def for_blocks(cls, k: int, d: int, n: int,
+                   gating: bool = False) -> "Workspace":
+        return cls(k, d, max(1, min(n, ROW_BLOCK)), gating)
+
+    def block(self, r: int) -> "_Block":
+        """The views for a block of r rows, made once per r."""
+        views = self._blocks.get(r)
+        if views is None:
+            if r > self.rows:
+                raise InputError(f"a block of {r} rows does not fit a "
+                                 f"workspace of {self.rows}")
+            views = self._blocks[r] = _Block(self, r)
+        return views
+
+
+def _lines(r: int) -> int:
+    """r rounded up to whole 64-byte lines of doubles."""
+    return -(-r // 8) * 8
+
+
+class _Block:
+    """The views of a Workspace's buffer for r rows: vec, the a/b region,
+    then c and zt, each row of vec and each slot starting on a line."""
+
+    __slots__ = ("vec", "a", "b", "kpr", "ppr", "c", "zt")
+
+    def __init__(self, work: Workspace, r: int):
+        k, p, line = work.k, work.d + 1, _lines(r)
+        vec, wide, rest = np.split(work._buf,
+                                   [3 * line, (3 + work._wide) * line])
+        self.vec = vec.reshape(3, line)[:, :r]
+        self.a = wide[:k * r].reshape(k, r)
+        self.b = wide[k * line:k * (line + r)].reshape(k, r)
+        if work.gating:
+            self.kpr = wide[:k * p * r].reshape(k, p, r)
+            self.ppr = wide[:p * p * r].reshape(p, p, r)
+            self.c = rest[:k * r].reshape(k, r)
+            self.zt = rest[k * line:k * line + p * r].reshape(p, r)
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -288,72 +367,131 @@ def _check_x(measure: MixingMeasure, x) -> np.ndarray:
     return arr
 
 
-def _shifted_exp(a: np.ndarray):
-    """exp(a - m), its column sums and the column log-sum-exp of a (K, n)
-    array, with m the column max or 0 where that max is not finite (all
-    -inf, or holding +inf or nan).  The reductions combine the K rows
-    elementwise, so they run along n, over contiguous rows of a C-ordered
-    array."""
-    m = functools.reduce(np.maximum, a)
-    m = np.where(np.isfinite(m), m, 0.0)
+def _shifted_exp(a: np.ndarray, e: np.ndarray | None,
+                 vec: np.ndarray | None):
+    """exp(a - m) into e, and its column sums and the column log-sum-exp
+    of a (K, n) array a into rows 1 and 2 of the (3, n) scratch ``vec``,
+    with m (row 0) the column max or 0 where that max is not finite (all
+    -inf, or holding +inf or nan).  ``e`` may be ``a`` itself; None
+    allocates e or vec.  The reductions combine the K rows elementwise,
+    so they run along n, over contiguous rows of a C-ordered array; the
+    sum adds the rows in order."""
+    if e is None:
+        e = np.empty(a.shape)
+    if vec is None:
+        vec = np.empty((3, a.shape[1]))
+    m, s, lse = vec
+    np.maximum.reduce(a, axis=0, out=m)   # exact in any order
+    finite = np.isfinite(m)
+    if not finite.all():
+        m[~finite] = 0.0
     with np.errstate(over="ignore", divide="ignore"):
-        e = a - m
+        np.subtract(a, m, out=e)
         np.exp(e, out=e)
-        s = functools.reduce(np.add, e)
-        return e, s, np.log(s) + m
+        s[...] = e[0]
+        for row in e[1:]:
+            s += row
+        np.log(s, out=lse)
+    np.add(lse, m, out=lse)
+    return e, s, lse
 
 
-def logsumexp_cols(a: np.ndarray) -> np.ndarray:
+def logsumexp_cols(a: np.ndarray, e: np.ndarray | None = None,
+                   vec: np.ndarray | None = None) -> np.ndarray:
     """Column log-sum-exp of a (K, n) array, shape (n,); an all -inf
-    column gives -inf."""
-    return _shifted_exp(a)[2]
+    column gives -inf.  ``e`` takes the shifted exponentials (``a`` itself
+    may, which overwrites it) and the result is row 2 of the (3, n)
+    scratch ``vec``; each is allocated when None."""
+    return _shifted_exp(a, e, vec)[2]
 
 
-def softmax_cols(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def softmax_cols(a: np.ndarray, out: np.ndarray | None = None,
+                 vec: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Column softmax of a (K, n) array and its column log-sum-exp, from
     one max shift; a column whose log-sum-exp is not finite gets uniform
-    weights."""
-    e, s, lse = _shifted_exp(a)
+    weights.  The softmax goes into ``out`` (``a`` itself may) and the
+    log-sum-exp is row 2 of the (3, n) scratch ``vec``; each is allocated
+    when None."""
+    e, s, lse = _shifted_exp(a, out, vec)
     finite = np.isfinite(lse)
     if not finite.all():
         dead = ~finite
         e[:, dead] = 1.0
         s[dead] = a.shape[0]
-    e /= s
+    np.divide(e, s, out=e)
     return e, lse
 
 
-def log_gates(gates: np.ndarray, xs: np.ndarray) -> np.ndarray:
+def _affine(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rows[:, :-1] @ xs.T + rows[:, -1:] into the (K, n) ``out``, for
+    (K, D+1) parameter rows over the design (x, 1).  At D = 1 the slope
+    product is an elementwise outer product: numpy's matmul takes an
+    inner dimension of 1 through a loop without BLAS, about six times
+    slower, whose sum 0 + a*b has the same bits but for the sign of a
+    zero."""
+    if xs.shape[1] == 1:
+        np.multiply(rows[:, :1], xs[:, 0], out=out)
+    else:
+        np.matmul(rows[:, :-1], xs.T, out=out)
+    return np.add(out, rows[:, -1:], out=out)
+
+
+def log_gates(gates: np.ndarray, xs: np.ndarray,
+              work: Workspace | None = None) -> np.ndarray:
     """Log softmax gate probabilities from the (K, D+1) gating rows
-    (omega1_k, omega0_k), as a C-ordered (K, n) array."""
-    logits = gates[:, :-1] @ xs.T + gates[:, -1:]
-    return logits - logsumexp_cols(logits)
+    (omega1_k, omega0_k), as a C-ordered (K, n) array: slot ``a`` of
+    ``work``'s block (slot ``b`` is scratch), a new workspace's when
+    None."""
+    n = xs.shape[0]
+    if work is None:
+        work = Workspace(gates.shape[0], xs.shape[1], n)
+    views = work.block(n)
+    logits = _affine(gates, xs, views.a)
+    return np.subtract(logits, logsumexp_cols(logits, views.b, views.vec),
+                       out=logits)
 
 
 def log_joint(gates: np.ndarray, betas: np.ndarray, sigmas: np.ndarray,
-              xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+              xs: np.ndarray, ys: np.ndarray,
+              work: Workspace | None = None) -> np.ndarray:
     """log(gate_k(x_n) * N(y_n | a_k . x_n + b_k, sigma_k)) from the (K, D+1)
     gating rows, the (K, D+1) expert rows (a_k, b_k) and the K variances,
     as a C-ordered (K, n) array: the expert-major layout of every kernel
-    here, where numpy's broadcasts run along n."""
-    means = betas[:, :-1] @ xs.T + betas[:, -1:]
-    log_norm = -0.5 * (LOG_2PI + np.log(sigmas)[:, None]
-                       + (ys - means) ** 2 / sigmas[:, None])
-    return log_gates(gates, xs) + log_norm
+    here, where numpy's broadcasts run along n.  The result is slot ``a``
+    of ``work``'s block for n rows (``b`` and ``vec`` are scratch), a new
+    workspace's when None."""
+    n = xs.shape[0]
+    if work is None:
+        work = Workspace(gates.shape[0], xs.shape[1], n)
+    lj = log_gates(gates, xs, work)
+    log_norm = _affine(betas, xs, work.block(n).b)     # the means
+    np.subtract(ys, log_norm, out=log_norm)
+    np.square(log_norm, out=log_norm)
+    np.divide(log_norm, sigmas[:, None], out=log_norm)
+    np.add(LOG_2PI + np.log(sigmas)[:, None], log_norm, out=log_norm)
+    np.multiply(-0.5, log_norm, out=log_norm)
+    return np.add(lj, log_norm, out=lj)
 
 
 def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
-                       ys: np.ndarray) -> np.ndarray:
+                       ys: np.ndarray,
+                       work: Workspace | None = None) -> np.ndarray:
     """Per-point log conditional density, floored at log(1e-300).
 
-    Works through the rows one block at a time and keeps only the result.
-    Emits :class:`UnderflowWarning` with the number of floored points; the
+    Works through the rows one block at a time in ``work`` (a new
+    workspace when None) and keeps only the result.  Emits
+    :class:`UnderflowWarning` with the number of floored points; the
     floor keeps far-out observations from dragging averages to -inf.
     """
     params = measure.gates(), measure.betas(), measure.sigmas()
-    logp = np.empty(xs.shape[0])
-    for rows in row_blocks(xs.shape[0]):
-        logp[rows] = logsumexp_cols(log_joint(*params, xs[rows], ys[rows]))
+    n = xs.shape[0]
+    if work is None:
+        work = Workspace.for_blocks(measure.n_atoms, measure.dim, n)
+    logp = np.empty(n)
+    for rows in row_blocks(n):
+        lj = log_joint(*params, xs[rows], ys[rows], work)
+        logp[rows] = logsumexp_cols(lj, lj, work.block(lj.shape[1]).vec)
     floored = logp < LOG_DENSITY_FLOOR
     n_floor = int(np.count_nonzero(floored))
     if n_floor:
@@ -390,18 +528,22 @@ def avg_log_likelihood(measure: MixingMeasure, data: Dataset) -> float:
     return out
 
 
-def responsibility_matrix(measure: MixingMeasure, data: Dataset) -> np.ndarray:
+def responsibility_matrix(measure: MixingMeasure, data: Dataset,
+                          work: Workspace | None = None) -> np.ndarray:
     """Posterior component memberships for every observation, as a
-    C-ordered (n, K) array."""
+    C-ordered (n, K) array, computed block by block in ``work`` (a new
+    workspace when None)."""
     if data.dim != measure.dim:
         raise InputError(
             f"dataset dim {data.dim} does not match model dim {measure.dim}")
     # a fully underflowed observation gets uniform memberships
     params = measure.gates(), measure.betas(), measure.sigmas()
+    if work is None:
+        work = Workspace.for_blocks(measure.n_atoms, measure.dim, data.n)
     out = np.empty((data.n, measure.n_atoms))
     for rows in row_blocks(data.n):
-        out[rows] = softmax_cols(
-            log_joint(*params, data.xs[rows], data.ys[rows]))[0].T
+        lj = log_joint(*params, data.xs[rows], data.ys[rows], work)
+        out[rows] = softmax_cols(lj, lj, work.block(lj.shape[1]).vec)[0].T
     return out
 
 

@@ -457,7 +457,9 @@ def load_dataset_csv(path, y_last: bool = False, *,
                 table = _scan_body(reader, width, path)
     except (OSError, UnicodeDecodeError) as exc:
         raise _unreadable(path, exc) from exc
-    return Dataset(xs=table[:, :-1], ys=table[:, -1])
+    # each column copied once, contiguous, into arrays the Dataset owns
+    return Dataset._adopt(np.ascontiguousarray(table[:, :-1]),
+                          np.ascontiguousarray(table[:, -1]))
 
 
 def _read_table(path, size: int, width: int):

@@ -31,14 +31,12 @@ from sgmoe.estimation import (
 )
 from sgmoe.metrics import _objective, _prepare
 from sgmoe.model import (
+    LOG_2PI,
     LOG_DENSITY_FLOOR,
     Dataset,
     ExpertAtom,
     MixingMeasure,
-    log_joint,
-    logsumexp_cols,
     normalize_baseline,
-    softmax_cols,
 )
 
 
@@ -154,10 +152,50 @@ def naive_gating_newton_step(gates, resp, xs, ridge=RIDGE):
 
 
 # ---------------------------------------------------------------------------
-# unblocked EM reference: the gating Newton step, the E-step and the expert
-# M-step as single passes over all N rows, with the library's expert-major
-# formulas ((K, N) responsibilities, (K, N) logits, the (D+1, N) transposed
-# design); at N <= ROW_BLOCK the library must reproduce these bit for bit
+# EM reference: the library's expert-major arithmetic written out in plain
+# fresh-array numpy ((K, n) log-joint, logits and softmax, (K, N)
+# responsibilities, the (D+1, n) transposed design, slope products as
+# `@ xs.T`), as it stood before the library's passes moved onto a
+# preallocated workspace.  Run over blocks of `block` rows, with the
+# library's order of block sums; at one block (the default) it is the
+# unblocked pass.  The library must reproduce it bit for bit in both cases.
+
+def ref_shifted_exp(a):
+    """exp(a - m), its column sums and the column log-sum-exp of a (K, n)
+    array, with m the column max or 0 where that max is not finite."""
+    m = functools.reduce(np.maximum, a)
+    m = np.where(np.isfinite(m), m, 0.0)
+    with np.errstate(over="ignore", divide="ignore"):
+        e = np.exp(a - m)
+        s = functools.reduce(np.add, e)
+        return e, s, np.log(s) + m
+
+
+def ref_logsumexp_cols(a):
+    return ref_shifted_exp(a)[2]
+
+
+def ref_softmax_cols(a):
+    """Column softmax and log-sum-exp; a column whose log-sum-exp is not
+    finite gets uniform weights."""
+    e, s, lse = ref_shifted_exp(a)
+    dead = ~np.isfinite(lse)
+    e[:, dead] = 1.0
+    s[dead] = a.shape[0]
+    return e / s, lse
+
+
+def ref_log_gates(gates, xs):
+    logits = gates[:, :-1] @ xs.T + gates[:, -1:]
+    return logits - ref_logsumexp_cols(logits)
+
+
+def ref_log_joint(gates, betas, sigmas, xs, ys):
+    means = betas[:, :-1] @ xs.T + betas[:, -1:]
+    log_norm = -0.5 * (LOG_2PI + np.log(sigmas)[:, None]
+                       + (ys - means) ** 2 / sigmas[:, None])
+    return ref_log_gates(gates, xs) + log_norm
+
 
 def design_t(xs):
     """The transposed regression design, C-ordered: rows x_1..x_D, then
@@ -165,34 +203,61 @@ def design_t(xs):
     return np.ascontiguousarray(np.vstack([xs.T, np.ones((1, xs.shape[0]))]))
 
 
-def unblocked_gating_newton_step(gates, resp, xs, ridge=RIDGE):
-    """One damped gating Newton step over all rows at once, from C-ordered
-    (K, N) responsibilities; returns a dict of the start objective obj0,
-    gradient grad, Hessian hess (ridge included), step, the number of
-    halvings taken (None when no candidate was accepted), and the
-    resulting gates and objective."""
-    n, d = xs.shape
+def ref_blocks(n, block=None):
+    block = n if block is None else block
+    return [slice(start, start + block) for start in range(0, max(n, 1),
+                                                           max(block, 1))]
+
+
+def ref_block_sums(terms, n, block=None):
+    """Termwise sums of terms(rows), starting from the first block's."""
+    blocks = ref_blocks(n, block)
+    totals = list(terms(blocks[0]))
+    for rows in blocks[1:]:
+        for i, term in enumerate(terms(rows)):
+            totals[i] += term
+    return totals
+
+
+def ref_gating_terms(gates, resp, zt):
+    """Gating objective, gradient and Hessian (no ridge) over one block."""
+    p, n = zt.shape
     k = gates.shape[0]
-    p = d + 1
-    zt = design_t(xs)
     logits = gates @ zt
-    pi, lse = softmax_cols(logits)
-    obj0 = float(np.sum(resp * logits) - np.sum(lse))
+    pi, lse = ref_softmax_cols(logits)
+    obj = float(np.sum(resp * logits) - np.sum(lse))
     grad = (resp - pi) @ zt.T
     pz = (pi[:, None, :] * zt).reshape(k * p, n)
     hess = -(pz @ pz.T)
     zz = (zt[:, None, :] * zt).reshape(p * p, n)
     diag = np.arange(k)
     hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi @ zz.T).reshape(k, p, p)
-    hess[np.diag_indices_from(hess)] += ridge
+    return obj, grad, hess
+
+
+def reference_gating_newton_step(gates, resp, xs, block=None):
+    """One damped gating Newton step from C-ordered (K, N)
+    responsibilities; returns a dict of the start objective obj0,
+    gradient grad, Hessian hess (ridge included), step, the number of
+    halvings taken (None when no candidate was accepted), and the
+    resulting gates and objective."""
+    n = xs.shape[0]
+    k, p = gates.shape
+    obj0, grad, hess = ref_block_sums(
+        lambda rows: ref_gating_terms(gates, resp[:, rows],
+                                      design_t(xs[rows])), n, block)
+    hess[np.diag_indices_from(hess)] += RIDGE
     step = np.linalg.solve(hess, grad.reshape(-1)).reshape(k, p)
     out = dict(obj0=obj0, grad=grad, hess=hess, step=step, halvings=None,
                gates=gates, obj=obj0)
     scale = 1.0
     for halvings in range(20):
         cand = gates + scale * step
-        logits = cand @ zt
-        obj = float(np.sum(resp * logits) - np.sum(logsumexp_cols(logits)))
+        obj = 0.0
+        for rows in ref_blocks(n, block):
+            logits = cand @ design_t(xs[rows])
+            obj += float(np.sum(resp[:, rows] * logits)
+                         - np.sum(ref_logsumexp_cols(logits)))
         if obj >= obj0:
             out.update(halvings=halvings, gates=cand, obj=obj)
             break
@@ -200,41 +265,53 @@ def unblocked_gating_newton_step(gates, resp, xs, ridge=RIDGE):
     return out
 
 
-def unblocked_estep(gates, betas, sigmas, xs, ys):
-    """(K, N) responsibilities and the average floored log-likelihood from
-    one log-joint pass over all rows."""
-    resp, row_ll = softmax_cols(log_joint(gates, betas, sigmas, xs, ys))
-    return resp, float(np.mean(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
-
-
-def unblocked_em_fit(data: Dataset, cfg: FitConfig,
-                     init: MixingMeasure) -> FitResult:
-    """``em_fit`` built on the unblocked E-step and gating step above."""
+def reference_em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure,
+                     block=None, dead=None) -> FitResult:
+    """``em_fit`` from the reference kernels above, over blocks of `block`
+    rows (one block when None).  Every E-step sets the log-joint of the
+    rows in the boolean N-vector `dead` to -inf."""
     xs, ys = data.xs, data.ys
-    d = xs.shape[1]
-    zt = design_t(xs)
+    n, d = xs.shape
+    blocks = ref_blocks(n, block)
     gates, betas = init.gates(), init.betas()
     sigmas = np.maximum(init.sigmas(), SIGMA_FLOOR)
-    resp, avg_ll = unblocked_estep(gates, betas, sigmas, xs, ys)
-    trace = [avg_ll]
+    resp = np.empty((cfg.K, n))
+
+    def estep():
+        total = 0.0
+        for rows in blocks:
+            lj = ref_log_joint(gates, betas, sigmas, xs[rows], ys[rows])
+            if dead is not None:
+                lj[:, dead[rows]] = -np.inf
+            resp[:, rows], row_ll = ref_softmax_cols(lj)
+            total += float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR)))
+        return total / n
+
+    trace = [estep()]
     converged = False
     iteration = 0
     for iteration in range(1, cfg.max_iter + 1):
-        zw = resp[:, None, :] * zt
-        gram, rhs = zw @ zt.T, zw @ ys
+        def moments(rows):
+            zt = design_t(xs[rows])
+            zw = resp[:, None, rows] * zt
+            return np.sum(resp[:, rows], axis=1), zw @ zt.T, zw @ ys[rows]
+
+        mass, gram, rhs = ref_block_sums(moments, n, block)
         betas = np.stack([np.linalg.solve(gram[j], rhs[j])
                           for j in range(cfg.K)])
-        ss = np.sum(resp * (ys - betas @ zt) ** 2, axis=1)
-        sigmas = np.maximum(ss / np.sum(resp, axis=1), SIGMA_FLOOR)
+        ss, = ref_block_sums(
+            lambda rows: (np.sum(resp[:, rows] * (ys[rows] - betas
+                                                  @ design_t(xs[rows])) ** 2,
+                                 axis=1),), n, block)
+        sigmas = np.maximum(ss / mass, SIGMA_FLOOR)
         obj = None
         for _ in range(NEWTON_MAX_ITER):
-            step = unblocked_gating_newton_step(gates, resp, xs)
+            step = reference_gating_newton_step(gates, resp, xs, block)
             gates, new_obj = step["gates"], step["obj"]
             if obj is not None and new_obj - obj < NEWTON_TOL:
                 break
             obj = new_obj
-        resp, avg_ll = unblocked_estep(gates, betas, sigmas, xs, ys)
-        trace.append(avg_ll)
+        trace.append(estep())
         if abs(trace[-1] - trace[-2]) < cfg.tol:
             converged = True
             break

@@ -11,10 +11,10 @@ from scipy.stats import chi2
 from sgmoe import model
 from sgmoe.datagen import GenConfig, builtin_truths, derive_seed, sample, sample_labeled
 from sgmoe.errors import InputError
-from sgmoe.model import Dataset, conditional_density, log_gates
+from sgmoe.model import Dataset, conditional_density
 from sgmoe.serialize import fnv1a64
 
-from helpers import make_measure
+from helpers import make_measure, ref_log_gates
 
 
 def unblocked_sample_labeled(truth, cfg):
@@ -24,7 +24,7 @@ def unblocked_sample_labeled(truth, cfg):
     n, d, k = cfg.n, truth.dim, truth.n_atoms
     xs = rng.uniform(cfg.x_low, cfg.x_high, size=(n, d))
     contaminated = rng.random(n) < cfg.contamination_eps
-    gate_cdf = np.cumsum(np.exp(log_gates(truth.gates(), xs)), axis=0)
+    gate_cdf = np.cumsum(np.exp(ref_log_gates(truth.gates(), xs)), axis=0)
     picks = np.sum(rng.random(n) > gate_cdf, axis=0)
     picks = np.minimum(picks, k - 1)
     means = (np.sum(truth.betas()[picks, :-1] * xs, axis=1)

@@ -40,9 +40,16 @@ from helpers import (
     make_measure,
     naive_gating_newton_step,
     random_dataset,
-    unblocked_em_fit,
-    unblocked_gating_newton_step,
+    reference_em_fit,
+    reference_gating_newton_step,
 )
+
+
+def two_dim_truth():
+    """A three-expert truth on D = 2 covariates."""
+    return make_measure([(-1.0, (3.0, -2.0), (1.0, 4.0), 0.5, 0.5),
+                         (0.5, (-1.5, 2.5), (-2.0, 1.0), 2.0, 0.3),
+                         (0.0, (0.0, 0.0), (3.0, -3.0), -1.0, 0.4)])
 
 
 def single_expert_data(rng, n=400, a=1.5, b=-0.7, sigma=0.09):
@@ -539,7 +546,7 @@ class TestRowBlocks:
         # far from the optimum the full step overshoots and is halved
         gates = rng.normal(scale=3.0 if start == "far" else 0.5,
                            size=(k, d + 1))
-        want = unblocked_gating_newton_step(gates, resp, xs)
+        want = reference_gating_newton_step(gates, resp, xs)
         if start == "far":
             assert want["halvings"] > 0
 
@@ -585,23 +592,72 @@ class TestRowBlocks:
             assert np.array_equal(got, want["gates"])
             assert got_obj == want["obj"]
 
+    @staticmethod
+    def assert_same_fit(got, want):
+        assert np.array_equal(got.loglik_trace, want.loglik_trace)
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        assert got.model.to_dict() == want.model.to_dict()
+
     @pytest.mark.parametrize("n", [100, 1000, 3162])
     def test_em_fit_one_block_is_bit_identical(self, n):
         # at D = 2 the kernels read x's coefficients through (K, 2) views
         # of the (K, 3) gating and expert rows
-        g2 = make_measure([(-1.0, (3.0, -2.0), (1.0, 4.0), 0.5, 0.5),
-                           (0.5, (-1.5, 2.5), (-2.0, 1.0), 2.0, 0.3),
-                           (0.0, (0.0, 0.0), (3.0, -3.0), -1.0, 0.4)])
-        for truth in (builtin_truths()["g0_2"], g2):
+        for truth in (builtin_truths()["g0_2"], two_dim_truth()):
             data = sample(truth, GenConfig(n=n, seed=n))
             for cfg in (FitConfig(K=4, seed=1, max_iter=300),
                         FitConfig(K=3, seed=2, max_iter=300)):
                 init = init_perturbed(truth, cfg.K, 0.5, cfg.seed)
                 got = em_fit(data, cfg, init)
-                want = unblocked_em_fit(data, cfg, init)
-                assert np.array_equal(got.loglik_trace, want.loglik_trace)
-                assert got.iterations == want.iterations
-                assert got.model.to_dict() == want.model.to_dict()
+                want = reference_em_fit(data, cfg, init)
+                self.assert_same_fit(got, want)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_em_fit_over_blocks_is_the_blocked_reference(self, monkeypatch,
+                                                         d):
+        # every pass adds its blocks' sums in the reference's order, and
+        # the last block (3 rows) takes views of the same buffers
+        monkeypatch.setattr(model, "ROW_BLOCK", self.B)
+        truth = builtin_truths()["g0_3"] if d == 1 else two_dim_truth()
+        data = sample(truth, GenConfig(n=2 * self.B + 3, seed=5))
+        cfg = FitConfig(K=3, seed=0, tol=1e-12, max_iter=50)
+        init = init_perturbed(truth, 3, 0.3, 0)
+        got = em_fit(data, cfg, init)
+        assert got.iterations > 10
+        self.assert_same_fit(got, reference_em_fit(data, cfg, init, self.B))
+
+    def test_em_fit_dead_rows_in_later_blocks_match_reference(self,
+                                                              monkeypatch):
+        monkeypatch.setattr(model, "ROW_BLOCK", self.B)
+        g0 = builtin_truths()["g0_3"]
+        n = 2 * self.B + 3
+        data = sample(g0, GenConfig(n=n, seed=7))
+        dead = np.zeros(n, dtype=bool)
+        dead[[self.B + 5, 2 * self.B + 1]] = True   # second and last block
+        real_log_joint = estimation.log_joint
+
+        def dead_rows(*args):
+            lj = real_log_joint(*args)
+            lj[:, np.isin(args[4], data.ys[dead])] = -np.inf
+            return lj
+
+        monkeypatch.setattr(estimation, "log_joint", dead_rows)
+        cfg = FitConfig(K=3, seed=0, max_iter=30)
+        init = init_perturbed(g0, 3, 0.3, 0)
+        self.assert_same_fit(em_fit(data, cfg, init),
+                             reference_em_fit(data, cfg, init, self.B, dead))
+
+    def test_fits_of_other_sizes_in_one_process(self, monkeypatch):
+        # K = 4, then 2, then 4 again: a buffer kept from an earlier fit,
+        # or a stale view of one, would move the later fits
+        monkeypatch.setattr(model, "ROW_BLOCK", self.B)
+        g0 = builtin_truths()["g0_2"]
+        data = sample(g0, GenConfig(n=2 * self.B + 3, seed=9))
+        for k in (4, 2, 4):
+            cfg = FitConfig(K=k, seed=k, max_iter=40)
+            init = init_perturbed(g0, k, 0.5, 1)
+            self.assert_same_fit(em_fit(data, cfg, init),
+                                 reference_em_fit(data, cfg, init, self.B))
 
     def test_em_fit_over_blocks_follows_unblocked(self, monkeypatch):
         # g0_3's gates overlap; on near-separable data (g0_2 at this N)
@@ -610,7 +666,7 @@ class TestRowBlocks:
         data = sample(g0, GenConfig(n=2 * self.B + 3, seed=5))
         cfg = FitConfig(K=3, seed=0, max_iter=50)
         init = init_perturbed(g0, 3, 0.3, 0)
-        want = unblocked_em_fit(data, cfg, init)
+        want = reference_em_fit(data, cfg, init)
         monkeypatch.setattr(model, "ROW_BLOCK", self.B)
         got = em_fit(data, cfg, init)
         assert got.iterations == want.iterations
@@ -669,3 +725,23 @@ class TestWorkingMemory:
         # float64: the responsibilities take n * k * 8 bytes; everything
         # else must stay below one N-vector
         assert peak - n * k * 8 < n * 8
+
+    def test_em_fit_peak_at_default_row_block(self):
+        # the cli_n1e5 fit: beside its 3.2 MB of responsibilities a fit
+        # holds one workspace of 17 blocks of doubles at K = 4, D = 1
+        # (2.2 MB at ROW_BLOCK = 16384); the fresh temporaries per block
+        # that it replaced peaked at 3.03 MB above the responsibilities
+        g0 = builtin_truths()["g0_2"]
+        n, k = 100_000, 4
+        data = sample(g0, GenConfig(n=n, seed=3))
+        cfg = FitConfig(K=k, max_iter=2, init="perturbed_truth",
+                        init_scale=0.0)
+        init = init_perturbed(g0, k, 0.0, 0)
+        tracemalloc.start()
+        try:
+            fit = em_fit(data, cfg, init)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.iterations == 2
+        assert peak - n * k * 8 <= 3_030_000

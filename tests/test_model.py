@@ -40,6 +40,9 @@ from helpers import (
     naive_gates,
     random_dataset,
     random_measure,
+    ref_log_joint,
+    ref_logsumexp_cols,
+    ref_softmax_cols,
 )
 
 
@@ -372,14 +375,19 @@ class TestRowBlocks:
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-13)
 
     def test_one_block_is_the_unblocked_pass(self):
+        # against the fresh-array reference kernels; at D = 1 the slope
+        # products are outer products here and matmuls there
         rng = np.random.default_rng(9)
-        g = random_measure(rng, k=4, dim=2, scale=1.0)
-        data = random_dataset(rng, n=500, dim=2)
-        lj = log_joint(g.gates(), g.betas(), g.sigmas(), data.xs, data.ys)
-        assert np.array_equal(log_density_vector(g, data.xs, data.ys),
-                              logsumexp_cols(lj))
-        assert np.array_equal(responsibility_matrix(g, data),
-                              softmax_cols(lj)[0].T)
+        for dim in (2, 1):
+            g = random_measure(rng, k=4, dim=dim, scale=1.0)
+            data = random_dataset(rng, n=500, dim=dim)
+            params = g.gates(), g.betas(), g.sigmas()
+            lj = ref_log_joint(*params, data.xs, data.ys)
+            assert np.array_equal(log_joint(*params, data.xs, data.ys), lj)
+            assert np.array_equal(log_density_vector(g, data.xs, data.ys),
+                                  ref_logsumexp_cols(lj))
+            assert np.array_equal(responsibility_matrix(g, data),
+                                  ref_softmax_cols(lj)[0].T)
 
     def test_kernels_are_expert_major(self):
         # log_joint is a C-ordered (K, n) array; responsibility_matrix
