@@ -16,8 +16,9 @@ them.  Every other temporary of a pass lives in the fit's one
 that moment: a block's log-joint, gating logits (``gates @ z.T``) and
 softmax are (K, B) views of it, the design its (D+1, B) transpose, and
 the gating Hessian's and expert moments' (K, D+1, B) products reuse the
-storage of the logits and their scratch.  Every sum over the K experts
-adds contiguous rows elementwise.
+storage of the logits and their scratch (``model.gating_hessian`` and
+``model.expert_moments``, kept beside the workspace that lays them out).
+Every sum over the K experts adds contiguous rows elementwise.
 With one block a pass is the unblocked arithmetic bit for bit; with more,
 its sums are added block by block, which may move a fit by rounding.  The
 workspace changes no operation or its order, only where results go.
@@ -47,6 +48,8 @@ from .model import (
     ExpertAtom,
     MixingMeasure,
     Workspace,
+    expert_moments,
+    gating_hessian,
     log_joint,
     logsumexp_cols,
     normalize_baseline,
@@ -191,25 +194,14 @@ def _gating_terms(gates: np.ndarray, resp: np.ndarray, zt: np.ndarray,
     objective over one block of rows; ``resp`` is the block's (K, B)
     responsibilities, ``zt`` its transposed design and ``views`` its
     workspace views."""
-    p, n = zt.shape
-    k = gates.shape[0]
     logits = np.matmul(gates, zt, out=views.a)    # (K, B)
     pi, lse = softmax_cols(logits, views.c, views.vec)
     # sum_n sum_k r_kn log softmax_k(logits_n); columns of resp sum to 1
     obj = float(np.sum(np.multiply(resp, logits, out=views.b))
                 - np.sum(lse))
     grad = np.subtract(resp, pi, out=views.b) @ zt.T     # (K, D+1)
-
-    # Fisher-style Hessian blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T
-    # as GEMMs: -(P P^T) with rows P_(k,d) = pi_k * z_d, plus the diagonal
-    # blocks sum_n pi_nk z_n z_n^T; every broadcast runs along the rows.
-    # P, then z z^T, take the storage of the dead logits and scratch.
-    pz = np.multiply(pi[:, None, :], zt, out=views.kpr).reshape(k * p, n)
-    hess = -(pz @ pz.T)
-    zz = np.multiply(zt[:, None, :], zt, out=views.ppr).reshape(p * p, n)
-    diag = np.arange(k)
-    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi @ zz.T).reshape(k, p, p)
-    return obj, grad, hess
+    # the Hessian's products overwrite the logits and scratch, dead here
+    return obj, grad, gating_hessian(pi, zt, views)
 
 
 def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
@@ -225,16 +217,16 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     ridge RIDGE to be solvable; the update then stays in a fixed gauge
     section.  Objective, gradient and Hessian are sums over row blocks
     (``model.row_blocks``), each taken in ``work``, a gating
-    ``model.Workspace`` for this K and D (a new one when None), as is each
-    step-halving candidate's objective.
+    ``model.Workspace`` for this K and D (a new one when None; ValueError
+    for one made otherwise), as is each step-halving candidate's objective.
     """
     n, d = xs.shape
     k = gates.shape[0]
     if resp.shape != (k, n):
         raise InputError("responsibility matrix shape mismatch")
     p = d + 1
-    if work is None:
-        work = Workspace.for_blocks(k, d, n, gating=True)
+    work = (Workspace.for_blocks(k, d, n, gating=True) if work is None
+            else work.check(k, d, gating=True))
     obj0, grad, hess = _block_sums(
         lambda rows, views: _gating_terms(
             gates, resp[:, rows], _design_t(xs[rows], views.zt), views),
@@ -269,15 +261,6 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
 # ---------------------------------------------------------------------------
 # expert M-step
 
-def _expert_moments(zt: np.ndarray, resp: np.ndarray, ys: np.ndarray,
-                    views) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per expert, over one block of rows with transposed design ``zt`` and
-    (K, B) responsibilities: the responsibility mass, the weighted Gram
-    matrix z^T W z and z^T W y."""
-    zw = np.multiply(resp[:, None, :], zt, out=views.kpr)   # (K, D+1, B)
-    return np.sum(resp, axis=1), zw @ zt.T, zw @ ys
-
-
 def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
                   iteration: int,
                   work: Workspace) -> tuple[np.ndarray, np.ndarray]:
@@ -286,7 +269,7 @@ def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
     residual variance, each one blocked pass over the rows in ``work``."""
     n = xs.shape[0]
     mass, gram, rhs = _block_sums(
-        lambda rows, views: _expert_moments(
+        lambda rows, views: expert_moments(
             _design_t(xs[rows], views.zt), resp[:, rows], ys[rows], views),
         work, n)
     betas = np.empty_like(rhs)

@@ -204,8 +204,7 @@ def gate_spread(model, xs: np.ndarray) -> float:
     pairs = (slopes.shape[1],) * 2
     hi, lo = np.full(pairs, -np.inf), np.full(pairs, np.inf)
     for rows in row_blocks(xs.shape[0]):
-        # at D = 1 an outer product, off matmul's slow loop (model._affine)
-        z = xs[rows] * slopes if slopes.shape[0] == 1 else xs[rows] @ slopes
+        z = xs[rows] @ slopes
         diffs = z[:, :, None] - z[:, None, :]
         np.maximum(hi, diffs.max(axis=0), out=hi)
         np.minimum(lo, diffs.min(axis=0), out=lo)

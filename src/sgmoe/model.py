@@ -19,9 +19,12 @@ pinned to zero.  See :func:`normalize_baseline` and :func:`translate`.
 The likelihood kernels and EM pass over the data in blocks of ROW_BLOCK
 rows and take every block temporary from a :class:`Workspace`, one buffer
 allocated per pass or fit; with one block (N <= ROW_BLOCK) a pass is the
-unblocked arithmetic bit for bit.  At D = 1 the slope products omega1 . x
-and a . x are elementwise outer products, off numpy's slow matmul loop for
-an inner dimension of 1 (:func:`_affine`).
+unblocked arithmetic bit for bit.  The two EM kernels whose products share
+storage with a block's other slots, :func:`gating_hessian` and
+:func:`expert_moments`, live here beside the workspace that lays them out.
+At D = 1 the slope products omega1 . x and a . x are elementwise outer
+products, off numpy's slow matmul loop for an inner dimension of 1
+(:func:`_affine`).
 """
 
 from __future__ import annotations
@@ -87,12 +90,13 @@ class Workspace:
     Every workspace has ``vec``, (3, r) column scratch (max, sum and
     log-sum-exp), and ``a`` and ``b``, two (K, r) slots for the log-joint
     or logits and their scratch.  A ``gating`` one, EM's, also has ``c``, a
-    (K, r) slot for the gating softmax, ``zt``, the (D+1, r) transposed
-    design, and ``kpr`` and ``ppr``, the gating Hessian's and the expert
-    moments' (K, D+1, r) products and the design's (D+1, D+1, r) cross
-    products; these reuse the storage of ``a`` and ``b``, which are dead
-    when they are made.  ``for_blocks`` sizes one for ``row_blocks(n)``,
-    reading ROW_BLOCK when it is called.
+    (K, r) slot for the gating softmax, and ``zt``, the (D+1, r) transposed
+    design.  Its ``_kpr`` and ``_ppr``, the (K, D+1, r) products of the
+    gating Hessian and the expert moments and the design's (D+1, D+1, r)
+    cross products, take the storage of ``a`` and ``b``: only
+    :func:`gating_hessian` and :func:`expert_moments` write them, and each
+    call overwrites whatever ``a`` and ``b`` held.  ``for_blocks`` sizes
+    one for ``row_blocks(n)``, reading ROW_BLOCK when it is called.
     """
 
     def __init__(self, k: int, d: int, rows: int, gating: bool = False):
@@ -117,10 +121,20 @@ class Workspace:
         views = self._blocks.get(r)
         if views is None:
             if r > self.rows:
-                raise InputError(f"a block of {r} rows does not fit a "
+                raise ValueError(f"a block of {r} rows does not fit a "
                                  f"workspace of {self.rows}")
             views = self._blocks[r] = _Block(self, r)
         return views
+
+    def check(self, k: int, d: int, gating: bool = False) -> "Workspace":
+        """This workspace, if it was made for K experts on D-dimensional
+        data (and as a gating one when ``gating``); else ValueError."""
+        if self.k != k or self.d != d or (gating and not self.gating):
+            raise ValueError(
+                f"a workspace for K={self.k}, D={self.d}"
+                f"{' (gating)' if self.gating else ''} cannot serve "
+                f"K={k}, D={d}{' (gating)' if gating else ''}")
+        return self
 
 
 def _lines(r: int) -> int:
@@ -132,7 +146,7 @@ class _Block:
     """The views of a Workspace's buffer for r rows: vec, the a/b region,
     then c and zt, each row of vec and each slot starting on a line."""
 
-    __slots__ = ("vec", "a", "b", "kpr", "ppr", "c", "zt")
+    __slots__ = ("vec", "a", "b", "_kpr", "_ppr", "c", "zt")
 
     def __init__(self, work: Workspace, r: int):
         k, p, line = work.k, work.d + 1, _lines(r)
@@ -142,8 +156,8 @@ class _Block:
         self.a = wide[:k * r].reshape(k, r)
         self.b = wide[k * line:k * (line + r)].reshape(k, r)
         if work.gating:
-            self.kpr = wide[:k * p * r].reshape(k, p, r)
-            self.ppr = wide[:p * p * r].reshape(p, p, r)
+            self._kpr = wide[:k * p * r].reshape(k, p, r)
+            self._ppr = wide[:p * p * r].reshape(p, p, r)
             self.c = rest[:k * r].reshape(k, r)
             self.zt = rest[k * line:k * line + p * r].reshape(p, r)
 
@@ -437,19 +451,23 @@ def _affine(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(out, rows[:, -1:], out=out)
 
 
+def _log_gates(gates: np.ndarray, xs: np.ndarray, views: "_Block"
+               ) -> np.ndarray:
+    """log_gates into slot ``a`` of the block ``views``, ``b`` scratch."""
+    logits = _affine(gates, xs, views.a)
+    return np.subtract(logits, logsumexp_cols(logits, views.b, views.vec),
+                       out=logits)
+
+
 def log_gates(gates: np.ndarray, xs: np.ndarray,
               work: Workspace | None = None) -> np.ndarray:
     """Log softmax gate probabilities from the (K, D+1) gating rows
     (omega1_k, omega0_k), as a C-ordered (K, n) array: slot ``a`` of
     ``work``'s block (slot ``b`` is scratch), a new workspace's when
     None."""
-    n = xs.shape[0]
-    if work is None:
-        work = Workspace(gates.shape[0], xs.shape[1], n)
-    views = work.block(n)
-    logits = _affine(gates, xs, views.a)
-    return np.subtract(logits, logsumexp_cols(logits, views.b, views.vec),
-                       out=logits)
+    n, k, d = xs.shape[0], gates.shape[0], xs.shape[1]
+    work = Workspace(k, d, n) if work is None else work.check(k, d)
+    return _log_gates(gates, xs, work.block(n))
 
 
 def log_joint(gates: np.ndarray, betas: np.ndarray, sigmas: np.ndarray,
@@ -461,11 +479,11 @@ def log_joint(gates: np.ndarray, betas: np.ndarray, sigmas: np.ndarray,
     here, where numpy's broadcasts run along n.  The result is slot ``a``
     of ``work``'s block for n rows (``b`` and ``vec`` are scratch), a new
     workspace's when None."""
-    n = xs.shape[0]
-    if work is None:
-        work = Workspace(gates.shape[0], xs.shape[1], n)
-    lj = log_gates(gates, xs, work)
-    log_norm = _affine(betas, xs, work.block(n).b)     # the means
+    n, k, d = xs.shape[0], gates.shape[0], xs.shape[1]
+    work = Workspace(k, d, n) if work is None else work.check(k, d)
+    views = work.block(n)
+    lj = _log_gates(gates, xs, views)
+    log_norm = _affine(betas, xs, views.b)     # the means
     np.subtract(ys, log_norm, out=log_norm)
     np.square(log_norm, out=log_norm)
     np.divide(log_norm, sigmas[:, None], out=log_norm)
@@ -475,19 +493,17 @@ def log_joint(gates: np.ndarray, betas: np.ndarray, sigmas: np.ndarray,
 
 
 def log_density_vector(measure: MixingMeasure, xs: np.ndarray,
-                       ys: np.ndarray,
-                       work: Workspace | None = None) -> np.ndarray:
+                       ys: np.ndarray) -> np.ndarray:
     """Per-point log conditional density, floored at log(1e-300).
 
-    Works through the rows one block at a time in ``work`` (a new
-    workspace when None) and keeps only the result.  Emits
+    Works through the rows one block at a time in one workspace and keeps
+    only the result.  Emits
     :class:`UnderflowWarning` with the number of floored points; the
     floor keeps far-out observations from dragging averages to -inf.
     """
     params = measure.gates(), measure.betas(), measure.sigmas()
     n = xs.shape[0]
-    if work is None:
-        work = Workspace.for_blocks(measure.n_atoms, measure.dim, n)
+    work = Workspace.for_blocks(measure.n_atoms, measure.dim, n)
     logp = np.empty(n)
     for rows in row_blocks(n):
         lj = log_joint(*params, xs[rows], ys[rows], work)
@@ -528,18 +544,16 @@ def avg_log_likelihood(measure: MixingMeasure, data: Dataset) -> float:
     return out
 
 
-def responsibility_matrix(measure: MixingMeasure, data: Dataset,
-                          work: Workspace | None = None) -> np.ndarray:
+def responsibility_matrix(measure: MixingMeasure, data: Dataset
+                          ) -> np.ndarray:
     """Posterior component memberships for every observation, as a
-    C-ordered (n, K) array, computed block by block in ``work`` (a new
-    workspace when None)."""
+    C-ordered (n, K) array, computed block by block in one workspace."""
     if data.dim != measure.dim:
         raise InputError(
             f"dataset dim {data.dim} does not match model dim {measure.dim}")
     # a fully underflowed observation gets uniform memberships
     params = measure.gates(), measure.betas(), measure.sigmas()
-    if work is None:
-        work = Workspace.for_blocks(measure.n_atoms, measure.dim, data.n)
+    work = Workspace.for_blocks(measure.n_atoms, measure.dim, data.n)
     out = np.empty((data.n, measure.n_atoms))
     for rows in row_blocks(data.n):
         lj = log_joint(*params, data.xs[rows], data.ys[rows], work)
@@ -553,6 +567,42 @@ def responsibilities(measure: MixingMeasure, x, y) -> np.ndarray:
     y = _as_float(y, "y")
     data = Dataset(xs=x[None, :], ys=np.array([y]))
     return responsibility_matrix(measure, data)[0]
+
+
+# ---------------------------------------------------------------------------
+# EM products in the workspace
+
+def gating_hessian(pi: np.ndarray, zt: np.ndarray, views: "_Block"
+                   ) -> np.ndarray:
+    """The gating objective's Hessian (without ridge) over one block, from
+    the block's (K, B) gate softmax ``pi`` and (D+1, B) transposed design
+    ``zt``, as a (K(D+1), K(D+1)) array.
+
+    Fisher-style blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T as
+    GEMMs: -(P P^T) with rows P_(k,d) = pi_k * z_d, plus the diagonal
+    blocks sum_n pi_nk z_n z_n^T; every broadcast runs along the rows.  P,
+    then z z^T, are made in the gating block ``views``, overwriting its
+    slots ``a`` and ``b``; ``pi`` and ``zt`` must not be either.
+    """
+    (k, n), p = pi.shape, zt.shape[0]
+    pz = np.multiply(pi[:, None, :], zt, out=views._kpr).reshape(k * p, n)
+    hess = -(pz @ pz.T)
+    zz = np.multiply(zt[:, None, :], zt, out=views._ppr).reshape(p * p, n)
+    diag = np.arange(k)
+    hess.reshape(k, p, k, p)[diag, :, diag, :] += (pi @ zz.T).reshape(k, p, p)
+    return hess
+
+
+def expert_moments(zt: np.ndarray, resp: np.ndarray, ys: np.ndarray,
+                   views: "_Block"
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per expert, over one block of rows with transposed design ``zt`` and
+    (K, B) responsibilities: the responsibility mass, the weighted Gram
+    matrix z^T W z and z^T W y.  The (K, D+1, B) product W z is made in the
+    gating block ``views``, overwriting its slots ``a`` and ``b``; ``zt``
+    and ``resp`` must not be either."""
+    zw = np.multiply(resp[:, None, :], zt, out=views._kpr)
+    return np.sum(resp, axis=1), zw @ zt.T, zw @ ys
 
 
 # ---------------------------------------------------------------------------

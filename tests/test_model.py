@@ -389,6 +389,33 @@ class TestRowBlocks:
             assert np.array_equal(responsibility_matrix(g, data),
                                   ref_softmax_cols(lj)[0].T)
 
+    def test_workspace_of_another_shape_is_refused(self):
+        # a workspace is made for one K, D and kind; a mismatch is a
+        # ValueError, not an InputError, and before any arithmetic
+        from sgmoe.estimation import gating_newton_step
+        rng = np.random.default_rng(13)
+        g = random_measure(rng, k=3, dim=2, scale=1.0)
+        data = random_dataset(rng, n=40, dim=2)
+        params = g.gates(), g.betas(), g.sigmas()
+        resp = np.full((3, 40), 1.0 / 3.0)
+        refused = [
+            lambda: log_joint(*params, data.xs, data.ys,
+                              model.Workspace(4, 2, 40)),
+            lambda: model.log_gates(params[0], data.xs,
+                                    model.Workspace(3, 1, 40)),
+            lambda: gating_newton_step(params[0], resp, data.xs,
+                                       work=model.Workspace(3, 2, 40)),
+            lambda: log_joint(*params, data.xs, data.ys,
+                              model.Workspace(3, 2, 39)),
+        ]
+        for call in refused:
+            with pytest.raises(ValueError) as info:
+                call()
+            assert not isinstance(info.value, InputError)
+        work = model.Workspace(3, 2, 40, gating=True)
+        assert np.array_equal(log_joint(*params, data.xs, data.ys, work),
+                              ref_log_joint(*params, data.xs, data.ys))
+
     def test_kernels_are_expert_major(self):
         # log_joint is a C-ordered (K, n) array; responsibility_matrix
         # stays a C-ordered (n, K) array, the order ICL sums its entropy in
