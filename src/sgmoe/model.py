@@ -451,14 +451,6 @@ def _affine(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
     return np.add(out, rows[:, -1:], out=out)
 
 
-def _log_gates(gates: np.ndarray, xs: np.ndarray, views: "_Block"
-               ) -> np.ndarray:
-    """log_gates into slot ``a`` of the block ``views``, ``b`` scratch."""
-    logits = _affine(gates, xs, views.a)
-    return np.subtract(logits, logsumexp_cols(logits, views.b, views.vec),
-                       out=logits)
-
-
 def log_gates(gates: np.ndarray, xs: np.ndarray,
               work: Workspace | None = None) -> np.ndarray:
     """Log softmax gate probabilities from the (K, D+1) gating rows
@@ -467,7 +459,10 @@ def log_gates(gates: np.ndarray, xs: np.ndarray,
     None."""
     n, k, d = xs.shape[0], gates.shape[0], xs.shape[1]
     work = Workspace(k, d, n) if work is None else work.check(k, d)
-    return _log_gates(gates, xs, work.block(n))
+    views = work.block(n)
+    logits = _affine(gates, xs, views.a)
+    return np.subtract(logits, logsumexp_cols(logits, views.b, views.vec),
+                       out=logits)
 
 
 def log_joint(gates: np.ndarray, betas: np.ndarray, sigmas: np.ndarray,
@@ -481,9 +476,8 @@ def log_joint(gates: np.ndarray, betas: np.ndarray, sigmas: np.ndarray,
     workspace's when None."""
     n, k, d = xs.shape[0], gates.shape[0], xs.shape[1]
     work = Workspace(k, d, n) if work is None else work.check(k, d)
-    views = work.block(n)
-    lj = _log_gates(gates, xs, views)
-    log_norm = _affine(betas, xs, views.b)     # the means
+    lj = log_gates(gates, xs, work)
+    log_norm = _affine(betas, xs, work.block(n).b)     # the means
     np.subtract(ys, log_norm, out=log_norm)
     np.square(log_norm, out=log_norm)
     np.divide(log_norm, sigmas[:, None], out=log_norm)
