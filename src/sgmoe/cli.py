@@ -191,18 +191,18 @@ def _cmd_simulate(args, argv):
 
 
 def _cmd_fit(args, argv):
-    cfg = FitConfig(K=args.k, **_given(args, FitConfig))
+    cfg = FitConfig(**_given(args, FitConfig))
     inputs = [args.data] if args.reference is None else \
         [args.data, args.reference]
-    with _run_record(args, argv, asdict(cfg), cfg.seed, inputs, [args.out],
-                     own=".json") as digests:
+    with _run_record(args, argv, {"K": args.k, **asdict(cfg)}, cfg.seed,
+                     inputs, [args.out], own=".json") as digests:
         data = _load_data(args, digests)
         reference = None
         if args.reference is not None:
             reference = load_model_or_fit(args.reference)
         elif args.truth is not None:
             reference = builtin_truths()[args.truth]
-        fit = em_fit(data, cfg, make_init(data, cfg, reference))
+        fit = em_fit(data, cfg, make_init(data, args.k, cfg, reference))
         save_fit(fit, Path(args.out))
     print(f"converged={fit.converged} iterations={fit.iterations} "
           f"avg_loglik={fit.loglik_trace[-1]:.6f}")
@@ -230,14 +230,14 @@ def _cmd_select(args, argv):
     methods = METHODS if args.method == "all" else (args.method,)
     outputs = {m: _beside(args.out, f".{m}.json") for m in methods}
     epsilon = _parse_epsilon(args.epsilon)
-    cfg = FitConfig(K=args.kmax, **_given(args, FitConfig))
+    cfg = FitConfig(**_given(args, FitConfig))
     config = {**asdict(cfg), "kmax": args.kmax, "methods": list(methods),
               "epsilon": args.epsilon}
     with _run_record(args, argv, config, cfg.seed, [args.data],
                      outputs.values()) as digests:
         data = _load_data(args, digests)
         reports = select_order(data, args.kmax, methods, cfg,
-                               lambda k: make_init(data, replace(cfg, K=k)),
+                               lambda k: make_init(data, k, cfg),
                                epsilon)
         for m, rep in reports.items():
             save_report(rep, outputs[m])
@@ -378,14 +378,16 @@ def _cmd_study(args, argv):
 # parser
 
 def _add_fit_flags(p, init_choices=INITS):
-    """Flags named after FitConfig fields; unset ones keep its defaults."""
+    """Flags named after FitConfig fields; unset ones keep its defaults.
+    The perturbation scales are flags only where a start reads them."""
     p.add_argument("--tol", type=float)
     p.add_argument("--max-iter", type=int)
     p.add_argument("--init", choices=init_choices)
-    p.add_argument("--init-scale", type=float)
-    p.add_argument("--init-gate-scale", type=float,
-                   help="perturbation scale for the gating block only "
-                        "(default: --init-scale)")
+    if "perturbed_truth" in init_choices:
+        p.add_argument("--init-scale", type=float)
+        p.add_argument("--init-gate-scale", type=float,
+                       help="perturbation scale for the gating block only "
+                            "(default: --init-scale)")
 
 
 def _add_study_flags(p):
@@ -464,8 +466,7 @@ def build_parser() -> _Parser:
     p.add_argument("--epsilon", default="logn",
                    help="dendrogram criterion weight: 'logn' or a number")
     p.add_argument("--seed", type=int)
-    _add_fit_flags(p, init_choices=tuple(i for i in INITS
-                                         if i != "perturbed_truth"))
+    _add_fit_flags(p, init_choices=("kmeans", "random"))
     p.add_argument("--out", required=True,
                    help="output base name; writes <out>.<method>.json")
     p.set_defaults(handler=_cmd_select)

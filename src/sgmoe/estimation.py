@@ -5,10 +5,11 @@ takes: the (K, D+1) gating rows (omega1, omega0), the (K, D+1) expert rows
 (a, b) and the K variances.  The E-step takes responsibilities and the
 average log-likelihood from one pass over ``model.log_joint``, the kernel
 behind every likelihood here.
-Every pass over the data rows (E-step, the experts' weighted sums, gating
-objective, gradient and Hessian, the k-means assignment sweep) works on
-blocks of ``model.ROW_BLOCK`` rows, so its temporaries stay cache-sized at
-any N.  Besides the data, a fit holds only its responsibilities, stored
+Every pass over the data rows works on blocks of ``model.ROW_BLOCK`` rows,
+so its temporaries stay cache-sized at any N: each EM pass (E-step, expert
+and gating sums, line-search objective) walks them in ``_block_sums``, the
+k-means assignment sweep in ``_assign``.
+Besides the data, a fit holds only its responsibilities, stored
 expert-major as a C-ordered (K, N) array: each expert's responsibilities
 are one contiguous row, and the E-step writes its softmax straight into
 them.  Every other temporary of a pass lives in the fit's one
@@ -32,6 +33,7 @@ fit records as a per-iteration trace.
 Initialization options: k-means clustering of the joined (x, y) points,
 perturbation of a known reference model (round-robin atom assignment plus
 Gaussian noise, log-space for variances), or a data-scaled random draw.
+The start fixes the size: ``em_fit`` fits as many experts as it has atoms.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ SIGMA_FLOOR = 1e-8     # least expert variance a start or M-step may give
 
 @dataclass(frozen=True)
 class FitConfig:
-    K: int = 2                    # number of experts to fit
     tol: float = 1e-6             # stop when avg loglik moves less than this
     max_iter: int = 2000
     init: str = "kmeans"          # kmeans | perturbed_truth | random
@@ -92,8 +93,6 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.K < 1:
-            raise InputError(f"K must be >= 1, got {self.K}")
         if self.max_iter < 0:
             # 0 means evaluate the initial model without any update
             raise InputError("max_iter must be >= 0")
@@ -153,14 +152,6 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # gating M-step
 
-def _design(xs: np.ndarray) -> np.ndarray:
-    """The regression design (x, 1), shape (n, D+1)."""
-    z = np.empty((xs.shape[0], xs.shape[1] + 1))
-    z[:, :-1] = xs
-    z[:, -1] = 1.0
-    return z
-
-
 def _design_t(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
     """The transposed design into the (D+1, n) ``out``: rows x_1..x_D,
     then ones."""
@@ -216,17 +207,16 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     The softmax translation direction is flat, so the Hessian needs the
     ridge RIDGE to be solvable; the update then stays in a fixed gauge
     section.  Objective, gradient and Hessian are sums over row blocks
-    (``model.row_blocks``), each taken in ``work``, a gating
-    ``model.Workspace`` for this K and D (a new one when None; ValueError
-    for one made otherwise), as is each step-halving candidate's objective.
+    (``model.row_blocks``), each taken in ``work``, a ``model.Workspace``
+    for this K and D (a new one when None; ValueError for one made
+    otherwise), as is each step-halving candidate's objective.
     """
     n, d = xs.shape
     k = gates.shape[0]
     if resp.shape != (k, n):
         raise InputError("responsibility matrix shape mismatch")
     p = d + 1
-    work = (Workspace.for_blocks(k, d, n, gating=True) if work is None
-            else work.check(k, d, gating=True))
+    work = Workspace.for_blocks(k, d, n) if work is None else work.check(k, d)
     obj0, grad, hess = _block_sums(
         lambda rows, views: _gating_terms(
             gates, resp[:, rows], _design_t(xs[rows], views.zt), views),
@@ -240,18 +230,16 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     if not np.all(np.isfinite(step)):
         raise NumericError("gating Newton step is non-finite")
 
+    def objective(rows, views):
+        logits = np.matmul(cand, _design_t(xs[rows], views.zt), out=views.a)
+        weighted = np.sum(np.multiply(resp[:, rows], logits, out=views.b))
+        return (float(weighted - np.sum(logsumexp_cols(logits, logits,
+                                                       views.vec))),)
+
     scale = 1.0
     for _ in range(20):
         cand = gates + scale * step
-        obj = 0.0
-        for rows in row_blocks(n):
-            views = work.block(rows.stop - rows.start)
-            logits = np.matmul(cand, _design_t(xs[rows], views.zt),
-                               out=views.a)
-            weighted = np.sum(np.multiply(resp[:, rows], logits,
-                                          out=views.b))
-            obj += float(weighted - np.sum(logsumexp_cols(logits, logits,
-                                                          views.vec)))
+        obj, = _block_sums(objective, work, n)
         if obj >= obj0:
             return cand, obj
         scale *= 0.5
@@ -298,38 +286,35 @@ def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
 # EM core
 
 def em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure) -> FitResult:
-    """Fit a cfg.K expert model by generalized EM from the given start.
+    """Fit init.n_atoms experts by generalized EM from the start ``init``.
 
     Stops when the average log-likelihood changes by less than cfg.tol or
     after cfg.max_iter iterations; the returned model is baseline-normalized
     and every variance is at least SIGMA_FLOOR.
     """
-    if init.n_atoms != cfg.K:
-        raise InputError(f"init has {init.n_atoms} atoms, config wants {cfg.K}")
     if init.dim != data.dim:
         raise InputError(f"init dim {init.dim} != data dim {data.dim}")
 
     xs, ys = data.xs, data.ys
     n, d = xs.shape
-    k = cfg.K
+    k = init.n_atoms
 
     gates, betas = init.gates(), init.betas()
     sigmas = np.maximum(init.sigmas(), SIGMA_FLOOR)
 
     resp = np.empty((k, n))
-    work = Workspace.for_blocks(k, d, n, gating=True)
+    work = Workspace.for_blocks(k, d, n)
+
+    def loglik_sum(rows, views):
+        # one pass gives the likelihood and the next M-step's
+        # responsibilities: the softmax is written into resp
+        lj = log_joint(gates, betas, sigmas, xs[rows], ys[rows], work)
+        _, row_ll = softmax_cols(lj, resp[:, rows], views.vec)
+        return (float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR,
+                                        out=row_ll))),)
 
     def current_loglik(iteration: int) -> float:
-        # one pass, block by block, gives the likelihood and the next
-        # E-step's responsibilities (the softmax is written into resp)
-        total = 0.0
-        for rows in row_blocks(n):
-            lj = log_joint(gates, betas, sigmas, xs[rows], ys[rows], work)
-            _, row_ll = softmax_cols(lj, resp[:, rows],
-                                     work.block(lj.shape[1]).vec)
-            total += float(np.sum(np.maximum(row_ll, LOG_DENSITY_FLOOR,
-                                             out=row_ll)))
-        avg = total / n
+        avg = _block_sums(loglik_sum, work, n)[0] / n
         if not math.isfinite(avg):
             raise NumericError("average log-likelihood became non-finite",
                                iteration=iteration)
@@ -377,7 +362,7 @@ def _cluster_atom(xs: np.ndarray, ys: np.ndarray,
     """Least-squares expert for one cluster; falls back to a flat fit when
     the cluster design is singular (too few or collinear points)."""
     n, d = xs.shape
-    z = _design(xs)
+    z = np.column_stack((xs, np.ones(n)))
     gram = z.T @ z
     if n >= d + 1 and np.linalg.matrix_rank(gram) == d + 1:
         beta = np.linalg.solve(gram, z.T @ ys)
@@ -518,14 +503,15 @@ def init_random(data: Dataset, k: int, seed: int) -> MixingMeasure:
     return MixingMeasure(atoms=tuple(atoms), dim=d)
 
 
-def make_init(data: Dataset, cfg: FitConfig,
+def make_init(data: Dataset, k: int, cfg: FitConfig,
               reference: MixingMeasure | None = None) -> MixingMeasure:
-    """Build the starting model named by cfg.init."""
+    """The k-atom start named by cfg.init, drawn with cfg.seed (and, for
+    perturbed_truth, around ``reference`` with cfg's scales)."""
     if cfg.init == "kmeans":
-        return init_kmeans(data, cfg.K, cfg.seed)
+        return init_kmeans(data, k, cfg.seed)
     if cfg.init == "perturbed_truth":
         if reference is None:
             raise InputError("perturbed_truth init needs a reference model")
-        return init_perturbed(reference, cfg.K, cfg.init_scale, cfg.seed,
+        return init_perturbed(reference, k, cfg.init_scale, cfg.seed,
                               gate_scale=cfg.init_gate_scale)
-    return init_random(data, cfg.K, cfg.seed)
+    return init_random(data, k, cfg.seed)

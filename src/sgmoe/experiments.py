@@ -21,7 +21,7 @@ import io
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -91,9 +91,9 @@ def slope_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
 @dataclass(frozen=True)
 class _StudyConfig:
     """What both studies share: the truth, the (size, rep) grid, the EM
-    settings, the study seed and the worker count. em.K, em.seed and
-    em.init are ignored, and left out of the config record (UNRECORDED);
-    replication seeds derive from `seed`.
+    settings, the study seed and the worker count. em.seed and em.init
+    are ignored, and left out of the config record (UNRECORDED); each
+    replication's start fixes its size, and its seed derives from `seed`.
 
     Each study adds its own fields, checks them in `_check(k0)` (k0 is the
     true size) and names its largest fitted size in `fit_size()`.
@@ -233,7 +233,7 @@ def _rate_replication(cfg: RateStudyConfig, n_index: int, n: int,
                           derive_seed(cfg.seed, n_index, rep, 1),
                           gate_scale=cfg.em.init_gate_scale)
     try:
-        fit = em_fit(data, replace(cfg.em, K=k), init)
+        fit = em_fit(data, cfg.em, init)
         spread = gate_spread(fit.model, data.xs)
         if spread > MAX_GATE_SPREAD:
             raise NumericError(
@@ -339,7 +339,8 @@ def record_path(checkpoint) -> Path:
 
 
 # Config fields that change no record: the worker count, and the em fields
-# every replication sets for itself (its size, start and seed)
+# every replication sets for itself (its start and seed). FitConfig has no
+# K; em.K stays for the older records that hold it
 UNRECORDED = frozenset({"workers", "em.K", "em.init", "em.seed"})
 
 # Fields of older records that this version no longer has, each with the
@@ -554,20 +555,22 @@ def select_order(data: Dataset, kmax: int, methods: Sequence[str],
     """Fit candidate sizes and choose among them; one report per method.
 
     Fits sizes 1..kmax, or only kmax when the DSC is the only method, each
-    from init_for(k) with em's settings at K = k. The DSC reads the kmax
-    fit's dendrogram (epsilon_n None means log N); AIC/BIC/ICL score every
-    fitted size, all from one `criterion_scores` call. A failed fit raises
-    NumericError naming its size.
+    from the k-atom start init_for(k) with em's settings. The DSC reads the
+    kmax fit's dendrogram (epsilon_n None means log N); AIC/BIC/ICL score
+    every fitted size, all from one `criterion_scores` call. A failed fit
+    raises NumericError naming its size.
 
     The one pipeline behind `sgmoe select` and the selection study. It
     looks `em_fit`, `build_path` and the scorers up as this module's
     globals, where the benchmark (perfbench/) wraps them.
     """
+    if kmax < 1:
+        raise InputError(f"kmax must be >= 1, got {kmax}")
     sweep = tuple(m for m in methods if m != "dsc")
     fits = []
     for k in range(1, kmax + 1) if sweep else (kmax,):
         try:
-            fits.append(em_fit(data, replace(em, K=k), init_for(k)))
+            fits.append(em_fit(data, em, init_for(k)))
         except (InputError, NumericError) as exc:
             raise NumericError(
                 f"fit failed at candidate size {k}: {exc}") from exc

@@ -16,10 +16,10 @@ to every (omega0_k, omega1_k) leaves the density unchanged), so models are
 usually reported in baseline form with the last atom's gating parameters
 pinned to zero.  See :func:`normalize_baseline` and :func:`translate`.
 
-The likelihood kernels and EM pass over the data in blocks of ROW_BLOCK
-rows and take every block temporary from a :class:`Workspace`, one buffer
-allocated per pass or fit; with one block (N <= ROW_BLOCK) a pass is the
-unblocked arithmetic bit for bit.  The two EM kernels whose products share
+The likelihood kernels, the sampler and EM pass over the data in blocks of
+ROW_BLOCK rows and take every block temporary from a :class:`Workspace`,
+one buffer of one layout allocated per pass or fit; with one block
+(N <= ROW_BLOCK) a pass is the unblocked arithmetic bit for bit.  The two EM kernels whose products share
 storage with a block's other slots, :func:`gating_hessian` and
 :func:`expert_moments`, live here beside the workspace that lays them out.
 At D = 1 the slope products omega1 . x and a . x are elementwise outer
@@ -87,34 +87,35 @@ class Workspace:
     that ``block(r)`` views as C-contiguous arrays of r rows, so a sum over
     a view runs in the order it would over a fresh array.
 
-    Every workspace has ``vec``, (3, r) column scratch (max, sum and
-    log-sum-exp), and ``a`` and ``b``, two (K, r) slots for the log-joint
-    or logits and their scratch.  A ``gating`` one, EM's, also has ``c``, a
-    (K, r) slot for the gating softmax, and ``zt``, the (D+1, r) transposed
-    design.  Its ``_kpr`` and ``_ppr``, the (K, D+1, r) products of the
-    gating Hessian and the expert moments and the design's (D+1, D+1, r)
-    cross products, take the storage of ``a`` and ``b``: only
-    :func:`gating_hessian` and :func:`expert_moments` write them, and each
-    call overwrites whatever ``a`` and ``b`` held.  ``for_blocks`` sizes
-    one for ``row_blocks(n)``, reading ROW_BLOCK when it is called.
+    A block's views are ``vec``, (3, r) column scratch (max, sum and
+    log-sum-exp); ``a`` and ``b``, two (K, r) slots for the log-joint or
+    logits and their scratch; ``c``, a (K, r) slot for the gating softmax;
+    and ``zt``, the (D+1, r) transposed design.  Its ``_kpr`` and ``_ppr``,
+    the (K, D+1, r) products of the gating Hessian and the expert moments
+    and the design's (D+1, D+1, r) cross products, take the storage of
+    ``a`` and ``b``: only :func:`gating_hessian` and :func:`expert_moments`
+    write them, and each call overwrites whatever ``a`` and ``b`` held.
+    A likelihood or sampler pass writes only ``vec``, ``a`` and ``b``; the
+    buffer comes from ``np.empty``, so no page that nothing writes is
+    backed by memory.  ``for_blocks`` sizes one for ``row_blocks(n)``,
+    reading ROW_BLOCK when it is called.
     """
 
-    def __init__(self, k: int, d: int, rows: int, gating: bool = False):
+    def __init__(self, k: int, d: int, rows: int):
         p = d + 1
-        self.k, self.d, self.rows, self.gating = k, d, rows, gating
-        self._wide = p * max(k, p) if gating else 2 * k    # a, b, kpr, ppr
+        self.k, self.d, self.rows = k, d, rows
+        self._wide = p * max(k, p)    # a and b, or _kpr and _ppr
         # every view starts on a 64-byte line: at 16-byte offsets, EM
         # iterations at N = 1e5 took about 15% longer
-        size = (3 + self._wide + (k + p) * gating) * _lines(rows)
+        size = (3 + self._wide + k + p) * _lines(rows)
         raw = np.empty(size + 8)
         start = -raw.ctypes.data % 64 // 8
         self._buf = raw[start:start + size]
         self._blocks: dict[int, _Block] = {}
 
     @classmethod
-    def for_blocks(cls, k: int, d: int, n: int,
-                   gating: bool = False) -> "Workspace":
-        return cls(k, d, max(1, min(n, ROW_BLOCK)), gating)
+    def for_blocks(cls, k: int, d: int, n: int) -> "Workspace":
+        return cls(k, d, max(1, min(n, ROW_BLOCK)))
 
     def block(self, r: int) -> "_Block":
         """The views for a block of r rows, made once per r."""
@@ -126,14 +127,12 @@ class Workspace:
             views = self._blocks[r] = _Block(self, r)
         return views
 
-    def check(self, k: int, d: int, gating: bool = False) -> "Workspace":
+    def check(self, k: int, d: int) -> "Workspace":
         """This workspace, if it was made for K experts on D-dimensional
-        data (and as a gating one when ``gating``); else ValueError."""
-        if self.k != k or self.d != d or (gating and not self.gating):
-            raise ValueError(
-                f"a workspace for K={self.k}, D={self.d}"
-                f"{' (gating)' if self.gating else ''} cannot serve "
-                f"K={k}, D={d}{' (gating)' if gating else ''}")
+        data; else ValueError."""
+        if self.k != k or self.d != d:
+            raise ValueError(f"a workspace for K={self.k}, D={self.d} "
+                             f"cannot serve K={k}, D={d}")
         return self
 
 
@@ -155,11 +154,10 @@ class _Block:
         self.vec = vec.reshape(3, line)[:, :r]
         self.a = wide[:k * r].reshape(k, r)
         self.b = wide[k * line:k * (line + r)].reshape(k, r)
-        if work.gating:
-            self._kpr = wide[:k * p * r].reshape(k, p, r)
-            self._ppr = wide[:p * p * r].reshape(p, p, r)
-            self.c = rest[:k * r].reshape(k, r)
-            self.zt = rest[k * line:k * line + p * r].reshape(p, r)
+        self._kpr = wide[:k * p * r].reshape(k, p, r)
+        self._ppr = wide[:p * p * r].reshape(p, p, r)
+        self.c = rest[:k * r].reshape(k, r)
+        self.zt = rest[k * line:k * line + p * r].reshape(p, r)
 
 
 class UnderflowWarning(RuntimeWarning):
@@ -575,8 +573,8 @@ def gating_hessian(pi: np.ndarray, zt: np.ndarray, views: "_Block"
     Fisher-style blocks H[k,l] = sum_n (diag(pi)-pi pi^T)_{kl} z z^T as
     GEMMs: -(P P^T) with rows P_(k,d) = pi_k * z_d, plus the diagonal
     blocks sum_n pi_nk z_n z_n^T; every broadcast runs along the rows.  P,
-    then z z^T, are made in the gating block ``views``, overwriting its
-    slots ``a`` and ``b``; ``pi`` and ``zt`` must not be either.
+    then z z^T, are made in the block ``views``, overwriting its slots
+    ``a`` and ``b``; ``pi`` and ``zt`` must not be either.
     """
     (k, n), p = pi.shape, zt.shape[0]
     pz = np.multiply(pi[:, None, :], zt, out=views._kpr).reshape(k * p, n)
@@ -593,8 +591,8 @@ def expert_moments(zt: np.ndarray, resp: np.ndarray, ys: np.ndarray,
     """Per expert, over one block of rows with transposed design ``zt`` and
     (K, B) responsibilities: the responsibility mass, the weighted Gram
     matrix z^T W z and z^T W y.  The (K, D+1, B) product W z is made in the
-    gating block ``views``, overwriting its slots ``a`` and ``b``; ``zt``
-    and ``resp`` must not be either."""
+    block ``views``, overwriting its slots ``a`` and ``b``; ``zt`` and
+    ``resp`` must not be either."""
     zw = np.multiply(resp[:, None, :], zt, out=views._kpr)
     return np.sum(resp, axis=1), zw @ zt.T, zw @ ys
 

@@ -275,7 +275,8 @@ def reference_em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure,
     blocks = ref_blocks(n, block)
     gates, betas = init.gates(), init.betas()
     sigmas = np.maximum(init.sigmas(), SIGMA_FLOOR)
-    resp = np.empty((cfg.K, n))
+    k = init.n_atoms
+    resp = np.empty((k, n))
 
     def estep():
         total = 0.0
@@ -298,7 +299,7 @@ def reference_em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure,
 
         mass, gram, rhs = ref_block_sums(moments, n, block)
         betas = np.stack([np.linalg.solve(gram[j], rhs[j])
-                          for j in range(cfg.K)])
+                          for j in range(k)])
         ss, = ref_block_sums(
             lambda rows: (np.sum(resp[:, rows] * (ys[rows] - betas
                                                   @ design_t(xs[rows])) ** 2,
@@ -318,7 +319,7 @@ def reference_em_fit(data: Dataset, cfg: FitConfig, init: MixingMeasure,
     atoms = tuple(
         ExpertAtom(omega0=gates[j, -1], omega1=gates[j, :-1],
                    a=betas[j, :-1], b=betas[j, -1], sigma=sigmas[j])
-        for j in range(cfg.K))
+        for j in range(k))
     return FitResult(model=normalize_baseline(MixingMeasure(atoms=atoms,
                                                             dim=d)),
                      loglik_trace=trace, iterations=iteration,
@@ -333,7 +334,7 @@ def separated_fit() -> FitResult:
     984 iterations with one atom at omega0 = 654.3, weight 1.5e284.
     """
     g0 = builtin_truths()["g0_2"]
-    return em_fit(sample(g0, GenConfig(n=1000, seed=11)), FitConfig(K=4),
+    return em_fit(sample(g0, GenConfig(n=1000, seed=11)), FitConfig(),
                   init_perturbed(g0, 4, 0.5, 3))
 
 

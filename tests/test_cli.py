@@ -879,7 +879,7 @@ def test_calls_in_one_process_record_their_own_flags(workdir, tmp_path):
     second = load_manifest(tmp_path / "b.manifest.json").config
     assert (first["K"], first["max_iter"], first["tol"], first["init"]) == \
         (2, 7, 1e-3, "random")
-    assert second == json.loads(json.dumps(asdict(FitConfig(K=1))))
+    assert second == json.loads(json.dumps({"K": 1, **asdict(FitConfig())}))
 
 
 TINY_SELECT = ["select-study", "--truth", "g0_2", "--n-min", "300",

@@ -67,14 +67,13 @@ class TestFitConfig:
         # the Newton cap and tolerance, the ridge and the variance floor
         # are module constants, not settings
         assert [f.name for f in dataclasses.fields(FitConfig)] == [
-            "K", "tol", "max_iter", "init", "init_scale", "init_gate_scale",
-            "seed"]
+            "tol", "max_iter", "init", "init_scale", "init_gate_scale", "seed"]
         assert (NEWTON_MAX_ITER, NEWTON_TOL, RIDGE, SIGMA_FLOOR) == \
             (25, 1e-8, 1e-8, 1e-8)
 
     @pytest.mark.parametrize("bad", [
-        dict(K=0), dict(tol=0.0), dict(max_iter=-1), dict(tol=-1.0),
-        dict(init="fancy"), dict(K=-2), dict(init_scale=-0.5),
+        dict(max_iter=-2), dict(tol=0.0), dict(max_iter=-1), dict(tol=-1.0),
+        dict(init="fancy"), dict(init="Kmeans"), dict(init_scale=-0.5),
         dict(init_gate_scale=-0.1),
     ])
     def test_invalid_rejected(self, bad):
@@ -229,7 +228,7 @@ class TestEmFit:
 
         monkeypatch.setattr(estimation, "log_joint", dead_rows)
         monkeypatch.setattr(estimation, "gating_newton_step", spy)
-        em_fit(data, FitConfig(K=3, max_iter=1), init_random(data, 3, 0))
+        em_fit(data, FitConfig(max_iter=1), init_random(data, 3, 0))
         resp = seen[0]
         assert np.all(resp[:, :3] == 1.0 / 3.0)
         assert np.all(np.isfinite(resp))
@@ -238,8 +237,8 @@ class TestEmFit:
     def test_single_expert_recovers_wls(self):
         rng = np.random.default_rng(17)
         data = single_expert_data(rng, n=600)
-        cfg = FitConfig(K=1, seed=0)
-        res = em_fit(data, cfg, make_init(data, cfg))
+        cfg = FitConfig(seed=0)
+        res = em_fit(data, cfg, make_init(data, 1, cfg))
         # closed-form least squares on the full data
         z = np.hstack([data.xs, np.ones((data.n, 1))])
         beta = np.linalg.solve(z.T @ z, z.T @ data.ys)
@@ -253,8 +252,8 @@ class TestEmFit:
     def test_fixed_point_converges_fast(self):
         rng = np.random.default_rng(19)
         data = single_expert_data(rng)
-        cfg = FitConfig(K=1, seed=1)
-        first = em_fit(data, cfg, make_init(data, cfg))
+        cfg = FitConfig(seed=1)
+        first = em_fit(data, cfg, make_init(data, 1, cfg))
         again = em_fit(data, cfg, first.model)
         assert again.iterations <= 2
         assert again.loglik_trace[-1] == pytest.approx(
@@ -265,8 +264,8 @@ class TestEmFit:
         for trial in range(10):
             k = int(rng.integers(1, 4))
             data = random_dataset(rng, n=int(rng.integers(50, 300)), dim=1)
-            cfg = FitConfig(K=k, seed=trial, max_iter=200)
-            res = em_fit(data, cfg, make_init(data, cfg))
+            cfg = FitConfig(seed=trial, max_iter=200)
+            res = em_fit(data, cfg, make_init(data, k, cfg))
             tr = np.array(res.loglik_trace)
             assert np.all(np.diff(tr) >= -1e-8)
             assert all(at.sigma >= SIGMA_FLOOR for at in res.model.atoms)
@@ -279,16 +278,16 @@ class TestEmFit:
         d = int(rng.integers(1, 4))
         k = int(rng.integers(1, 5))
         data = random_dataset(rng, n=n, dim=d)
-        cfg = FitConfig(K=k, seed=seed, max_iter=60, init="random")
-        res = em_fit(data, cfg, make_init(data, cfg))
+        cfg = FitConfig(seed=seed, max_iter=60, init="random")
+        res = em_fit(data, cfg, make_init(data, k, cfg))
         tr = np.array(res.loglik_trace)
         assert np.all(np.diff(tr) >= -1e-8)
 
     def test_output_is_baseline_normalized(self):
         rng = np.random.default_rng(29)
         data = random_dataset(rng, n=120, dim=2)
-        cfg = FitConfig(K=3, seed=2, max_iter=50)
-        res = em_fit(data, cfg, make_init(data, cfg))
+        cfg = FitConfig(seed=2, max_iter=50)
+        res = em_fit(data, cfg, make_init(data, 3, cfg))
         last = res.model.atoms[-1]
         assert last.omega0 == 0.0
         np.testing.assert_array_equal(last.omega1, np.zeros(2))
@@ -296,8 +295,8 @@ class TestEmFit:
     def test_recovers_two_expert_truth(self):
         g0 = g0_two_expert()
         data = sample(g0, GenConfig(n=20000, seed=42))
-        cfg = FitConfig(K=2, init="perturbed_truth", init_scale=0.5, seed=3)
-        res = em_fit(data, cfg, make_init(data, cfg, reference=g0))
+        cfg = FitConfig(init="perturbed_truth", init_scale=0.5, seed=3)
+        res = em_fit(data, cfg, make_init(data, 2, cfg, reference=g0))
         assert res.converged
         fit_ll = avg_log_likelihood(res.model, data)
         true_ll = avg_log_likelihood(g0, data)
@@ -315,7 +314,7 @@ class TestEmFit:
         # permutation is undone and the gauge pinned
         g0 = builtin_truths()["g0_3"]
         data = sample(g0, GenConfig(n=500, seed=7))
-        cfg = FitConfig(K=4, seed=seed)
+        cfg = FitConfig(seed=seed)
         init = init_kmeans(data, 4, seed) if start == "kmeans" else \
             init_perturbed(g0, 4, 0.5, seed)
         base = em_fit(data, cfg, init)
@@ -341,15 +340,16 @@ class TestEmFit:
     def test_init_shape_mismatch(self):
         rng = np.random.default_rng(31)
         data = random_dataset(rng, n=50, dim=1)
-        cfg = FitConfig(K=2, seed=0)
-        with pytest.raises(InputError):
-            em_fit(data, cfg, init_random(data, 3, seed=0))
+        cfg = FitConfig(seed=0)
+        with pytest.raises(InputError, match="init dim 2 != data dim 1"):
+            em_fit(data, cfg, init_random(random_dataset(rng, n=50, dim=2),
+                                          3, seed=0))
 
     def test_result_round_trip(self):
         rng = np.random.default_rng(37)
         data = random_dataset(rng, n=60, dim=1)
-        cfg = FitConfig(K=2, seed=4, max_iter=30)
-        res = em_fit(data, cfg, make_init(data, cfg))
+        cfg = FitConfig(seed=4, max_iter=30)
+        res = em_fit(data, cfg, make_init(data, 2, cfg))
         d = res.to_dict()
         back = FitResult.from_dict(d)
         assert back.to_dict() == d
@@ -357,7 +357,7 @@ class TestEmFit:
     def test_trace_is_a_read_only_float_array(self):
         rng = np.random.default_rng(37)
         data = random_dataset(rng, n=60, dim=1)
-        res = em_fit(data, FitConfig(K=2, max_iter=5),
+        res = em_fit(data, FitConfig(max_iter=5),
                      init_random(data, 2, seed=0))
         trace = res.loglik_trace
         assert trace.dtype == np.float64
@@ -515,9 +515,9 @@ class TestMakeInit:
     def test_dispatch(self):
         rng = np.random.default_rng(61)
         data = random_dataset(rng, n=50, dim=1)
-        assert make_init(data, FitConfig(K=2, init="kmeans", seed=0)).n_atoms == 2
-        assert make_init(data, FitConfig(K=3, init="random", seed=0)).n_atoms == 3
-        g = make_init(data, FitConfig(K=3, init="perturbed_truth", seed=0),
+        assert make_init(data, 2, FitConfig(init="kmeans", seed=0)).n_atoms == 2
+        assert make_init(data, 3, FitConfig(init="random", seed=0)).n_atoms == 3
+        g = make_init(data, 3, FitConfig(init="perturbed_truth", seed=0),
                       reference=g0_two_expert())
         assert g.n_atoms == 3
 
@@ -525,7 +525,7 @@ class TestMakeInit:
         rng = np.random.default_rng(67)
         data = random_dataset(rng, n=50, dim=1)
         with pytest.raises(InputError):
-            make_init(data, FitConfig(K=2, init="perturbed_truth", seed=0))
+            make_init(data, 2, FitConfig(init="perturbed_truth", seed=0))
 
 
 class TestRowBlocks:
@@ -605,9 +605,9 @@ class TestRowBlocks:
         # of the (K, 3) gating and expert rows
         for truth in (builtin_truths()["g0_2"], two_dim_truth()):
             data = sample(truth, GenConfig(n=n, seed=n))
-            for cfg in (FitConfig(K=4, seed=1, max_iter=300),
-                        FitConfig(K=3, seed=2, max_iter=300)):
-                init = init_perturbed(truth, cfg.K, 0.5, cfg.seed)
+            for k, cfg in ((4, FitConfig(seed=1, max_iter=300)),
+                           (3, FitConfig(seed=2, max_iter=300))):
+                init = init_perturbed(truth, k, 0.5, cfg.seed)
                 got = em_fit(data, cfg, init)
                 want = reference_em_fit(data, cfg, init)
                 self.assert_same_fit(got, want)
@@ -620,7 +620,7 @@ class TestRowBlocks:
         monkeypatch.setattr(model, "ROW_BLOCK", self.B)
         truth = builtin_truths()["g0_3"] if d == 1 else two_dim_truth()
         data = sample(truth, GenConfig(n=2 * self.B + 3, seed=5))
-        cfg = FitConfig(K=3, seed=0, tol=1e-12, max_iter=50)
+        cfg = FitConfig(seed=0, tol=1e-12, max_iter=50)
         init = init_perturbed(truth, 3, 0.3, 0)
         got = em_fit(data, cfg, init)
         assert got.iterations > 10
@@ -642,7 +642,7 @@ class TestRowBlocks:
             return lj
 
         monkeypatch.setattr(estimation, "log_joint", dead_rows)
-        cfg = FitConfig(K=3, seed=0, max_iter=30)
+        cfg = FitConfig(seed=0, max_iter=30)
         init = init_perturbed(g0, 3, 0.3, 0)
         self.assert_same_fit(em_fit(data, cfg, init),
                              reference_em_fit(data, cfg, init, self.B, dead))
@@ -654,7 +654,7 @@ class TestRowBlocks:
         g0 = builtin_truths()["g0_2"]
         data = sample(g0, GenConfig(n=2 * self.B + 3, seed=9))
         for k in (4, 2, 4):
-            cfg = FitConfig(K=k, seed=k, max_iter=40)
+            cfg = FitConfig(seed=k, max_iter=40)
             init = init_perturbed(g0, k, 0.5, 1)
             self.assert_same_fit(em_fit(data, cfg, init),
                                  reference_em_fit(data, cfg, init, self.B))
@@ -664,7 +664,7 @@ class TestRowBlocks:
         # the gating objective is flat and rounding moves the gates
         g0 = builtin_truths()["g0_3"]
         data = sample(g0, GenConfig(n=2 * self.B + 3, seed=5))
-        cfg = FitConfig(K=3, seed=0, max_iter=50)
+        cfg = FitConfig(seed=0, max_iter=50)
         init = init_perturbed(g0, 3, 0.3, 0)
         want = reference_em_fit(data, cfg, init)
         monkeypatch.setattr(model, "ROW_BLOCK", self.B)
@@ -696,7 +696,7 @@ class TestRowBlocks:
 
         monkeypatch.setattr(estimation, "log_joint", dead_rows)
         monkeypatch.setattr(estimation, "gating_newton_step", spy)
-        em_fit(data, FitConfig(K=3, max_iter=1), init_random(data, 3, 0))
+        em_fit(data, FitConfig(max_iter=1), init_random(data, 3, 0))
         assert block_sizes[:4] == [16, 16, 16, 2]
         resp = seen[0]
         assert np.all(resp[:, dead] == 1.0 / 3.0)
@@ -713,7 +713,7 @@ class TestWorkingMemory:
         g0 = builtin_truths()["g0_3"]
         n, k = 40_000, 3
         data = sample(g0, GenConfig(n=n, seed=1))
-        cfg = FitConfig(K=k, seed=0, max_iter=2)
+        cfg = FitConfig(seed=0, max_iter=2)
         init = init_perturbed(g0, k, 0.3, 0)
         tracemalloc.start()
         try:
@@ -734,7 +734,7 @@ class TestWorkingMemory:
         g0 = builtin_truths()["g0_2"]
         n, k = 100_000, 4
         data = sample(g0, GenConfig(n=n, seed=3))
-        cfg = FitConfig(K=k, max_iter=2, init="perturbed_truth",
+        cfg = FitConfig(max_iter=2, init="perturbed_truth",
                         init_scale=0.0)
         init = init_perturbed(g0, k, 0.0, 0)
         tracemalloc.start()

@@ -43,7 +43,7 @@ def _no_thread_override(monkeypatch):
 def tiny_rate_config(**kw):
     base = dict(truth="g0_2", setting="exact", n_min=100, n_max=400,
                 n_count=3, reps=2, loss="vde", seed=11, workers=1,
-                em=FitConfig(K=2, tol=1e-5, max_iter=300))
+                em=FitConfig(tol=1e-5, max_iter=300))
     base.update(kw)
     return RateStudyConfig(**base)
 
@@ -52,7 +52,7 @@ def zero_update_config(**kw):
     # scale-0 perturbation copies the truth; max_iter 0 returns it untouched
     base = dict(truth="g0_2", setting="exact", n_min=100, n_max=400,
                 n_count=3, reps=2, loss="vde", seed=3, workers=1,
-                em=FitConfig(K=2, max_iter=0, init_scale=0.0))
+                em=FitConfig(max_iter=0, init_scale=0.0))
     base.update(kw)
     return RateStudyConfig(**base)
 
@@ -156,7 +156,7 @@ class TestRateStudy:
     def test_zero_update_merged_also_exact(self):
         res = run_rate_study(zero_update_config(
             setting="merged", fit_k=4,
-            em=FitConfig(K=4, max_iter=0, init_scale=0.0)))
+            em=FitConfig(max_iter=0, init_scale=0.0)))
         for row in res.rows:
             assert row.mean_loss < 1e-6
         assert len(res.raw_rows) == 3
@@ -175,7 +175,7 @@ class TestRateStudy:
 
     def test_one_size_grid_reports_no_slope(self):
         cfg = tiny_rate_config(n_min=200, n_max=200, n_count=1,
-                               em=FitConfig(K=2, tol=1e-5, max_iter=300,
+                               em=FitConfig(tol=1e-5, max_iter=300,
                                             init_scale=0.0))
         assert cfg.sizes() == (200,)
         with warnings.catch_warnings(record=True) as caught:
@@ -239,7 +239,7 @@ class TestRateStudy:
         assert record == tmp_path / "c.csv.config.json"
         for changed, field in ((tiny_rate_config(seed=12), "seed"),
                                (tiny_rate_config(em=FitConfig(
-                                   K=2, tol=1e-4, max_iter=300)), "em.tol"),
+                                   tol=1e-4, max_iter=300)), "em.tol"),
                                (tiny_rate_config(reps=3), "reps")):
             with pytest.raises(InputError, match=f"another config: {field} "):
                 run_rate_study(changed, checkpoint=ckpt)
@@ -327,7 +327,7 @@ class TestRateStudy:
         assert not {"workers", "em.K", "em.init", "em.seed"} & set(doc)
         record.write_text(json.dumps({**doc, "em.K": 7, "em.init": "random",
                                       "em.seed": 99}))
-        again = tiny_rate_config(em=FitConfig(K=3, tol=1e-5, max_iter=300,
+        again = tiny_rate_config(em=FitConfig(tol=1e-5, max_iter=300,
                                               init="random", seed=5))
         assert repr(run_rate_study(again, checkpoint=ckpt)) == repr(res)
         assert ckpt.read_bytes() == fresh
@@ -369,7 +369,7 @@ class TestRateStudy:
         cfg = RateStudyConfig(truth="g0_2", setting="merged", fit_k=3,
                               n_min=400, n_max=800, n_count=2, reps=2,
                               seed=6, workers=1,
-                              em=FitConfig(K=3, tol=1e-5, max_iter=200))
+                              em=FitConfig(tol=1e-5, max_iter=200))
         fresh = tmp_path / "fresh.csv"
         res = run_rate_study(cfg, checkpoint=fresh)
         body = fresh.read_bytes().rstrip(b"\r\n")
@@ -455,7 +455,7 @@ class TestSeparationRule:
     def merged_config(self):
         return zero_update_config(
             setting="merged", fit_k=3, n_min=100, n_max=100, n_count=1,
-            em=FitConfig(K=3, max_iter=0, init_scale=0.0))
+            em=FitConfig(max_iter=0, init_scale=0.0))
 
     def test_separated_fit_is_skipped(self, monkeypatch):
         import sgmoe.experiments as exp
@@ -530,7 +530,7 @@ class TestSelectionStudy:
     def small_config(self, **kw):
         base = dict(truth="g0_2", n_min=500, n_max=500, n_count=1, reps=3,
                     kmax=2, seed=21, workers=1,
-                    em=FitConfig(K=2, tol=1e-5, max_iter=300))
+                    em=FitConfig(tol=1e-5, max_iter=300))
         base.update(kw)
         return SelectionStudyConfig(**base)
 

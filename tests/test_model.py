@@ -390,7 +390,7 @@ class TestRowBlocks:
                                   ref_softmax_cols(lj)[0].T)
 
     def test_workspace_of_another_shape_is_refused(self):
-        # a workspace is made for one K, D and kind; a mismatch is a
+        # a workspace is made for one K and D; a mismatch is a
         # ValueError, not an InputError, and before any arithmetic
         from sgmoe.estimation import gating_newton_step
         rng = np.random.default_rng(13)
@@ -404,7 +404,7 @@ class TestRowBlocks:
             lambda: model.log_gates(params[0], data.xs,
                                     model.Workspace(3, 1, 40)),
             lambda: gating_newton_step(params[0], resp, data.xs,
-                                       work=model.Workspace(3, 2, 40)),
+                                       work=model.Workspace(3, 1, 40)),
             lambda: log_joint(*params, data.xs, data.ys,
                               model.Workspace(3, 2, 39)),
         ]
@@ -412,7 +412,7 @@ class TestRowBlocks:
             with pytest.raises(ValueError) as info:
                 call()
             assert not isinstance(info.value, InputError)
-        work = model.Workspace(3, 2, 40, gating=True)
+        work = model.Workspace(3, 2, 40)
         assert np.array_equal(log_joint(*params, data.xs, data.ys, work),
                               ref_log_joint(*params, data.xs, data.ys))
 

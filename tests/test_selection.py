@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import re
 import shlex
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +51,7 @@ def toy_data(seed=0, n=50):
 def sweep(data, kmax, methods, cfg):
     """`select_order` with the command line's starts: make_init at each size."""
     return select_order(data, kmax, methods, cfg,
-                        lambda k: make_init(data, replace(cfg, K=k)))
+                        lambda k: make_init(data, k, cfg))
 
 
 class TestParamCount:
@@ -129,7 +128,7 @@ class TestDscSelect:
         # over-fit K=4 on clean two-expert data, then select on the path
         g0 = builtin_truths()["g0_2"]
         data = sample(g0, GenConfig(n=20_000, seed=314))
-        cfg = FitConfig(K=4, init="perturbed_truth", seed=4)
+        cfg = FitConfig(init="perturbed_truth", seed=4)
         fit = em_fit(data, cfg, init_perturbed(g0, 4, 0.5, seed=271))
         rep = dsc_select(build_path(fit.model), data)
         assert rep.chosen == 2
@@ -145,7 +144,7 @@ class TestCriterionSweep:
         for seed in range(20):
             data = sample(g1, GenConfig(n=5000, seed=1000 + seed))
             rep = sweep(data, 3, ("bic",),
-                        FitConfig(K=1, seed=seed, init="kmeans"))["bic"]
+                        FitConfig(seed=seed, init="kmeans"))["bic"]
             hits += rep.chosen == 1
         assert hits >= 18
 
@@ -153,7 +152,7 @@ class TestCriterionSweep:
         g0 = builtin_truths()["g0_2"]
         data = sample(g0, GenConfig(n=2000, seed=8))
         reports = sweep(data, 3, ("bic", "icl"),
-                        FitConfig(K=1, seed=0, init="kmeans"))
+                        FitConfig(seed=0, init="kmeans"))
         bic = reports["bic"].per_level
         icl = reports["icl"].per_level
         for k in bic:
@@ -164,7 +163,7 @@ class TestCriterionSweep:
         g0 = builtin_truths()["g0_2"]
         data = sample(g0, GenConfig(n=20_000, seed=1618))
         reports = sweep(data, 3, ("aic", "bic", "icl"),
-                        FitConfig(K=1, seed=9, init="kmeans"))
+                        FitConfig(seed=9, init="kmeans"))
         for method in ("aic", "bic", "icl"):
             scores = reports[method].per_level
             assert min(scores, key=lambda k: (scores[k], k)) == 2
@@ -173,7 +172,7 @@ class TestCriterionSweep:
         from sgmoe.errors import NumericError
         data = toy_data(n=3)
         with pytest.raises(NumericError, match="candidate size 4"):
-            sweep(data, 4, ("bic",), FitConfig(K=1, seed=0, init="kmeans"))
+            sweep(data, 4, ("bic",), FitConfig(seed=0, init="kmeans"))
 
     def test_each_fit_scored_once(self, monkeypatch):
         # all four methods at kmax = 4: one likelihood per sweep fit plus
@@ -191,7 +190,7 @@ class TestCriterionSweep:
             monkeypatch.setattr(selection, name, counted)
         g0 = builtin_truths()["g0_2"]
         data = sample(g0, GenConfig(n=600, seed=21))
-        cfg = FitConfig(K=1, seed=3, init="kmeans")
+        cfg = FitConfig(seed=3, init="kmeans")
         reports = sweep(data, 4, METHODS, cfg)
         assert list(reports) == list(METHODS)
         assert counts == {"avg_log_likelihood": 4 + 3,
@@ -202,7 +201,7 @@ class TestCriterionSweep:
         with pytest.raises(InputError):
             criterion_scores([], data, ("gic",))
         with pytest.raises(InputError):
-            sweep(data, 2, ("gic",), FitConfig(K=1, seed=0))
+            sweep(data, 2, ("gic",), FitConfig(seed=0))
 
 
 class TestSelectionReport:
