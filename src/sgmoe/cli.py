@@ -192,6 +192,12 @@ def _cmd_simulate(args, argv):
 
 def _cmd_fit(args, argv):
     cfg = FitConfig(**_given(args, FitConfig))
+    unread = [f"--{name.replace('_', '-')}" for name in
+              ("truth", "reference", "init_scale", "init_gate_scale")
+              if getattr(args, name) is not None]
+    if unread and cfg.init != "perturbed_truth":
+        raise InputError(f"--init {cfg.init} does not read "
+                         f"{', '.join(unread)}")
     inputs = [args.data] if args.reference is None else \
         [args.data, args.reference]
     with _run_record(args, argv, {"K": args.k, **asdict(cfg)}, cfg.seed,
@@ -440,10 +446,11 @@ def build_parser() -> _Parser:
                    help="accept any header; response is the last column")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--seed", type=int)
-    p.add_argument("--reference",
-                   help="model/fit JSON used by perturbed_truth init")
-    p.add_argument("--truth", choices=sorted(builtin_truths()),
-                   help="built-in truth used by perturbed_truth init")
+    start = p.add_mutually_exclusive_group()
+    start.add_argument("--reference",
+                       help="model/fit JSON used by perturbed_truth init")
+    start.add_argument("--truth", choices=sorted(builtin_truths()),
+                       help="built-in truth used by perturbed_truth init")
     _add_fit_flags(p)
     p.add_argument("--out", required=True, help="fit JSON path")
     p.set_defaults(handler=_cmd_fit)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, integer
 from .model import (
     Dataset,
     ExpertAtom,
@@ -68,6 +68,7 @@ class GenConfig:
     contamination_eps: float = 0.0   # probability of a Laplace(0,1) response
 
     def __post_init__(self):
+        object.__setattr__(self, "n", integer(self.n, "n"))
         if self.n < 1:
             raise InputError(f"n must be >= 1, got {self.n}")
         if not 0.0 <= self.contamination_eps < 1.0:

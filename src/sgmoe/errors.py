@@ -8,6 +8,7 @@ breakdown during iteration (exit 2).
 from __future__ import annotations
 
 import functools
+from numbers import Integral
 
 
 class InputError(ValueError):
@@ -33,6 +34,14 @@ def typed(value, kind: type, name: str):
     if type(value) is not kind:
         raise TypeError(f"{name} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def integer(value, name: str) -> int:
+    """``value`` as an int if it is an integer, a numpy one included, but
+    not a bool or a float; else an InputError naming the config field."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def number(value, name: str) -> float:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericError, decodes, numbers, typed
+from .errors import InputError, NumericError, decodes, integer, numbers, typed
 from .model import (
     LOG_DENSITY_FLOOR,
     Dataset,
@@ -93,6 +93,8 @@ class FitConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "max_iter",
+                           integer(self.max_iter, "max_iter"))
         if self.max_iter < 0:
             # 0 means evaluate the initial model without any update
             raise InputError("max_iter must be >= 0")

@@ -29,7 +29,7 @@ import numpy as np
 
 from .datagen import GenConfig, builtin_truths, derive_seed, sample
 from .dendrogram import build_path
-from .errors import InputError, NumericError
+from .errors import InputError, NumericError, integer
 from .estimation import (NEWTON_MAX_ITER, NEWTON_TOL, RIDGE, SIGMA_FLOOR,
                          FitConfig, em_fit, init_kmeans, init_perturbed)
 from .metrics import vde, vdfra, vdo
@@ -108,6 +108,12 @@ class _StudyConfig:
     workers: int | None = None
 
     def __post_init__(self):
+        # the counts, fit_k or kmax included, before any is compared
+        for name in ("n_min", "n_max", "n_count", "reps", "workers", "fit_k",
+                     "kmax"):
+            value = getattr(self, name, None)
+            if value is not None:
+                object.__setattr__(self, name, integer(value, name))
         registry = builtin_truths()
         if self.truth not in registry:
             raise InputError(f"unknown truth {self.truth!r}")

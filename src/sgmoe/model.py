@@ -19,9 +19,10 @@ pinned to zero.  See :func:`normalize_baseline` and :func:`translate`.
 The likelihood kernels, the sampler and EM pass over the data in blocks of
 ROW_BLOCK rows and take every block temporary from a :class:`Workspace`,
 one buffer of one layout allocated per pass or fit; with one block
-(N <= ROW_BLOCK) a pass is the unblocked arithmetic bit for bit.  The two EM kernels whose products share
-storage with a block's other slots, :func:`gating_hessian` and
-:func:`expert_moments`, live here beside the workspace that lays them out.
+(N <= ROW_BLOCK) a pass is the unblocked arithmetic bit for bit.  The two
+EM kernels whose products share storage with a block's other slots,
+:func:`gating_hessian` and :func:`expert_moments`, live here beside the
+workspace that lays them out.
 At D = 1 the slope products omega1 . x and a . x are elementwise outer
 products, off numpy's slow matmul loop for an inner dimension of 1
 (:func:`_affine`).
@@ -95,10 +96,10 @@ class Workspace:
     and the design's (D+1, D+1, r) cross products, take the storage of
     ``a`` and ``b``: only :func:`gating_hessian` and :func:`expert_moments`
     write them, and each call overwrites whatever ``a`` and ``b`` held.
-    A likelihood or sampler pass writes only ``vec``, ``a`` and ``b``; the
-    buffer comes from ``np.empty``, so no page that nothing writes is
-    backed by memory.  ``for_blocks`` sizes one for ``row_blocks(n)``,
-    reading ROW_BLOCK when it is called.
+    A likelihood or sampler pass writes only ``vec``, ``a`` and ``b``, and
+    ``np.empty`` writes none of the buffer, so such a pass touches no page
+    of the slots it leaves alone.  ``for_blocks`` sizes one for
+    ``row_blocks(n)``, reading ROW_BLOCK when it is called.
     """
 
     def __init__(self, k: int, d: int, rows: int):

@@ -149,6 +149,32 @@ def test_fit_perturbed_without_reference_fails(workdir, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--truth", "g0_2"], "error: --init kmeans does not read --truth"),
+    (["--reference", "fit.json"],
+     "error: --init kmeans does not read --reference"),
+    (["--init-scale", "0"], "error: --init kmeans does not read --init-scale"),
+    (["--init-gate-scale", "0.1"],
+     "error: --init kmeans does not read --init-gate-scale"),
+    (["--init", "random", "--truth", "g0_2", "--init-scale", "1"],
+     "error: --init random does not read --truth, --init-scale"),
+    (["--init", "perturbed_truth", "--truth", "g0_2", "--reference",
+      "fit.json"], "not allowed with argument --truth"),
+], ids=["truth", "reference", "init-scale", "init-gate-scale", "random",
+        "truth-and-reference"])
+def test_fit_refuses_start_flags_its_init_does_not_read(workdir, tmp_path,
+                                                       capsys, flags,
+                                                       message):
+    # such a flag would change no byte of the fit; only perturbed_truth
+    # reads a start model and its scales, and it reads one start model
+    flags = [str(workdir / f) if f == "fit.json" else f for f in flags]
+    rc = run_cli(["fit", "--data", str(workdir / "data.csv"), "--k", "2",
+                  *flags, "--out", str(tmp_path / "f.json")])
+    assert rc == 1
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_fit_y_last_header(workdir, tmp_path):
     renamed = tmp_path / "renamed.csv"
     lines = (workdir / "data.csv").read_text().splitlines()
@@ -820,6 +846,76 @@ def test_every_flag_sets_a_config_field(command):
              if not isinstance(a, argparse._HelpAction)}
     assert dests - names - own == set()
     assert own - dests == set()
+
+
+@pytest.fixture(scope="module")
+def small(tmp_path_factory):
+    """An N = 200 dataset and a model file other than its truth."""
+    root = tmp_path_factory.mktemp("small")
+    assert run_cli(["simulate", "--truth", "g0_2", "--n", "200",
+                    "--seed", "4", "--out", str(root / "data.csv")]) == 0
+    save_model(builtin_truths()["g0_3"], root / "g0_3.json")
+    return root
+
+
+_PERTURBED = ["--init", "perturbed_truth", "--init-scale", "0.2"]
+_TRUTH = [*_PERTURBED, "--truth", "g0_2"]
+
+# per flag: the command, a base run's flags and the same run's flags with
+# that flag set away from the base; "REF" names the model file of `small`.
+# k-means finds the same clusters from any seed here, so the seeds vary
+# random starts
+_READ_FLAGS = {
+    "fit --tol": ("fit", [], ["--tol", "1e-2"]),
+    "fit --max-iter": ("fit", [], ["--max-iter", "3"]),
+    "fit --init": ("fit", [], ["--init", "random"]),
+    "fit --seed": ("fit", ["--init", "random"],
+                   ["--init", "random", "--seed", "1"]),
+    "fit --init-scale": ("fit", _TRUTH, [*_TRUTH, "--init-scale", "0.4"]),
+    "fit --init-gate-scale": ("fit", _TRUTH,
+                              [*_TRUTH, "--init-gate-scale", "0"]),
+    "fit --truth": ("fit", _TRUTH, [*_PERTURBED, "--truth", "g0_3"]),
+    "fit --reference": ("fit", _TRUTH, [*_PERTURBED, "--reference", "REF"]),
+    "select --tol": ("select", [], ["--tol", "1e-2"]),
+    "select --max-iter": ("select", [], ["--max-iter", "3"]),
+    "select --init": ("select", [], ["--init", "random"]),
+    "select --seed": ("select", ["--init", "random"],
+                      ["--init", "random", "--seed", "1"]),
+    "select --epsilon": ("select", [], ["--epsilon", "0.5"]),
+}
+
+
+def _written(small, out, command, flags):
+    """The bytes `command` writes with `flags` on the `small` data: the
+    fit, or the reports of every method."""
+    argv = {"fit": ["fit", "--k", "3"],
+            "select": ["select", "--kmax", "3", "--method", "all"]}[command]
+    flags = [str(small / "g0_3.json") if f == "REF" else f for f in flags]
+    assert run_cli([*argv, "--data", str(small / "data.csv"), *flags,
+                    "--out", str(out / "f.json")]) == 0
+    return [p.read_bytes() for p in sorted(out.iterdir())
+            if not p.name.endswith(".manifest.json")]
+
+
+@pytest.mark.parametrize("case", sorted(_READ_FLAGS))
+def test_every_flag_changes_what_is_written(small, tmp_path, case):
+    # a flag that parses and changes no byte is a setting nothing reads
+    command, base, changed = _READ_FLAGS[case]
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    assert _written(small, tmp_path / "a", command, base) != \
+        _written(small, tmp_path / "b", command, changed)
+
+
+@pytest.mark.parametrize("command", ["fit", "select"])
+def test_every_setting_flag_is_checked_for_being_read(command):
+    sub, = (a for a in cli.build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[0] for a in sub.choices[command]._actions
+             if not isinstance(a, argparse._HelpAction)}
+    inputs = {"--data", "--out", "--y-last", "--k", "--kmax", "--method"}
+    assert flags - inputs == {case.split()[1] for case in _READ_FLAGS
+                              if case.startswith(f"{command} ")}
 
 
 @pytest.mark.parametrize("n, seed, csv_size", [

@@ -44,6 +44,13 @@ class TestGenConfig:
         with pytest.raises(InputError):
             GenConfig(**bad)
 
+    @pytest.mark.parametrize("value", [100.0, np.float64(100.0), True, "100"])
+    def test_n_must_be_an_integer(self, value):
+        with pytest.raises(InputError, match="n must be an integer"):
+            GenConfig(n=value)
+        cfg = GenConfig(n=np.int32(100))
+        assert type(cfg.n) is int and cfg.n == 100
+
 
 # FNV-1a of xs, ys and the labels (as little-endian int64) of datasets
 # drawn while the sampler still drew the Laplace responses of clean data and

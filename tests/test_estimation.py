@@ -91,6 +91,14 @@ class TestFitConfig:
         with pytest.raises(InputError, match="init_scale"):
             FitConfig(init_scale=-0.5)
 
+    @pytest.mark.parametrize("value", [50.0, np.float64(50.0), True, "50"])
+    def test_max_iter_must_be_an_integer(self, value):
+        # a float or bool count would fail deep inside em_fit, or run as 1
+        with pytest.raises(InputError, match="max_iter must be an integer"):
+            FitConfig(max_iter=value)
+        cfg = FitConfig(max_iter=np.int64(50))
+        assert type(cfg.max_iter) is int and cfg.max_iter == 50
+
     def test_zero_iterations_allowed(self):
         # max_iter=0 means score the starting model without updating it
         assert FitConfig(max_iter=0).max_iter == 0
@@ -515,8 +523,9 @@ class TestMakeInit:
     def test_dispatch(self):
         rng = np.random.default_rng(61)
         data = random_dataset(rng, n=50, dim=1)
-        assert make_init(data, 2, FitConfig(init="kmeans", seed=0)).n_atoms == 2
-        assert make_init(data, 3, FitConfig(init="random", seed=0)).n_atoms == 3
+        for k, init in ((2, "kmeans"), (3, "random")):
+            cfg = FitConfig(init=init, seed=0)
+            assert make_init(data, k, cfg).n_atoms == k
         g = make_init(data, 3, FitConfig(init="perturbed_truth", seed=0),
                       reference=g0_two_expert())
         assert g.n_atoms == 3

@@ -144,6 +144,17 @@ class TestRateConfigValidation:
         with pytest.raises(InputError):
             tiny_rate_config(reps=0)
 
+    @pytest.mark.parametrize("value", [float, np.float64, bool])
+    @pytest.mark.parametrize("name, count", [
+        ("n_min", 100), ("n_max", 400), ("n_count", 3), ("reps", 2),
+        ("workers", 1), ("fit_k", 4)])
+    def test_counts_must_be_integers(self, name, count, value):
+        # n_min=100.5 would run, reps=2.0 fail inside the runner
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            tiny_rate_config(setting="merged", **{name: value(count)})
+        cfg = tiny_rate_config(setting="merged", **{name: np.int64(count)})
+        assert type(getattr(cfg, name)) is int
+
 
 class TestRateStudy:
     def test_zero_update_study_sits_at_truth(self):
@@ -549,6 +560,17 @@ class TestSelectionStudy:
         cfg = self.small_config()
         assert repr(run_selection_study(cfg)) == \
             repr(run_selection_study(cfg))
+
+    @pytest.mark.parametrize("value", [float, np.float64, bool])
+    @pytest.mark.parametrize("name, count", [
+        ("n_min", 500), ("n_max", 500), ("n_count", 1), ("reps", 3),
+        ("workers", 1), ("kmax", 3)])
+    def test_counts_must_be_integers(self, name, count, value):
+        # kmax=3.0 would fail inside the runner, kmax=True run as 1
+        with pytest.raises(InputError, match=f"{name} must be an integer"):
+            self.small_config(**{name: value(count)})
+        cfg = self.small_config(**{name: np.int64(count)})
+        assert type(getattr(cfg, name)) is int
 
     def test_dsc_only_config(self):
         res = run_selection_study(self.small_config(methods=("dsc",)))
