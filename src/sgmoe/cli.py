@@ -190,7 +190,14 @@ def _cmd_simulate(args, argv):
     print(f"wrote {data.n} rows (dim {data.dim}) to {out}")
 
 
+def _at_least_one(value: int, flag: str) -> None:
+    """Refuse an expert count below 1 before any file is read."""
+    if value < 1:
+        raise InputError(f"{flag} must be >= 1, got {value}")
+
+
 def _cmd_fit(args, argv):
+    _at_least_one(args.k, "--k")
     cfg = FitConfig(**_given(args, FitConfig))
     unread = [f"--{name.replace('_', '-')}" for name in
               ("truth", "reference", "init_scale", "init_gate_scale")
@@ -233,6 +240,7 @@ def _cmd_dendrogram(args, argv):
 
 
 def _cmd_select(args, argv):
+    _at_least_one(args.kmax, "--kmax")
     methods = METHODS if args.method == "all" else (args.method,)
     outputs = {m: _beside(args.out, f".{m}.json") for m in methods}
     epsilon = _parse_epsilon(args.epsilon)

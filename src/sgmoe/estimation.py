@@ -14,9 +14,10 @@ expert-major as a C-ordered (K, N) array: each expert's responsibilities
 are one contiguous row, and the E-step writes its softmax straight into
 them.  Every other temporary of a pass lives in the fit's one
 ``model.Workspace``, made when the fit starts and sized by ROW_BLOCK at
-that moment: a block's log-joint, gating logits (``gates @ z.T``) and
-softmax are (K, B) views of it, the design its (D+1, B) transpose, and
-the gating Hessian's and expert moments' (K, D+1, B) products reuse the
+that moment: a block's log-joint, gating logits and softmax are (K, B)
+views of it, its transposed design ``zt`` (``model.design_t``) a (D+1, B)
+one, and every gate logit and expert mean the product ``rows @ zt``.  The
+gating Hessian's and expert moments' (K, D+1, B) products reuse the
 storage of the logits and their scratch (``model.gating_hessian`` and
 ``model.expert_moments``, kept beside the workspace that lays them out).
 Every sum over the K experts adds contiguous rows elementwise.
@@ -50,6 +51,7 @@ from .model import (
     ExpertAtom,
     MixingMeasure,
     Workspace,
+    design_t,
     expert_moments,
     gating_hessian,
     log_joint,
@@ -154,14 +156,6 @@ class FitResult:
 # ---------------------------------------------------------------------------
 # gating M-step
 
-def _design_t(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The transposed design into the (D+1, n) ``out``: rows x_1..x_D,
-    then ones."""
-    out[:-1] = xs.T
-    out[-1] = 1.0
-    return out
-
-
 def _block_sums(terms, work: Workspace, n: int) -> list:
     """Termwise sums of ``terms(rows, views)`` over ``model.row_blocks(n)``,
     with ``views`` the block's views of ``work``.
@@ -221,7 +215,7 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
     work = Workspace.for_blocks(k, d, n) if work is None else work.check(k, d)
     obj0, grad, hess = _block_sums(
         lambda rows, views: _gating_terms(
-            gates, resp[:, rows], _design_t(xs[rows], views.zt), views),
+            gates, resp[:, rows], design_t(xs[rows], views.zt), views),
         work, n)
     hess.reshape(-1)[::k * p + 1] += RIDGE
 
@@ -233,7 +227,7 @@ def gating_newton_step(gates: np.ndarray, resp: np.ndarray, xs: np.ndarray,
         raise NumericError("gating Newton step is non-finite")
 
     def objective(rows, views):
-        logits = np.matmul(cand, _design_t(xs[rows], views.zt), out=views.a)
+        logits = np.matmul(cand, design_t(xs[rows], views.zt), out=views.a)
         weighted = np.sum(np.multiply(resp[:, rows], logits, out=views.b))
         return (float(weighted - np.sum(logsumexp_cols(logits, logits,
                                                        views.vec))),)
@@ -260,7 +254,7 @@ def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
     n = xs.shape[0]
     mass, gram, rhs = _block_sums(
         lambda rows, views: expert_moments(
-            _design_t(xs[rows], views.zt), resp[:, rows], ys[rows], views),
+            design_t(xs[rows], views.zt), resp[:, rows], ys[rows], views),
         work, n)
     betas = np.empty_like(rhs)
     for j, sw in enumerate(mass.tolist()):
@@ -273,7 +267,7 @@ def _expert_mstep(xs: np.ndarray, ys: np.ndarray, resp: np.ndarray,
             betas[j], *_ = np.linalg.lstsq(gram[j], rhs[j], rcond=None)
 
     def residual_sums(rows, views):
-        resid = np.matmul(betas, _design_t(xs[rows], views.zt),
+        resid = np.matmul(betas, design_t(xs[rows], views.zt),
                           out=views.a)                      # (K, B)
         np.subtract(ys[rows], resid, out=resid)
         np.square(resid, out=resid)

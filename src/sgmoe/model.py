@@ -22,10 +22,9 @@ one buffer of one layout allocated per pass or fit; with one block
 (N <= ROW_BLOCK) a pass is the unblocked arithmetic bit for bit.  The two
 EM kernels whose products share storage with a block's other slots,
 :func:`gating_hessian` and :func:`expert_moments`, live here beside the
-workspace that lays them out.
-At D = 1 the slope products omega1 . x and a . x are elementwise outer
-products, off numpy's slow matmul loop for an inner dimension of 1
-(:func:`_affine`).
+workspace that lays them out.  Every gate logit omega1 . x + omega0 and
+expert mean a . x + b is one product of the (K, D+1) parameter rows with
+the block's transposed design (x, 1), built by :func:`design_t`, at any D.
 """
 
 from __future__ import annotations
@@ -96,10 +95,10 @@ class Workspace:
     and the design's (D+1, D+1, r) cross products, take the storage of
     ``a`` and ``b``: only :func:`gating_hessian` and :func:`expert_moments`
     write them, and each call overwrites whatever ``a`` and ``b`` held.
-    A likelihood or sampler pass writes only ``vec``, ``a`` and ``b``, and
-    ``np.empty`` writes none of the buffer, so such a pass touches no page
-    of the slots it leaves alone.  ``for_blocks`` sizes one for
-    ``row_blocks(n)``, reading ROW_BLOCK when it is called.
+    A likelihood or sampler pass writes only ``vec``, ``a``, ``b`` and
+    ``zt``, and ``np.empty`` writes none of the buffer, so such a pass
+    touches no page of the slots it leaves alone.  ``for_blocks`` sizes
+    one for ``row_blocks(n)``, reading ROW_BLOCK when it is called.
     """
 
     def __init__(self, k: int, d: int, rows: int):
@@ -436,18 +435,12 @@ def softmax_cols(a: np.ndarray, out: np.ndarray | None = None,
     return e, lse
 
 
-def _affine(rows: np.ndarray, xs: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """rows[:, :-1] @ xs.T + rows[:, -1:] into the (K, n) ``out``, for
-    (K, D+1) parameter rows over the design (x, 1).  At D = 1 the slope
-    product is an elementwise outer product: numpy's matmul takes an
-    inner dimension of 1 through a loop without BLAS, about six times
-    slower, whose sum 0 + a*b has the same bits but for the sign of a
-    zero."""
-    if xs.shape[1] == 1:
-        np.multiply(rows[:, :1], xs[:, 0], out=out)
-    else:
-        np.matmul(rows[:, :-1], xs.T, out=out)
-    return np.add(out, rows[:, -1:], out=out)
+def design_t(xs: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The transposed design of the rows ``xs`` into the (D+1, n) ``out``:
+    rows x_1..x_D, then ones."""
+    out[:-1] = xs.T
+    out[-1] = 1.0
+    return out
 
 
 def log_gates(gates: np.ndarray, xs: np.ndarray,
@@ -455,11 +448,12 @@ def log_gates(gates: np.ndarray, xs: np.ndarray,
     """Log softmax gate probabilities from the (K, D+1) gating rows
     (omega1_k, omega0_k), as a C-ordered (K, n) array: slot ``a`` of
     ``work``'s block (slot ``b`` is scratch), a new workspace's when
-    None."""
+    None.  The logits are ``gates @ zt``, with the rows' transposed
+    design built in the block's slot ``zt``, where it stays."""
     n, k, d = xs.shape[0], gates.shape[0], xs.shape[1]
     work = Workspace(k, d, n) if work is None else work.check(k, d)
     views = work.block(n)
-    logits = _affine(gates, xs, views.a)
+    logits = np.matmul(gates, design_t(xs, views.zt), out=views.a)
     return np.subtract(logits, logsumexp_cols(logits, views.b, views.vec),
                        out=logits)
 
@@ -471,12 +465,14 @@ def log_joint(gates: np.ndarray, betas: np.ndarray, sigmas: np.ndarray,
     gating rows, the (K, D+1) expert rows (a_k, b_k) and the K variances,
     as a C-ordered (K, n) array: the expert-major layout of every kernel
     here, where numpy's broadcasts run along n.  The result is slot ``a``
-    of ``work``'s block for n rows (``b`` and ``vec`` are scratch), a new
-    workspace's when None."""
+    of ``work``'s block for n rows (``b``, ``vec`` and ``zt`` are
+    scratch), a new workspace's when None.  The means ``betas @ zt`` take
+    the transposed design that :func:`log_gates` left in ``zt``."""
     n, k, d = xs.shape[0], gates.shape[0], xs.shape[1]
     work = Workspace(k, d, n) if work is None else work.check(k, d)
     lj = log_gates(gates, xs, work)
-    log_norm = _affine(betas, xs, work.block(n).b)     # the means
+    views = work.block(n)
+    log_norm = np.matmul(betas, views.zt, out=views.b)     # the means
     np.subtract(ys, log_norm, out=log_norm)
     np.square(log_norm, out=log_norm)
     np.divide(log_norm, sigmas[:, None], out=log_norm)

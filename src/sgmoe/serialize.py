@@ -576,12 +576,12 @@ def _parse_rows(chunk: list, first_line: int, width: int, path) -> np.ndarray:
 # low bytes follow their own recurrence l' = (l XOR b) * (P mod 256) mod 256;
 # as P is odd, bit k of l' is bit k of l, XOR bit k of b, XOR bit k of
 # ((l XOR b) mod 2^k) * (P mod 256). So bit k of every l_i is a prefix XOR
-# once bits 0..k-1 are known. The input is hashed one _FNV_CHUNK at a time:
-# eight vectorized bit passes per chunk give its low bytes, then one
-# wrapping uint64 dot product per _FNV_BLOCK (64 KiB) of it against the
-# power table. Scalar arithmetic stays in python ints. The passes cost about
-# 100 us whatever the length, so a piece shorter than _FNV_SMALL bytes is
-# hashed by the plain per-byte loop instead.
+# once bits 0..k-1 are known. The input is hashed in chunks of at most
+# _FNV_CHUNK bytes: eight vectorized bit passes per chunk give its low
+# bytes, then one wrapping uint64 dot product per _FNV_BLOCK (64 KiB) of it
+# against the power table. Scalar arithmetic stays in python ints. The
+# passes cost about 100 us whatever the length, so a chunk shorter than
+# _FNV_SMALL bytes is hashed by the plain per-byte loop instead.
 
 _FNV_OFFSET = 0xcbf29ce484222325
 _FNV_PRIME = 0x100000001b3
@@ -653,41 +653,27 @@ def _fnv1a64_chunk(h: int, chunk, powers) -> int:
 
 
 class _Fnv1a:
-    """Running FNV-1a state over bytes fed in pieces of any size; the
-    pieces are hashed in whole _FNV_CHUNKs, as `file_digest` reads them.
-    `length` counts the bytes fed."""
+    """Running FNV-1a state over bytes fed in pieces of any size, each
+    hashed as it arrives, at most _FNV_CHUNK bytes at a time: the hash is
+    sequential, so any split gives the same digest. `length` counts the
+    bytes fed."""
 
     def __init__(self):
         self._h = _FNV_OFFSET
-        self._pending = b""
         self._powers = None
         self.length = 0
-
-    def _step(self, h: int, chunk) -> int:
-        if self._powers is None and len(chunk) >= _FNV_SMALL:
-            self._powers = _fnv_powers()
-        return _fnv1a64_chunk(h, chunk, self._powers)
 
     def update(self, data) -> None:
         view = memoryview(data).cast("B")
         self.length += len(view)
-        if self._pending:
-            take = _FNV_CHUNK - len(self._pending)
-            self._pending += bytes(view[:take])
-            view = view[take:]
-            if len(self._pending) < _FNV_CHUNK:
-                return
-            self._h = self._step(self._h, self._pending)
-        whole = len(view) - len(view) % _FNV_CHUNK
-        for start in range(0, whole, _FNV_CHUNK):
-            self._h = self._step(self._h, view[start:start + _FNV_CHUNK])
-        self._pending = bytes(view[whole:])
+        for start in range(0, len(view), _FNV_CHUNK):
+            chunk = view[start:start + _FNV_CHUNK]
+            if self._powers is None and len(chunk) >= _FNV_SMALL:
+                self._powers = _fnv_powers()
+            self._h = _fnv1a64_chunk(self._h, chunk, self._powers)
 
     def hexdigest(self) -> str:
-        h = self._h
-        if self._pending:
-            h = self._step(h, self._pending)
-        return f"{h:016x}"
+        return f"{self._h:016x}"
 
 
 def fnv1a64(data: bytes) -> str:

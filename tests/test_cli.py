@@ -350,6 +350,20 @@ def test_missing_input_exits_one(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["fit", "--k", "0"],
+                                  ["select", "--kmax", "0"]])
+def test_size_below_one_is_refused_before_data_is_read(tmp_path, capsys,
+                                                       argv):
+    # the size is refused before --data (which does not exist) is read,
+    # by the flag's name, and nothing is written
+    out = tmp_path / "z"
+    rc = run_cli([*argv, "--data", str(tmp_path / "nosuch.csv"),
+                  "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {argv[1]} must be >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["fit", "metrics", "dendrogram"])
 def test_directory_input_exits_one(workdir, tmp_path, capsys, command):
     argv = {
@@ -726,8 +740,7 @@ def test_study_rep_rows_are_the_records(tmp_path, monkeypatch, study):
     assert "rep" not in {row[0] for row in table[1 + len(reps):]}
 
 
-def test_select_study_identical_across_worker_counts(tmp_path, monkeypatch):
-    monkeypatch.delenv("SGMOE_THREADS", raising=False)
+def test_select_study_identical_across_worker_counts(tmp_path):
     written = {}
     for workers in ("1", "2"):
         out = tmp_path / f"w{workers}"

@@ -35,11 +35,6 @@ from sgmoe.model import ROW_BLOCK, ExpertAtom, MixingMeasure, translate
 from helpers import random_measure
 
 
-@pytest.fixture(autouse=True)
-def _no_thread_override(monkeypatch):
-    monkeypatch.delenv("SGMOE_THREADS", raising=False)
-
-
 def tiny_rate_config(**kw):
     base = dict(truth="g0_2", setting="exact", n_min=100, n_max=400,
                 n_count=3, reps=2, loss="vde", seed=11, workers=1,

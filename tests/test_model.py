@@ -40,6 +40,7 @@ from helpers import (
     naive_gates,
     random_dataset,
     random_measure,
+    ref_log_gates,
     ref_log_joint,
     ref_logsumexp_cols,
     ref_softmax_cols,
@@ -375,10 +376,11 @@ class TestRowBlocks:
         np.testing.assert_allclose(got[keep], want[keep], rtol=1e-13)
 
     def test_one_block_is_the_unblocked_pass(self):
-        # against the fresh-array reference kernels; at D = 1 the slope
-        # products are outer products here and matmuls there
+        # against the fresh-array reference kernels, which add the bias to
+        # the slope product; with K, n >= 2 the design product's sum ends
+        # with that same addition at every D
         rng = np.random.default_rng(9)
-        for dim in (2, 1):
+        for dim in (2, 1, 3):
             g = random_measure(rng, k=4, dim=dim, scale=1.0)
             data = random_dataset(rng, n=500, dim=dim)
             params = g.gates(), g.betas(), g.sigmas()
@@ -388,6 +390,45 @@ class TestRowBlocks:
                                   ref_logsumexp_cols(lj))
             assert np.array_equal(responsibility_matrix(g, data),
                                   ref_softmax_cols(lj)[0].T)
+
+    def test_one_expert_or_one_row_at_d1_within_one_rounding(self):
+        # at D = 1 with one expert or one row, numpy takes the design
+        # product through BLAS gemv, which may round w x + w0 once where
+        # the references round w x and then the sum; which way it goes is
+        # the platform's.  So each logit and mean may move by one rounding,
+        # eps (|w x| + |w0|) at most; a log softmax by twice its largest
+        # logit's move, a Gaussian log density by |y - mean| / sigma per
+        # unit of mean, and every later value by a rounding of its size.
+        rng = np.random.default_rng(14)
+        eps = np.finfo(float).eps
+        for k, n in ((1, 300), (3, 1), (1, 1)):
+            g = random_measure(rng, k=k, dim=1, scale=1.0)
+            data = random_dataset(rng, n=n, dim=1)
+            params = gates, betas, sigmas = g.gates(), g.betas(), g.sigmas()
+            xs, ys = data.xs, data.ys
+
+            def moved(rows):
+                return eps * (np.abs(rows[:, :1] * xs.T)
+                              + np.abs(rows[:, 1:]))
+
+            logits = gates[:, :1] * xs.T + gates[:, 1:]
+            lg = ref_log_gates(gates, xs)
+            lj = ref_log_joint(*params, xs, ys)
+            resid = ys - (betas[:, :1] * xs.T + betas[:, 1:])
+            sizes = (np.abs(logits).max(axis=0) + np.abs(lg) + np.abs(lj)
+                     + model.LOG_2PI + np.abs(np.log(sigmas))[:, None]
+                     + resid ** 2 / sigmas[:, None])
+            gate_slack = 2 * moved(gates).max(axis=0) + 8 * eps * sizes
+            slack = (gate_slack
+                     + np.abs(resid) * moved(betas) / sigmas[:, None])
+            assert np.all(np.abs(log_joint(*params, xs, ys) - lj) <= slack)
+            lse = ref_logsumexp_cols(lj)
+            assert np.all(np.abs(log_density_vector(g, xs, ys) - lse)
+                          <= slack.max(axis=0) + 8 * eps * np.abs(lse))
+            if n == 1:
+                want = np.exp(lg[:, 0])
+                assert np.all(np.abs(gating_probs(g, xs[0]) - want)
+                              <= want * (gate_slack[:, 0] + 4 * eps))
 
     def test_workspace_of_another_shape_is_refused(self):
         # a workspace is made for one K and D; a mismatch is a
